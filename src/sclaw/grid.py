@@ -40,11 +40,6 @@ class TorusGrid:
     def edges(self) -> np.ndarray:
         return np.arange(self.cells + 1) / self.cells
 
-    def wrapped_offset(self, d: int) -> float:
-        """Signed periodic displacement d*dx folded into [-1/2, 1/2)."""
-        z = (d % self.cells) / self.cells
-        return z - 1.0 if z >= 0.5 else z
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -70,14 +65,6 @@ class ScalarField:
 
     def mean(self) -> float:
         return float(np.mean(self.values))
-
-    def l1(self) -> float:
-        """L1 norm, dx * sum |u_i|."""
-        return float(self.grid.dx * np.sum(np.abs(self.values)))
-
-    def lp_pow(self, p: float) -> float:
-        """p-th power of the Lp norm, dx * sum |u_i|^p."""
-        return float(self.grid.dx * np.sum(np.abs(self.values) ** p))
 
     def range_bounds(self) -> tuple[float, float]:
         return float(np.min(self.values)), float(np.max(self.values))

@@ -1,10 +1,16 @@
 """Monte Carlo harness: tail estimates, scans, distribution checks, moments.
 
-Every sweep maps a pure per-path function over path indices 0..n-1.  A
-path's result depends only on (seed, stream, path_index) via the
-counter-based RNG, and cross-path tallies go through math.fsum, so the
-numbers are bitwise independent of the worker count.  Workers come from
-the SCLAW_THREADS environment variable (default: machine parallelism).
+Every sweep cuts path indices 0..n-1 into fixed blocks of 1024 paths
+(the last one partial) and runs each block through the batched stepper
+of ``solvers``.  A path's result depends only on (seed, stream,
+path_index): its increments come from its own Philox counter, and the
+stepper's arithmetic acts row by row, so a row's bits do not depend on
+the width of its block.  Cross-path tallies go through math.fsum.  The
+numbers are therefore bitwise independent of both the worker count and
+the block width.  Workers are threads, taken from the SCLAW_THREADS
+environment variable (default: machine parallelism); a 1024-path block
+spends long enough in numpy, which releases the GIL, for two workers to
+beat one.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .solvers import (base_small_time_endpoints, pair_l1_distances,
                       pair_moment_maxes, scaled_endpoints)
 
 _Z95 = 1.959963984540054
-_BATCH = 64    # paths per block; fixed so results never depend on workers
+_BATCH = 1024  # paths per block; fixed so results never depend on workers
 
 FUNCTIONALS = ("mass", "l2norm", "maxval")
 

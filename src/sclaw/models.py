@@ -12,7 +12,7 @@ lattice and report the worst ratio and where it occurred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -403,6 +403,16 @@ def validate_flux(flux: FluxModel, r_val: float = 10.0,
     return ValidationReport(f"flux[{flux.kind}]", tuple(checks))
 
 
+def _pow2_floor(x: float) -> float:
+    """Largest power of two not above x > 0 (1.0 for x == 0)."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
+
+
+def _rescaled(noise: NoiseModel, modes, scale: float) -> NoiseModel:
+    return NoiseModel(tuple(replace(m, sigma=m.sigma / scale) for m in modes),
+                      noise.state_bound)
+
+
 def validate_noise(noise: NoiseModel, r_val: float = 10.0,
                    lattice_n: int = 1024) -> ValidationReport:
     """Check per-mode growth/Lipschitz and the aggregate D0/D1 bounds.
@@ -416,8 +426,14 @@ def validate_noise(noise: NoiseModel, r_val: float = 10.0,
         raise ValueError("need r_val > 0 and lattice_n >= 2")
     u = np.linspace(-r_val, r_val, lattice_n)
     x = np.linspace(0.0, 1.0, 65, endpoint=False)
-    c0 = noise.mode_growth_consts()
-    c1 = noise.mode_lipschitz_consts()
+    # Every inequality is homogeneous in sigma, so each is checked with
+    # sigma divided by a power of two: exact, hence the same ratios in
+    # the normal range, while subnormal sigmas can no longer round the
+    # two sides apart.  Per-mode checks use the mode's own scale, the
+    # aggregate ones the scale of the largest sigma.
+    common_scale = _pow2_floor(max((abs(m.sigma) for m in noise.modes),
+                                   default=0.0))
+    common = _rescaled(noise, noise.modes, common_scale)
     checks: list[CheckResult] = []
 
     xs = np.linspace(0.0, 1.0, 25, endpoint=False)
@@ -430,30 +446,37 @@ def validate_noise(noise: NoiseModel, r_val: float = 10.0,
     du_axis = np.abs(u1 - u2)
     sum_sq = np.zeros(np.broadcast_shapes(x1.shape, x2.shape, u1.shape, u2.shape))
 
-    for k in range(noise.n_modes):
-        gk = np.abs(noise.g(k, x[:, None], u[None, :]))
+    for k, mode in enumerate(noise.modes):
+        scale = _pow2_floor(abs(mode.sigma))
+        unit = _rescaled(noise, (mode,), scale)
+        c0k = unit.mode_growth_consts()[0]
+        c1k = unit.mode_lipschitz_consts()[0]
+        gk = np.abs(unit.g(0, x[:, None], u[None, :]))
         checks.append(_ratio_check(
-            f"mode{k}_growth", gk, c0[k] * (1.0 + np.abs(u[None, :])),
+            f"mode{k}_growth", gk, c0k * (1.0 + np.abs(u[None, :])),
             [np.broadcast_to(x[:, None], gk.shape),
              np.broadcast_to(u[None, :], gk.shape)]))
-        dg = np.abs(noise.g(k, x1, u1) - noise.g(k, x2, u2))
+        dg = np.abs(unit.g(0, x1, u1) - unit.g(0, x2, u2))
         checks.append(_ratio_check(
-            f"mode{k}_lipschitz", dg, c1[k] * (dx_axis + du_axis + 0.0),
+            f"mode{k}_lipschitz", dg, c1k * (dx_axis + du_axis + 0.0),
             [np.broadcast_to(x1, dg.shape), np.broadcast_to(x2, dg.shape),
              np.broadcast_to(u1, dg.shape), np.broadcast_to(u2, dg.shape)]))
+        dg = dg * (scale / common_scale)
         sum_sq = sum_sq + dg * dg
 
-    gsq = noise.g_sq_sum(x[:, None], u[None, :])
+    gsq = common.g_sq_sum(x[:, None], u[None, :])
     checks.append(_ratio_check(
-        "sum_sq_growth", gsq, noise.D0 * (1.0 + u[None, :] ** 2),
+        "sum_sq_growth", gsq, common.D0 * (1.0 + u[None, :] ** 2),
         [np.broadcast_to(x[:, None], gsq.shape),
          np.broadcast_to(u[None, :], gsq.shape)]))
     if noise.n_modes:
         checks.append(_ratio_check(
             "sum_sq_lipschitz", sum_sq,
-            noise.D1 * (dx_axis ** 2 + du_axis ** 2),
+            common.D1 * (dx_axis ** 2 + du_axis ** 2),
             [np.broadcast_to(x1, sum_sq.shape), np.broadcast_to(x2, sum_sq.shape),
              np.broadcast_to(u1, sum_sq.shape), np.broadcast_to(u2, sum_sq.shape)]))
+    c0 = noise.mode_growth_consts()
+    c1 = noise.mode_lipschitz_consts()
     consts_ok = (abs(noise.D0 - 2.0 * float(np.sum(c0 * c0))) == 0.0
                  and abs(noise.D1 - 2.0 * float(np.sum(c1 * c1))) == 0.0)
     checks.append(CheckResult("aggregate_consts", consts_ok,
@@ -501,15 +524,9 @@ class NoisePath:
     @classmethod
     def generate(cls, seed: int, stream: int, path_index: int,
                  n_steps: int, n_modes: int, dt: float) -> "NoisePath":
-        if seed < 0 or stream < 0 or path_index < 0:
-            raise ValueError("seed, stream and path_index must be nonnegative")
-        if n_steps < 1 or dt <= 0:
-            raise ValueError("need n_steps >= 1 and dt > 0")
-        bits = np.random.Philox(
-            counter=[0, 0, path_index, 0],
-            key=[seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF])
-        z = np.random.Generator(bits).standard_normal((n_steps, max(n_modes, 0)))
-        return cls(seed, stream, path_index, dt, math.sqrt(dt) * z)
+        inc = block_increments(seed, stream, [path_index], n_steps,
+                               n_modes, dt)
+        return cls(seed, stream, path_index, dt, inc[:, :, 0])
 
     def coarsen(self, factor: int) -> "NoisePath":
         """Aggregate consecutive increments: the same Brownian path on a
@@ -520,6 +537,30 @@ class NoisePath:
                                       self.n_modes).sum(axis=1)
         return NoisePath(self.seed, self.stream, self.path_index,
                          self.dt * factor, inc)
+
+
+def block_increments(seed: int, stream: int, path_indices, n_steps: int,
+                     n_modes: int, dt: float) -> np.ndarray:
+    """Increments of a block of paths, step-major: (n_steps, n_modes, paths).
+
+    Column r is the NoisePath of path_indices[r]: each path draws its
+    (n_steps, n_modes) normals from its own Philox counter, then the
+    whole block is scaled by sqrt(dt) in place.
+    """
+    indices = [int(i) for i in path_indices]
+    if seed < 0 or stream < 0 or min(indices, default=0) < 0:
+        raise ValueError("seed, stream and path_index must be nonnegative")
+    if n_steps < 1 or dt <= 0:
+        raise ValueError("need n_steps >= 1 and dt > 0")
+    out = np.empty((n_steps, max(n_modes, 0), len(indices)))
+    z = np.empty(out.shape[:2])
+    key = [seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF]
+    for r, i in enumerate(indices):
+        bits = np.random.Philox(counter=[0, 0, i, 0], key=key)
+        np.random.Generator(bits).standard_normal(out=z)
+        out[:, :, r] = z
+    out *= math.sqrt(dt)
+    return out
 
 
 # ---------------------------------------------------------------------------

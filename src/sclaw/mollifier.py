@@ -27,6 +27,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from .errors import NumericalFailure
+
 TABLE_POINTS = 4096
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -49,7 +51,9 @@ def bump_norm() -> float:
     """Normalizer Z = int_{-1}^{1} exp(-1/(1-w^2)) dw by adaptive quadrature."""
     val, err = quad(lambda s: float(bump_raw(s)), -1.0, 1.0,
                     epsabs=1e-13, epsrel=1e-13, limit=200)
-    assert err < 1e-10
+    if not err < 1e-10:
+        raise NumericalFailure(
+            f"bump normalizer quadrature error {err:.3g} exceeds 1e-10")
     return val
 
 

@@ -373,7 +373,10 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
                 s *= opt.shrink
             if trial_phi is None:
                 break
-            assert trial_phi <= phi + 1e-12   # descent across accepted steps
+            if trial_phi > phi + 1e-12:
+                raise NumericalFailure(
+                    f"line search accepted an ascent step: objective "
+                    f"{phi!r} -> {trial_phi!r}")
             x = x + s * d
             stall = stall + 1 if phi - trial_phi <= 1e-9 * max(1.0, abs(phi)) \
                 else 0

@@ -11,19 +11,24 @@ Every flux substep re-checks the Courant certificate
 with sup|a| taken over the running solution range widened by a fixed
 margin, and raises a NumericalFailure naming the attained Courant
 number (and the path/step) on violation.
+
+One stepper, ``_sweep``, advances every run: a block of paths moves in
+lockstep as a (paths, cells) array, and a single path is a block of one
+row.  What a caller needs (trajectory snapshots, the pair's L1 gap,
+moment maxima, endpoints) is observed along the way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import ScalarField, TorusGrid, Trajectory
+from .grid import ScalarField, Trajectory
 from .models import (STREAM_BASE, STREAM_MAIN, FluxModel, NoiseModel,
-                     NoisePath, SimConfig)
+                     NoisePath, SimConfig, block_increments)
 
 # widening of the running solution range when certifying the CFL condition
 RANGE_PAD = 1.0
@@ -52,28 +57,154 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel | None,
     return n, horizon / n
 
 
-def _flux_update(u: np.ndarray, dx: float, flux: FluxModel, scale: float,
-                 dt: float, nu_max: float, path_index: int | None,
-                 step: int | None) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the stepping engine
+#
+# Every run advances a block of paths in lockstep as a (paths, cells)
+# array; a single path is a block of one row.  Each update acts row by
+# row: the flux substep is elementwise, and the noise coefficients are a
+# fixed-order einsum over the K modes, which never reaches BLAS.  A
+# row's bits therefore do not depend on the height of its block.
+
+
+def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
+    """(min, max) of the block, raising on the first non-finite row."""
     lo = float(u.min())
     hi = float(u.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = int(np.nonzero(~np.isfinite(u).all(axis=1))[0][0])
+        raise NumericalFailure("non-finite state", path_indices[bad], step)
+    return lo, hi
+
+
+def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
+                  flux: FluxModel, scale: float, dt: float, nu_max: float,
+                  path_indices, step: int, tmp: np.ndarray) -> None:
+    """Engquist-Osher update of every row of u, in place; tmp is scratch."""
     sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
-    courant = scale * sup * dt / dx
-    if courant > nu_max:
-        raise NumericalFailure(
-            f"CFL violation: Courant number {courant:.6g} exceeds the "
-            f"certified fraction {nu_max:.6g}", path_index, step)
-    f = flux.eo_flux(u, np.roll(u, -1))      # flux through right interfaces
-    return u - scale * (dt / dx) * (f - np.roll(f, 1))
+    if scale * sup * dt / dx > nu_max:
+        # the hull bound is conservative: certify per path before failing
+        lows, highs = u.min(axis=1), u.max(axis=1)
+        for r in range(u.shape[0]):
+            rsup = flux.sup_abs_a(float(lows[r]) - RANGE_PAD,
+                                  float(highs[r]) + RANGE_PAD)
+            courant = scale * rsup * dt / dx
+            if courant > nu_max:
+                raise NumericalFailure(
+                    f"CFL violation: Courant number {courant:.6g} exceeds "
+                    f"the certified fraction {nu_max:.6g}",
+                    path_indices[r], step)
+    right = tmp
+    right[:, :-1] = u[:, 1:]
+    right[:, -1] = u[:, 0]
+    f = flux.eo_flux(u, right)       # flux through right interfaces
+    div = right
+    np.subtract(f[:, 1:], f[:, :-1], out=div[:, 1:])
+    np.subtract(f[:, :1], f[:, -1:], out=div[:, :1])
+    div *= scale * (dt / dx)
+    u -= div
 
 
-def _noise_update(u: np.ndarray, amp: float, db: np.ndarray, p0: np.ndarray,
-                  p1: np.ndarray, path_index: int | None,
-                  step: int | None) -> np.ndarray:
-    out = u + amp * (db @ p0 + (db @ p1) * u)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure("non-finite state after noise update",
-                               path_index, step)
+def _noise_substep(u: np.ndarray, coef: np.ndarray, amp: float,
+                   tmp: np.ndarray) -> None:
+    """u += amp * (c0 + c1 * u) in place, with coef = [c0 | c1] per row."""
+    m = u.shape[1]
+    np.multiply(coef[:, m:], u, out=tmp)
+    tmp += coef[:, :m]
+    tmp *= amp
+    u += tmp
+
+
+@dataclass
+class _Observed:
+    ends: np.ndarray                  # final first-member states (paths, cells)
+    gap: np.ndarray | None = None     # space-time L1 gaps of pairs (paths,)
+    moms: np.ndarray | None = None    # (paths, len(p_list), members)
+    marks: list[int] | None = None    # steps of the recorded snapshots
+    saved: np.ndarray | None = None   # (snapshots, members, paths, cells)
+
+
+def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
+           noise: NoiseModel, amp: float, dt: float, inc: np.ndarray,
+           splitting: str, nu_max: float, path_indices, pair: bool = False,
+           p_list=(), stride: int = 0) -> _Observed:
+    """Advance one block of paths from eta and report what was observed.
+
+    Row r is path_indices[r], driven by inc[:, :, r] (step-major
+    increments, (n_steps, K, paths)).  A step is the flux substep (two
+    half steps around the noise for Strang) and the Euler-Maruyama noise
+    substep.  The noise coefficients sum_k db_k P0[k] and sum_k db_k P1[k]
+    are one einsum per step, shared by both members when pair is set;
+    the second member runs without flux.  Observers: the endpoint always,
+    the trapezoidal L1 gap of a pair, the running maxima of
+    dx * sum |.|^p for each p in p_list, and, when stride > 0, snapshots
+    every stride steps and at the end.
+    """
+    n, n_modes, rows = inc.shape
+    indices = [int(i) for i in path_indices]
+    dx = eta.grid.dx
+    m = eta.grid.cells
+    p0, p1 = noise.affine_parts(eta.grid.centers)
+    coef_fields = np.concatenate([p0, p1], axis=1)
+    coef = np.empty((rows, 2 * m))
+    tmp = np.empty((rows, m))
+    u = np.tile(eta.values, (rows, 1))
+    members = [u, u.copy()] if pair else [u]
+    out = _Observed(u)
+    strang = splitting == "strang"
+    h = 0.5 * dt if strang else dt
+    lo_hi = _range(u, indices, 0)     # range of u, None once stale
+
+    def flux_step(s):
+        nonlocal lo_hi
+        lo, hi = lo_hi or _range(u, indices, s)
+        _flux_substep(u, lo, hi, dx, flux, flux_scale, h, nu_max, indices, s,
+                      tmp)
+        lo_hi = None
+
+    def observe():
+        for i, w in enumerate(members):
+            a = np.abs(w)
+            for j, p in enumerate(p_list):
+                np.maximum(out.moms[:, j, i], dx * (a ** p).sum(axis=1),
+                           out=out.moms[:, j, i])
+
+    if pair:
+        out.gap = np.zeros(rows)
+        prev = np.zeros(rows)
+    if p_list:
+        out.moms = np.full((rows, len(p_list), len(members)), -np.inf)
+        observe()
+    if stride:
+        out.marks = [0]
+        saved = [[w.copy() for w in members]]
+    for s in range(n):
+        if flux is not None:
+            flux_step(s)
+        if n_modes:
+            np.einsum("kb,kc->bc", inc[s], coef_fields, out=coef)
+            for w in members:
+                _noise_substep(w, coef, amp, tmp)
+            lo_hi = _range(u, indices, s)
+        if flux is not None and strang:
+            flux_step(s)
+        if pair:
+            v = members[1]
+            np.subtract(u, v, out=tmp)
+            np.abs(tmp, out=tmp)
+            cur = dx * tmp.sum(axis=1)
+            # a finite gap next to a finite u implies a finite v
+            if not np.isfinite(cur).all():
+                _range(v, indices, s)
+            out.gap += 0.5 * dt * (prev + cur)
+            prev = cur
+        if p_list:
+            observe()
+        if stride and ((s + 1) % stride == 0 or s + 1 == n):
+            saved.append([w.copy() for w in members])
+            out.marks.append(s + 1)
+    if stride:
+        out.saved = np.array(saved)
     return out
 
 
@@ -82,9 +213,10 @@ def deterministic_step(field: ScalarField, flux: FluxModel, scale: float,
     """One conservative Engquist-Osher step of size dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vals = _flux_update(field.values, field.grid.dx, flux, scale, dt,
-                        nu_max, None, None)
-    return ScalarField(field.grid, vals)
+    u = field.values[None, :].copy()
+    _flux_substep(u, *field.range_bounds(), field.grid.dx, flux, scale, dt,
+                  nu_max, [None], None, np.empty_like(u))
+    return ScalarField(field.grid, u[0])
 
 
 def stochastic_substep(field: ScalarField, noise: NoiseModel, amp: float,
@@ -94,42 +226,62 @@ def stochastic_substep(field: ScalarField, noise: NoiseModel, amp: float,
     if db.shape != (noise.n_modes,):
         raise ValueError(f"expected {noise.n_modes} increments, got {db.shape}")
     p0, p1 = noise.affine_parts(field.grid.centers)
-    vals = _noise_update(field.values, amp, db, p0, p1, None, None)
-    return ScalarField(field.grid, vals)
+    coef = np.einsum("kb,kc->bc", db[:, None],
+                     np.concatenate([p0, p1], axis=1))
+    u = field.values[None, :].copy()
+    _noise_substep(u, coef, amp, np.empty_like(u))
+    _range(u, [None], None)
+    return ScalarField(field.grid, u[0])
 
 
-def _run(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
-         noise: NoiseModel, noise_amp: float, n_steps: int, dt: float,
-         path: NoisePath, splitting: str, save_stride: int, nu_max: float,
-         path_index: int | None, horizon: float) -> Trajectory:
-    grid = eta.grid
-    dx = grid.dx
-    if path.n_steps != n_steps or path.n_modes != noise.n_modes:
+def _scaled(cfg: SimConfig, flux: FluxModel | None,
+            eta: ScalarField) -> tuple[float, float, int, float]:
+    """(flux scale, noise amplitude, n_steps, dt) of the rescaled dynamics."""
+    if cfg.horizon != 1.0:
+        raise ValueError("the rescaled dynamics run on the unit horizon")
+    n, dt = resolve_time_grid(cfg, flux, eta)
+    return cfg.epsilon, math.sqrt(cfg.epsilon), n, dt
+
+
+def _base(eta: ScalarField, epsilon: float, cfg: SimConfig,
+          flux: FluxModel) -> tuple[float, float, int, float]:
+    """The same for the unscaled dynamics run to time epsilon."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    n, dt = resolve_time_grid(replace(cfg, epsilon=epsilon), flux, eta)
+    return 1.0, 1.0, n, epsilon * dt
+
+
+def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
+           noise: NoiseModel, dynamics, path_indices, stream: int,
+           noise_path: NoisePath | None = None, **observers) -> _Observed:
+    """_sweep of the given dynamics over a block of paths; a given
+    noise_path drives the block's single path instead of its own."""
+    scale, amp, n, dt = dynamics
+    if noise_path is None:
+        inc = block_increments(cfg.seed, stream, path_indices, n,
+                               noise.n_modes, dt)
+    elif (noise_path.n_steps, noise_path.n_modes) != (n, noise.n_modes):
         raise ValueError(
-            f"noise path shape {(path.n_steps, path.n_modes)} does not match "
-            f"run shape {(n_steps, noise.n_modes)}")
-    p0, p1 = noise.affine_parts(grid.centers)
-    inc = path.increments
-    u = np.array(eta.values, dtype=float)
-    saved = [u.copy()]
-    marks = [0]
-    half = 0.5 * dt
-    for s in range(n_steps):
-        if flux is not None:
-            u = _flux_update(u, dx, flux, flux_scale,
-                             half if splitting == "strang" else dt,
-                             nu_max, path_index, s)
-        if noise.n_modes:
-            u = _noise_update(u, noise_amp, inc[s], p0, p1, path_index, s)
-        if flux is not None and splitting == "strang":
-            u = _flux_update(u, dx, flux, flux_scale, half, nu_max,
-                             path_index, s)
-        if (s + 1) % save_stride == 0 or s + 1 == n_steps:
-            saved.append(u.copy())
-            marks.append(s + 1)
-    times = np.array(marks, dtype=float) * dt
-    times[-1] = horizon
-    return Trajectory(grid, times, np.array(saved))
+            f"noise path shape {(noise_path.n_steps, noise_path.n_modes)} "
+            f"does not match run shape {(n, noise.n_modes)}")
+    else:
+        inc = noise_path.increments[:, :, None]
+    return _sweep(eta, flux, scale, noise, amp, dt, inc, cfg.splitting,
+                  cfg.cfl_fraction, path_indices, **observers)
+
+
+def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
+                  noise: NoiseModel, dynamics, path_index: int, stream: int,
+                  noise_path: NoisePath | None = None,
+                  pair: bool = False) -> list[Trajectory]:
+    """Recorded run of one path: [u] or, for a pair, [u, v]."""
+    obs = _block(eta, cfg, flux, noise, dynamics, [path_index], stream,
+                 noise_path, pair=pair, stride=cfg.save_stride)
+    times = np.array(obs.marks, dtype=float) * dynamics[3]
+    times[-1] = cfg.horizon
+    return [Trajectory(eta.grid, times, obs.saved[:, i, 0])
+            for i in range(obs.saved.shape[1])]
 
 
 def solve_scaled_spde(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -137,30 +289,19 @@ def solve_scaled_spde(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                       stream: int = STREAM_MAIN,
                       noise_path: NoisePath | None = None) -> Trajectory:
     """Solve du + eps * div A(u) dt = sqrt(eps) * sum g_k db_k on [0, 1]."""
-    if cfg.horizon != 1.0:
-        raise ValueError("the rescaled dynamics run on the unit horizon")
-    n, dt = resolve_time_grid(cfg, flux, eta)
-    path = noise_path if noise_path is not None else NoisePath.generate(
-        cfg.seed, stream, path_index, n, noise.n_modes, dt)
-    return _run(eta, flux, cfg.epsilon, noise, math.sqrt(cfg.epsilon), n, dt,
-                path, cfg.splitting, cfg.save_stride, cfg.cfl_fraction,
-                path_index, cfg.horizon)
+    return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+                         path_index, stream, noise_path)[0]
 
 
 def solve_flux_free(eta: ScalarField, cfg: SimConfig, noise: NoiseModel,
                     path_index: int = 0, stream: int = STREAM_MAIN,
                     noise_path: NoisePath | None = None) -> Trajectory:
     """Same stochastic dynamics without transport: dv = sqrt(eps) sum g_k db_k."""
-    if cfg.horizon != 1.0:
-        raise ValueError("the rescaled dynamics run on the unit horizon")
-    n, dt = resolve_time_grid(cfg, None, eta)
+    scale, amp, n, dt = _scaled(cfg, None, eta)
     if noise_path is not None:
         n, dt = noise_path.n_steps, noise_path.dt
-    path = noise_path if noise_path is not None else NoisePath.generate(
-        cfg.seed, stream, path_index, n, noise.n_modes, dt)
-    return _run(eta, None, 0.0, noise, math.sqrt(cfg.epsilon), n, dt, path,
-                cfg.splitting, cfg.save_stride, cfg.cfl_fraction, path_index,
-                cfg.horizon)
+    return _trajectories(eta, cfg, None, noise, (scale, amp, n, dt),
+                         path_index, stream, noise_path)[0]
 
 
 def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -173,13 +314,9 @@ def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     members see identical Brownian increments step by step; their gap
     isolates the effect of the scaled flux.
     """
-    n, dt = resolve_time_grid(cfg, flux, eta)
-    path = NoisePath.generate(cfg.seed, stream, path_index, n,
-                              noise.n_modes, dt)
-    with_flux = solve_scaled_spde(eta, cfg, flux, noise, path_index,
-                                  stream, noise_path=path)
-    without = solve_flux_free(eta, cfg, noise, path_index, stream,
-                              noise_path=path)
+    with_flux, without = _trajectories(eta, cfg, flux, noise,
+                                       _scaled(cfg, flux, eta), path_index,
+                                       stream, pair=True)
     return with_flux, without
 
 
@@ -195,206 +332,38 @@ def solve_base_small_time(eta: ScalarField, epsilon: float, cfg: SimConfig,
     endpoint at time 1; with zero noise the two agree to roundoff, and
     at epsilon = 1 the computation is identical step for step.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    base_cfg = replace(cfg, epsilon=epsilon)
-    n, dt = resolve_time_grid(base_cfg, flux, eta)
-    dt_base = epsilon * dt
-    path = noise_path if noise_path is not None else NoisePath.generate(
-        cfg.seed, stream, path_index, n, noise.n_modes, dt_base)
-    traj = _run(eta, flux, 1.0, noise, 1.0, n, dt_base, path, cfg.splitting,
-                n, cfg.cfl_fraction, path_index, epsilon * cfg.horizon)
-    return traj.final()
-
-
-def pair_l1_distance(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                     noise: NoiseModel, path_index: int = 0,
-                     stream: int = STREAM_MAIN) -> float:
-    """Space-time L1 gap of a coupled pair, accumulated on the fly.
-
-    Runs the same updates as solve_coupled_pair but keeps only the
-    running trapezoidal integral of ||u - v||_L1, so large Monte Carlo
-    sweeps avoid building trajectories.
-    """
-    grid = eta.grid
-    dx = grid.dx
-    n, dt = resolve_time_grid(cfg, flux, eta)
-    path = NoisePath.generate(cfg.seed, stream, path_index, n,
-                              noise.n_modes, dt)
-    p0, p1 = noise.affine_parts(grid.centers)
-    inc = path.increments
-    amp = math.sqrt(cfg.epsilon)
-    u = np.array(eta.values, dtype=float)
-    v = u.copy()
-    half = 0.5 * dt
-    strang = cfg.splitting == "strang"
-    prev = 0.0
-    total = 0.0
-    for s in range(n):
-        u = _flux_update(u, dx, flux, cfg.epsilon, half if strang else dt,
-                         cfg.cfl_fraction, path_index, s)
-        if noise.n_modes:
-            db = inc[s]
-            u = _noise_update(u, amp, db, p0, p1, path_index, s)
-            v = _noise_update(v, amp, db, p0, p1, path_index, s)
-        if strang:
-            u = _flux_update(u, dx, flux, cfg.epsilon, half,
-                             cfg.cfl_fraction, path_index, s)
-        cur = dx * float(np.abs(u - v).sum())
-        total += 0.5 * dt * (prev + cur)
-        prev = cur
-    return total
-
-
-# ---------------------------------------------------------------------------
-# batched Monte Carlo engine
-#
-# Per-path runs on (cells,) arrays are numpy-call-overhead bound, which
-# is too slow for the larger sweeps.  The helpers below advance a block
-# of paths at once as (paths, cells) arrays; every update is elementwise
-# along the path axis, so each row reproduces the single-path dynamics.
-
-
-def _batch_increments(seed: int, stream: int, path_indices, n_steps: int,
-                      n_modes: int, dt: float) -> np.ndarray:
-    return np.stack([
-        NoisePath.generate(seed, stream, int(i), n_steps, n_modes,
-                           dt).increments
-        for i in path_indices])
-
-
-def _batch_flux_update(u: np.ndarray, dx: float, flux: FluxModel,
-                       scale: float, dt: float, nu_max: float,
-                       path_indices, step: int) -> np.ndarray:
-    lo = float(u.min())
-    hi = float(u.max())
-    sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
-    if scale * sup * dt / dx > nu_max:
-        # the hull bound is conservative: certify per path before failing
-        for r in range(u.shape[0]):
-            rsup = flux.sup_abs_a(float(u[r].min()) - RANGE_PAD,
-                                  float(u[r].max()) + RANGE_PAD)
-            courant = scale * rsup * dt / dx
-            if courant > nu_max:
-                raise NumericalFailure(
-                    f"CFL violation: Courant number {courant:.6g} exceeds "
-                    f"the certified fraction {nu_max:.6g}",
-                    int(path_indices[r]), step)
-    f = flux.eo_flux(u, np.roll(u, -1, axis=1))
-    return u - scale * (dt / dx) * (f - np.roll(f, 1, axis=1))
-
-
-def _batch_noise_update(u: np.ndarray, amp: float, db: np.ndarray,
-                        p0: np.ndarray, p1: np.ndarray, path_indices,
-                        step: int) -> np.ndarray:
-    out = u + amp * (db @ p0 + (db @ p1) * u)
-    fin = np.isfinite(out).all(axis=1)
-    if not fin.all():
-        bad = int(np.nonzero(~fin)[0][0])
-        raise NumericalFailure("non-finite state after noise update",
-                               int(path_indices[bad]), step)
-    return out
-
-
-def _pair_sweep(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                noise: NoiseModel, path_indices, stream: int,
-                p_list) -> tuple[np.ndarray, np.ndarray | None]:
-    """Coupled pairs for a block of paths in lockstep.
-
-    Returns the space-time L1 gaps (paths,) and, when p_list is given,
-    running maxima over time of the L^p mass dx * sum |.|^p for both
-    members, shaped (paths, len(p_list), 2).
-    """
-    indices = [int(i) for i in path_indices]
-    grid = eta.grid
-    dx = grid.dx
-    n, dt = resolve_time_grid(cfg, flux, eta)
-    inc = _batch_increments(cfg.seed, stream, indices, n, noise.n_modes, dt)
-    p0, p1 = noise.affine_parts(grid.centers)
-    amp = math.sqrt(cfg.epsilon)
-    u = np.tile(eta.values, (len(indices), 1))
-    v = u.copy()
-    half = 0.5 * dt
-    strang = cfg.splitting == "strang"
-    prev = np.zeros(len(indices))
-    total = np.zeros(len(indices))
-    moms = None
-    if p_list is not None:
-        moms = np.empty((len(indices), len(p_list), 2))
-        for j, p in enumerate(p_list):
-            moms[:, j, :] = dx * (np.abs(eta.values) ** p).sum()
-    for s in range(n):
-        u = _batch_flux_update(u, dx, flux, cfg.epsilon,
-                               half if strang else dt, cfg.cfl_fraction,
-                               indices, s)
-        if noise.n_modes:
-            db = inc[:, s, :]
-            u = _batch_noise_update(u, amp, db, p0, p1, indices, s)
-            v = _batch_noise_update(v, amp, db, p0, p1, indices, s)
-        if strang:
-            u = _batch_flux_update(u, dx, flux, cfg.epsilon, half,
-                                   cfg.cfl_fraction, indices, s)
-        cur = dx * np.abs(u - v).sum(axis=1)
-        total += 0.5 * dt * (prev + cur)
-        prev = cur
-        if moms is not None:
-            for j, p in enumerate(p_list):
-                np.maximum(moms[:, j, 0], dx * (np.abs(u) ** p).sum(axis=1),
-                           out=moms[:, j, 0])
-                np.maximum(moms[:, j, 1], dx * (np.abs(v) ** p).sum(axis=1),
-                           out=moms[:, j, 1])
-    return total, moms
+    obs = _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux),
+                 [path_index], stream, noise_path)
+    return ScalarField(eta.grid, obs.ends[0])
 
 
 def pair_l1_distances(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                       noise: NoiseModel, path_indices,
                       stream: int = STREAM_MAIN) -> np.ndarray:
-    """Space-time L1 gaps of coupled pairs for a block of path indices."""
-    return _pair_sweep(eta, cfg, flux, noise, path_indices, stream, None)[0]
+    """Space-time L1 gaps of coupled pairs for a block of path indices.
+
+    The running trapezoidal integral of ||u - v||_L1, accumulated on the
+    fly, so large Monte Carlo sweeps avoid building trajectories.
+    """
+    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+                  path_indices, stream, pair=True).gap
 
 
 def pair_moment_maxes(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                       noise: NoiseModel, path_indices, p_list,
                       stream: int = STREAM_MAIN) -> np.ndarray:
     """max_t dx * sum |.|^p for both pair members, (paths, len(p_list), 2)."""
-    return _pair_sweep(eta, cfg, flux, noise, path_indices, stream,
-                       [float(p) for p in p_list])[1]
-
-
-def _endpoint_sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
-                    noise: NoiseModel, noise_amp: float, n: int, dt: float,
-                    inc: np.ndarray, splitting: str, nu_max: float,
-                    path_indices) -> np.ndarray:
-    indices = [int(i) for i in path_indices]
-    dx = eta.grid.dx
-    p0, p1 = noise.affine_parts(eta.grid.centers)
-    u = np.tile(eta.values, (len(indices), 1))
-    half = 0.5 * dt
-    strang = splitting == "strang"
-    for s in range(n):
-        u = _batch_flux_update(u, dx, flux, flux_scale,
-                               half if strang else dt, nu_max, indices, s)
-        if noise.n_modes:
-            u = _batch_noise_update(u, noise_amp, inc[:, s, :], p0, p1,
-                                    indices, s)
-        if strang:
-            u = _batch_flux_update(u, dx, flux, flux_scale, half, nu_max,
-                                   indices, s)
-    return u
+    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+                  path_indices, stream, pair=True,
+                  p_list=[float(p) for p in p_list]).moms
 
 
 def scaled_endpoints(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                      noise: NoiseModel, path_indices,
                      stream: int = STREAM_MAIN) -> np.ndarray:
     """Final states of the rescaled dynamics for a block of paths, (paths, cells)."""
-    if cfg.horizon != 1.0:
-        raise ValueError("the rescaled dynamics run on the unit horizon")
-    n, dt = resolve_time_grid(cfg, flux, eta)
-    inc = _batch_increments(cfg.seed, stream, path_indices, n,
-                            noise.n_modes, dt)
-    return _endpoint_sweep(eta, flux, cfg.epsilon, noise,
-                           math.sqrt(cfg.epsilon), n, dt, inc, cfg.splitting,
-                           cfg.cfl_fraction, path_indices)
+    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+                  path_indices, stream).ends
 
 
 def base_small_time_endpoints(eta: ScalarField, epsilon: float,
@@ -402,15 +371,8 @@ def base_small_time_endpoints(eta: ScalarField, epsilon: float,
                               noise: NoiseModel, path_indices,
                               stream: int = STREAM_BASE) -> np.ndarray:
     """Endpoints of the unscaled dynamics at horizon epsilon, (paths, cells)."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    base_cfg = replace(cfg, epsilon=epsilon)
-    n, dt = resolve_time_grid(base_cfg, flux, eta)
-    dt_base = epsilon * dt
-    inc = _batch_increments(cfg.seed, stream, path_indices, n,
-                            noise.n_modes, dt_base)
-    return _endpoint_sweep(eta, flux, 1.0, noise, 1.0, n, dt_base, inc,
-                           cfg.splitting, cfg.cfl_fraction, path_indices)
+    return _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux),
+                  path_indices, stream).ends
 
 
 def solve_skeleton(eta: ScalarField, h_values: np.ndarray, noise: NoiseModel,

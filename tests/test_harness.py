@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
-from sclaw.harness import (FUNCTIONALS, MCEstimate, MomentRow, MomentTable,
-                           ScanRow, ScanTable, estimate_tail, exp_equiv_scan,
-                           fmean, functional_values, l1l1_distance,
-                           map_blocks, map_paths, moment_scan, scaling_check,
-                           worker_count)
+from sclaw.harness import (_BATCH, FUNCTIONALS, MCEstimate, MomentRow,
+                           MomentTable, ScanRow, ScanTable, estimate_tail,
+                           exp_equiv_scan, fmean, functional_values,
+                           l1l1_distance, map_blocks, map_paths, moment_scan,
+                           scaling_check, worker_count)
 from sclaw.models import NoiseModel, SimConfig, additive_noise, make_flux
+from sclaw.solvers import pair_l1_distances
 
 Z95 = 1.959963984540054
 
@@ -42,15 +43,21 @@ def test_map_paths_order_stable(monkeypatch):
 
 
 def test_map_blocks_covers_indices(monkeypatch):
+    seen = []
+
     def collect(block):
+        seen.append(block)
         return np.asarray(list(block), dtype=float)
 
+    n = 2 * _BATCH + 150          # two full blocks and a partial one
     monkeypatch.setenv("SCLAW_THREADS", "1")
-    a = map_blocks(collect, 150)
+    a = map_blocks(collect, n)
     monkeypatch.setenv("SCLAW_THREADS", "8")
-    b = map_blocks(collect, 150)
-    assert np.array_equal(a, np.arange(150.0))
+    b = map_blocks(collect, n)
+    assert np.array_equal(a, np.arange(float(n)))
     assert np.array_equal(a, b)
+    assert sorted(blk.start for blk in seen[:3]) == [0, _BATCH, 2 * _BATCH]
+    assert sorted(len(blk) for blk in seen[3:]) == [150, _BATCH, _BATCH]
 
 
 def test_fmean_order_insensitive():
@@ -163,6 +170,25 @@ def test_tail_thread_invariant(small_eta, small_cfg, burgers, two_mode_noise,
     monkeypatch.setenv("SCLAW_THREADS", "8")
     b = estimate_tail(small_eta, 0.02, 70, small_cfg, burgers, two_mode_noise)
     assert a == b
+
+
+def test_tail_thread_invariant_across_blocks(burgers, two_mode_noise,
+                                            monkeypatch):
+    grid = TorusGrid(8)
+    eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.3, cells=8, seed=9, dt=1.0 / 16,
+                    cfl_fraction=0.9)
+    n = 2 * _BATCH + 100          # three blocks, the last one partial
+    monkeypatch.setenv("SCLAW_THREADS", "1")
+    gaps = map_blocks(lambda idx: pair_l1_distances(eta, cfg, burgers,
+                                                    two_mode_noise, idx), n)
+    iota = float(np.median(gaps))
+    a = estimate_tail(eta, iota, n, cfg, burgers, two_mode_noise)
+    monkeypatch.setenv("SCLAW_THREADS", "2")
+    b = estimate_tail(eta, iota, n, cfg, burgers, two_mode_noise)
+    assert a == b
+    assert a.hits == int(np.count_nonzero(gaps > iota))
+    assert 0 < a.hits < n
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
-                          SimConfig, additive_noise, make_flux, validate_flux,
-                          validate_noise)
+                          SimConfig, additive_noise, block_increments,
+                          make_flux, validate_flux, validate_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,7 @@ def test_noise_profile_validation():
 
 @given(sigma=st.floats(0.0, 2.0), alpha=st.floats(-2.0, 2.0),
        beta=st.floats(-2.0, 2.0))
+@example(sigma=5e-324, alpha=0.0, beta=1.0)    # subnormal sigma
 @settings(max_examples=25, deadline=None)
 def test_noise_single_mode_certificate_always_passes(sigma, alpha, beta):
     """The derived constants are exact for the affine family, so the
@@ -167,6 +168,27 @@ def test_noise_path_reproducible_and_order_free():
     assert not np.array_equal(a.increments, c.increments)
     assert np.array_equal(a.increments,
                           NoisePath.generate(7, 0, 3, 64, 2, 0.01).increments)
+
+
+def test_block_increments_equal_stacked_paths():
+    def philox_path(i, n_modes):
+        # the documented keying: (seed, stream) is the Philox key and the
+        # path index the high counter word
+        bits = np.random.Philox(counter=[0, 0, i, 0], key=[7, 2])
+        z = np.random.Generator(bits).standard_normal((40, n_modes))
+        return math.sqrt(0.01) * z
+
+    idx = [0, 3, 17, 2 ** 40]
+    for n_modes in (0, 1, 3):
+        block = block_increments(7, 2, idx, 40, n_modes, 0.01)
+        stacked = np.stack([philox_path(i, n_modes) for i in idx], axis=-1)
+        assert block.shape == (40, n_modes, len(idx))
+        assert np.array_equal(block, stacked)
+        for r, i in enumerate(idx):
+            path = NoisePath.generate(7, 2, i, 40, n_modes, 0.01)
+            assert np.array_equal(path.increments, block[:, :, r])
+    with pytest.raises(ValueError):
+        block_increments(7, 2, [-1], 40, 1, 0.01)
 
 
 def test_noise_path_stream_separation():

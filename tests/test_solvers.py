@@ -8,10 +8,11 @@ from scipy.integrate import quad
 
 from sclaw.errors import NumericalFailure
 from sclaw.grid import ScalarField, TorusGrid, make_initial
+from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, make_flux)
 from sclaw.solvers import (STREAM_MAIN, base_small_time_endpoints,
-                           deterministic_step, lp_moment, pair_l1_distance,
+                           deterministic_step, lp_moment,
                            pair_l1_distances, pair_moment_maxes,
                            scaled_endpoints, solve_base_small_time,
                            solve_coupled_pair, solve_flux_free,
@@ -295,7 +296,7 @@ def test_lp_moment_stride_monotone(small_eta, burgers, two_mode_noise):
 
 
 # ---------------------------------------------------------------------------
-# batched routes agree with the scalar reference
+# a path's numbers do not depend on the block it runs in
 
 
 def test_batched_pair_distances_match_scalar(small_eta, burgers,
@@ -304,9 +305,10 @@ def test_batched_pair_distances_match_scalar(small_eta, burgers,
                     cfl_fraction=0.9)
     idx = np.arange(5)
     batched = pair_l1_distances(small_eta, cfg, burgers, two_mode_noise, idx)
-    scalar = np.array([pair_l1_distance(small_eta, cfg, burgers,
-                                        two_mode_noise, int(i)) for i in idx])
-    assert np.allclose(batched, scalar, rtol=1e-10, atol=1e-14)
+    single = np.concatenate([pair_l1_distances(small_eta, cfg, burgers,
+                                               two_mode_noise, [i])
+                             for i in idx])
+    assert np.array_equal(batched, single)
 
 
 def test_batched_moments_match_scalar(small_eta, burgers, two_mode_noise):
@@ -320,10 +322,8 @@ def test_batched_moments_match_scalar(small_eta, burgers, two_mode_noise):
         u, v = solve_coupled_pair(small_eta, cfg, burgers, two_mode_noise,
                                   int(i))
         for c, p in enumerate(p_list):
-            assert batched[r, c, 0] == pytest.approx(lp_moment(u, p),
-                                                     rel=1e-10)
-            assert batched[r, c, 1] == pytest.approx(lp_moment(v, p),
-                                                     rel=1e-10)
+            assert batched[r, c, 0] == lp_moment(u, p)
+            assert batched[r, c, 1] == lp_moment(v, p)
 
 
 def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
@@ -334,13 +334,57 @@ def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
     for r, i in enumerate(idx):
         traj = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise,
                                  int(i))
-        assert np.allclose(ends[r], traj.values[-1], rtol=1e-10, atol=1e-14)
+        assert np.array_equal(ends[r], traj.values[-1])
     base = base_small_time_endpoints(small_eta, 0.2, cfg, burgers,
                                      two_mode_noise, idx)
     for r, i in enumerate(idx):
         fld = solve_base_small_time(small_eta, 0.2, cfg, burgers,
                                     two_mode_noise, int(i))
-        assert np.allclose(base[r], fld.values, rtol=1e-10, atol=1e-14)
+        assert np.array_equal(base[r], fld.values)
+
+
+def test_coupled_pair_members_match_single_runs(small_eta, burgers,
+                                                two_mode_noise):
+    cfg = SimConfig(epsilon=0.2, cells=32, seed=21, dt=1.0 / 64,
+                    cfl_fraction=0.9, save_stride=4)
+    u, v = solve_coupled_pair(small_eta, cfg, burgers, two_mode_noise, 2)
+    alone = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise, 2)
+    free = solve_flux_free(small_eta, cfg, two_mode_noise, 2,
+                           noise_path=NoisePath.generate(21, STREAM_MAIN, 2,
+                                                         64, 2, 1.0 / 64))
+    assert np.array_equal(u.values, alone.values)
+    assert np.array_equal(v.values, free.values)
+    assert np.array_equal(u.times, free.times)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_rows_independent_of_block_width(burgers, n_modes):
+    modes = (NoiseMode(sigma=0.4, alpha=0.0, beta=1.0),
+             NoiseMode(sigma=0.25, profile="cos", wavenumber=1, alpha=1.0,
+                       beta=0.5),
+             NoiseMode(sigma=0.3, profile="sin", wavenumber=2, alpha=-0.5,
+                       beta=0.25))
+    noise = NoiseModel(modes[:n_modes])
+    grid = TorusGrid(8)
+    eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.3, cells=8, seed=4, dt=1.0 / 16,
+                    cfl_fraction=0.9)
+    full = np.arange(_BATCH)
+    partial = full[:_BATCH // 3]
+    singles = (0, 5, _BATCH // 3 - 1)
+    sweeps = {
+        "gap": lambda idx: pair_l1_distances(eta, cfg, burgers, noise, idx),
+        "moments": lambda idx: pair_moment_maxes(eta, cfg, burgers, noise,
+                                                 idx, [1.0, 2.0, 3.5]),
+        "scaled": lambda idx: scaled_endpoints(eta, cfg, burgers, noise, idx),
+        "base": lambda idx: base_small_time_endpoints(eta, 0.3, cfg, burgers,
+                                                      noise, idx),
+    }
+    for name, sweep in sweeps.items():
+        wide = sweep(full)
+        assert np.array_equal(sweep(partial), wide[:len(partial)]), name
+        for i in singles:
+            assert np.array_equal(sweep([i])[0], wide[i]), (name, i)
 
 
 def test_batched_cfl_failure_names_offender(small_eta, burgers):
