@@ -60,11 +60,10 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel | None,
 # ---------------------------------------------------------------------------
 # the stepping engine
 #
-# Every run advances a block of paths in lockstep as a (paths, cells)
-# array; a single path is a block of one row.  Each update acts row by
-# row: the flux substep is elementwise, and the noise coefficients are a
-# fixed-order einsum over the K modes, which never reaches BLAS.  A
-# row's bits therefore do not depend on the height of its block.
+# Each update acts row by row: the flux substep is elementwise, and the
+# noise coefficients are a fixed-order einsum over the K modes, which
+# never reaches BLAS.  A row's bits therefore do not depend on the
+# height of its block.
 
 
 def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
