@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -107,6 +108,32 @@ def _resolve(user: dict, schema: dict, prefix: str = "") -> dict:
     return out
 
 
+def _check_rate(rc: dict) -> None:
+    """Types and ranges of the rate section, checked before any compute."""
+    if rc["target"] not in ("drift", "constant"):
+        raise ConfigError(f"rate.target must be 'drift' or 'constant', "
+                          f"got {rc['target']!r}")
+    ladder = rc["lambda_ladder"]
+    if ladder is not None and not isinstance(ladder, list):
+        raise ConfigError(f"rate.lambda_ladder must be a list, got {ladder!r}")
+    numbers = [("slope", rc["slope"]), ("tol_feas", rc["tol_feas"])] + \
+        [(f"lambda_ladder[{i}]", lam) for i, lam in enumerate(ladder or [])]
+    for key, val in numbers:
+        if val is not None and (isinstance(val, bool) or not isinstance(
+                val, (int, float)) or not math.isfinite(val)):
+            raise ConfigError(f"rate.{key} must be a finite number, "
+                              f"got {val!r}")
+    for key in ("bins", "n_steps", "max_iters"):
+        val = rc[key]
+        if val is not None and (isinstance(val, bool)
+                                or not isinstance(val, int) or val < 1):
+            raise ConfigError(f"rate.{key} must be a positive integer, "
+                              f"got {val!r}")
+    if rc["n_steps"] % rc["bins"]:
+        raise ConfigError(f"rate.n_steps {rc['n_steps']} must be a multiple "
+                          f"of rate.bins {rc['bins']}")
+
+
 def load_config(path) -> dict:
     """Parse and resolve a configuration document against the schema."""
     try:
@@ -114,7 +141,9 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return _resolve(raw, _SCHEMA)
+    resolved = _resolve(raw, _SCHEMA)
+    _check_rate(resolved["rate"])
+    return resolved
 
 
 def _require(resolved: dict, dotted: str):
@@ -407,24 +436,13 @@ def _cmd_rate(resolved, out_dir):
     grid = TorusGrid(int(_require(resolved, "sim.cells")))
     eta = build_initial(resolved, grid)
     rc = resolved["rate"]
-    n_steps = int(rc["n_steps"])
     if rc["target"] == "drift":
-        target = drift_target(eta, float(rc["slope"]), n_steps)
-    elif rc["target"] == "constant":
-        target = constant_target(eta, n_steps)
+        target = drift_target(eta, float(rc["slope"]), rc["n_steps"])
     else:
-        raise ConfigError(f"rate.target must be 'drift' or 'constant', "
-                          f"got {rc['target']!r}")
-    overrides = {}
-    if rc["lambda_ladder"] is not None:
-        overrides["lambda_ladder"] = tuple(rc["lambda_ladder"])
-    if rc["tol_feas"] is not None:
-        overrides["tol_feas"] = float(rc["tol_feas"])
-    if rc["max_iters"] is not None:
-        overrides["max_iters"] = int(rc["max_iters"])
-    opt = _cfgerr(OptConfig, **overrides)
-    result = rate_estimate(target, noise, eta=eta, bins=int(rc["bins"]),
-                           opt=opt)
+        target = constant_target(eta, rc["n_steps"])
+    opt = _cfgerr(OptConfig, **{key: rc[key] for key in (
+        "lambda_ladder", "tol_feas", "max_iters") if rc[key] is not None})
+    result = rate_estimate(target, noise, eta=eta, bins=rc["bins"], opt=opt)
     lines = result.report_lines()
     files = []
     if out_dir is not None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .grid import ScalarField, Trajectory
+from .grid import ScalarField
 from .models import (STREAM_BASE, STREAM_MAIN, STREAM_SCALED, FluxModel,
                      NoiseModel, SimConfig)
 from .solvers import (base_small_time_endpoints, pair_l1_distances,
@@ -77,15 +77,7 @@ def fmean(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# distances and tail estimates
-
-
-def l1l1_distance(u: Trajectory, v: Trajectory) -> float:
-    """Trapezoidal time integral of the spatial L1 distance."""
-    if u.grid.cells != v.grid.cells or not np.array_equal(u.times, v.times):
-        raise ValueError("trajectories must share grid and time grid")
-    dists = u.grid.dx * np.abs(u.values - v.values).sum(axis=1)
-    return float(np.trapezoid(dists, u.times))
+# tail estimates
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .grid import ScalarField, Trajectory
-from .harness import l1l1_distance
 from .models import NoiseModel
-from .solvers import solve_skeleton
+from .solvers import integrate_skeleton, uniform_times
 
 DIMENSION_CAP = 512
 
@@ -61,12 +60,6 @@ def refine_control(h: Control) -> Control:
     return Control(np.repeat(h.values, 2, axis=1))
 
 
-def uniform_times(n_steps: int) -> np.ndarray:
-    times = np.arange(n_steps + 1) * (1.0 / n_steps)
-    times[-1] = 1.0
-    return times
-
-
 def drift_target(eta: ScalarField, slope: float, n_steps: int) -> Trajectory:
     """Target path eta + slope * t on the skeleton time grid."""
     times = uniform_times(n_steps)
@@ -79,13 +72,26 @@ def constant_target(eta: ScalarField, n_steps: int) -> Trajectory:
                       np.tile(eta.values, (n_steps + 1, 1)))
 
 
-def _match_time_grid(rho_target: Trajectory, skel: Trajectory) -> Trajectory:
-    if np.array_equal(rho_target.times, skel.times):
-        return rho_target
-    if rho_target.times.shape == skel.times.shape and np.allclose(
-            rho_target.times, skel.times, rtol=0.0, atol=1e-12):
-        return Trajectory(rho_target.grid, skel.times, rho_target.values)
-    raise ValueError("target must live on the uniform skeleton time grid")
+def _check_time_grid(rho_target: Trajectory) -> int:
+    """Step count of a target, which must live on the skeleton time grid."""
+    n_steps = len(rho_target.times) - 1
+    if not np.allclose(rho_target.times, uniform_times(n_steps), rtol=0.0,
+                       atol=1e-12):
+        raise ValueError("target must live on the uniform skeleton time grid")
+    return n_steps
+
+
+def _objectives(lam: float, n_modes: int, bins: int, rho_target: Trajectory,
+                noise: NoiseModel, eta: ScalarField):
+    """The map from a stack of flattened controls to their (penalty
+    objectives, skeleton residuals), integrated in one call; a lane's
+    values do not depend on the height of the stack."""
+    def fn(flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        res = integrate_skeleton(eta, flats.reshape(-1, n_modes, bins),
+                                 noise, len(rho_target.times) - 1,
+                                 target=rho_target.values)
+        return 0.5 * (flats * flats).sum(axis=1) / bins + lam * res * res, res
+    return fn
 
 
 def skeleton_residual(h: Control, rho_target: Trajectory, noise: NoiseModel,
@@ -93,14 +99,14 @@ def skeleton_residual(h: Control, rho_target: Trajectory, noise: NoiseModel,
     """L1-in-time, L1-in-space distance between the driven skeleton and
     the target.  The skeleton starts from eta (default: the target's
     initial snapshot) and integrates on the target's own time grid."""
-    n_steps = len(rho_target.times) - 1
-    if n_steps % h.bins:
-        raise ValueError(f"target steps {n_steps} must be a multiple of "
-                         f"control bins {h.bins}")
+    n_steps = _check_time_grid(rho_target)
     if eta is None:
         eta = rho_target.field(0)
-    skel = solve_skeleton(eta, h.values, noise, n_steps)
-    return l1l1_distance(skel, _match_time_grid(rho_target, skel))
+    res = float(integrate_skeleton(eta, h.values[None], noise, n_steps,
+                                   target=rho_target.values)[0])
+    if not math.isfinite(res):
+        raise NumericalFailure("non-finite state in skeleton integration")
+    return res
 
 
 def penalty_objective(h: Control, lam: float, rho_target: Trajectory,
@@ -113,86 +119,24 @@ def penalty_objective(h: Control, lam: float, rho_target: Trajectory,
     return phi
 
 
-def central_gradient(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite differences of a scalar function, one coordinate
-    at a time."""
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (fn(xp) - fn(xm)) / (2.0 * step)
-    return g
-
-
-def _residuals_batch(flats: np.ndarray, n_modes: int, bins: int,
-                     rho_target: Trajectory, noise: NoiseModel,
-                     eta: ScalarField) -> np.ndarray:
-    """skeleton_residual for a stack of flattened controls in one pass.
-
-    Reproduces solve_skeleton's RK4 and the trapezoidal L1L1 distance
-    with the control axis vectorized; used for finite-difference
-    gradients where one state per coordinate would dominate the cost.
-    """
-    n_steps = len(rho_target.times) - 1
-    h = flats.reshape(len(flats), n_modes, bins)
-    p0, p1 = noise.affine_parts(eta.grid.centers)
-    q0 = np.einsum("ckb,km->cbm", h, p0)
-    q1 = np.einsum("ckb,km->cbm", h, p1)
-    dx = eta.grid.dx
-    dt = 1.0 / n_steps
-    target = rho_target.values
-    u = np.tile(eta.values, (len(flats), 1))
-    prev = dx * np.abs(u - target[0]).sum(axis=1)
-    total = np.zeros(len(flats))
-    for s in range(n_steps):
-        b = (s * bins) // n_steps
-        c0 = q0[:, b, :]
-        c1 = q1[:, b, :]
-        k1 = c0 + c1 * u
-        k2 = c0 + c1 * (u + 0.5 * dt * k1)
-        k3 = c0 + c1 * (u + 0.5 * dt * k2)
-        k4 = c0 + c1 * (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        cur = dx * np.abs(u - target[s + 1]).sum(axis=1)
-        total += 0.5 * dt * (prev + cur)
-        prev = cur
-    if not np.all(np.isfinite(total)):
-        raise NumericalFailure("non-finite state in skeleton integration")
-    return total
-
-
-def _fd_bundle(x: np.ndarray, lam: float, n_modes: int, bins: int,
-               rho_target: Trajectory, noise: NoiseModel, eta: ScalarField,
-               fd_step: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _fd_bundle(objectives, x: np.ndarray, fd_step: float
+               ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One batched sweep of x and its coordinate perturbations.
 
     Returns (gradient of the penalty objective by central differences,
-    central-difference gradient of the bare residual, residual at x).
+    central-difference gradient of the bare residual, residual at x,
+    penalty objective at x).
     """
     dim = x.size
     pts = np.tile(x, (2 * dim + 1, 1))
     pts[:dim, :] += fd_step * np.eye(dim)
     pts[dim:2 * dim, :] -= fd_step * np.eye(dim)
-    res = _residuals_batch(pts, n_modes, bins, rho_target, noise, eta)
-    vals = 0.5 * (pts * pts).sum(axis=1) / bins + lam * res * res
+    vals, res = objectives(pts)
+    if not np.all(np.isfinite(res)):
+        raise NumericalFailure("non-finite state in skeleton integration")
     gphi = (vals[:dim] - vals[dim:2 * dim]) / (2.0 * fd_step)
     gres = (res[:dim] - res[dim:2 * dim]) / (2.0 * fd_step)
-    return gphi, gres, float(res[-1])
-
-
-def objective_gradient(h: Control, lam: float, rho_target: Trajectory,
-                       noise: NoiseModel, eta: ScalarField | None = None,
-                       fd_step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference gradient of the penalty objective,
-    all coordinate perturbations integrated in one batch; shaped like
-    h.values."""
-    if eta is None:
-        eta = rho_target.field(0)
-    gphi, _, _ = _fd_bundle(h.values.flatten(), lam, h.n_modes, h.bins,
-                            rho_target, noise, eta, fd_step)
-    return gphi.reshape(h.n_modes, h.bins)
+    return gphi, gres, float(res[-1]), float(vals[-1])
 
 
 def inverse_dynamics_start(rho_target: Trajectory, noise: NoiseModel,
@@ -232,6 +176,26 @@ def inverse_dynamics_start(rho_target: Trajectory, noise: NoiseModel,
     return Control(vals)
 
 
+def _line_search(objectives, x: np.ndarray, d: np.ndarray, phi: float,
+                 slope: float, steps: np.ndarray,
+                 armijo: float) -> tuple[float, float] | None:
+    """(s, objective at x + s * d) for the first step s of the ladder
+    that passes the acceptance rules, or None.
+
+    Every lane x + s * d is integrated in one call; a lane that is not
+    finite reads +inf.  Lanes are then taken in ladder order: Armijo
+    sufficient decrease, else plain decrease, which is all the kinks of
+    the L1 residual may allow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = objectives(x + steps[:, None] * d)
+    vals[~np.isfinite(vals)] = math.inf
+    for s, cand in zip(steps.tolist(), vals.tolist()):
+        if cand <= phi + armijo * s * slope or cand < phi - 1e-14:
+            return s, cand
+    return None
+
+
 @dataclass(frozen=True)
 class OptConfig:
     lambda_ladder: tuple = (10.0, 100.0, 1000.0, 10000.0)
@@ -257,6 +221,18 @@ class OptConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.shrink >= 1.0:
+            raise ValueError("shrink must lie in (0, 1)")
+
+
+def backtracking_steps(opt: OptConfig) -> np.ndarray:
+    """Line-search steps: init_step shrunk while >= min_step (40 default)."""
+    steps = []
+    s = opt.init_step
+    while s >= opt.min_step:
+        steps.append(s)
+        s *= opt.shrink
+    return np.array(steps)
 
 
 @dataclass(frozen=True)
@@ -300,9 +276,10 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
     if n_modes * bins > DIMENSION_CAP:
         raise ConfigError(f"control dimension {n_modes}x{bins} exceeds "
                           f"the cap {DIMENSION_CAP}")
-    if (len(rho_target.times) - 1) % bins:
-        raise ValueError(f"target steps {len(rho_target.times) - 1} must be "
-                         f"a multiple of control bins {bins}")
+    n_steps = _check_time_grid(rho_target)
+    if bins < 1 or n_steps % bins:
+        raise ValueError(f"target steps {n_steps} must be a multiple of "
+                         f"control bins {bins}")
     if eta is None:
         eta = rho_target.field(0)
     if warm_start is not None:
@@ -313,14 +290,10 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
     else:
         x = inverse_dynamics_start(rho_target, noise, eta, bins).values.flatten()
 
-    def objective(lam, flat):
-        return penalty_objective(Control(flat.reshape(n_modes, bins)), lam,
-                                 rho_target, noise, eta)
-
     # The ladder is allowed to wander through infeasible territory (low
     # penalties actively reward trading feasibility for action), so the
     # answer is the best point seen anywhere along the hike, not the last.
-    best_feas = None       # (action, x) with residual within tolerance
+    best_feas = None       # (action, x, residual), residual within tolerance
     best_res = (math.inf, x)
     def track(flat, res):
         nonlocal best_feas, best_res
@@ -329,15 +302,17 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
         if res <= opt.tol_feas:
             act = 0.5 * float(flat @ flat) / bins
             if best_feas is None or act < best_feas[0]:
-                best_feas = (act, flat)
+                best_feas = (act, flat, res)
 
+    steps = backtracking_steps(opt)
     total_iters = 0
     for lam in opt.lambda_ladder:
-        phi = objective(lam, x)
+        objectives = _objectives(lam, n_modes, bins, rho_target, noise, eta)
         stall = 0
         for _ in range(opt.max_iters):
-            g, r, res_here = _fd_bundle(x, lam, n_modes, bins, rho_target,
-                                        noise, eta, opt.fd_step)
+            # phi at x is the bundle's own lane, bit for bit the value the
+            # previous line search accepted
+            g, r, res_here, phi = _fd_bundle(objectives, x, opt.fd_step)
             track(x, res_here)
             if math.sqrt(float(g @ g)) <= opt.grad_tol:
                 break
@@ -355,24 +330,11 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
             if slope >= 0.0:
                 d = -g
                 slope = -float(g @ g)
-            s = opt.init_step
-            trial_phi = None
-            while s >= opt.min_step:
-                try:
-                    cand = objective(lam, x + s * d)
-                except NumericalFailure:
-                    cand = math.inf
-                if cand <= phi + opt.armijo * s * slope:
-                    trial_phi = cand
-                    break
-                if cand < phi - 1e-14:
-                    # sufficient decrease is unreachable across the kinks
-                    # of the L1 residual; settle for plain decrease
-                    trial_phi = cand
-                    break
-                s *= opt.shrink
-            if trial_phi is None:
+            found = _line_search(objectives, x, d, phi, slope, steps,
+                                 opt.armijo)
+            if found is None:
                 break
+            s, trial_phi = found
             if trial_phi > phi + 1e-12:
                 raise NumericalFailure(
                     f"line search accepted an ascent step: objective "
@@ -380,7 +342,6 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
             x = x + s * d
             stall = stall + 1 if phi - trial_phi <= 1e-9 * max(1.0, abs(phi)) \
                 else 0
-            phi = trial_phi
             total_iters += 1
             if stall >= 10:
                 break
@@ -388,10 +349,9 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
     track(x, skeleton_residual(Control(x.reshape(n_modes, bins)),
                                rho_target, noise, eta))
     if best_feas is not None:
-        flat = best_feas[1]
-        h_opt = Control(flat.reshape(n_modes, bins))
-        res = skeleton_residual(h_opt, rho_target, noise, eta)
-        return RateResult(action(h_opt), h_opt, res, True, total_iters)
+        h_opt = Control(best_feas[1].reshape(n_modes, bins))
+        return RateResult(action(h_opt), h_opt, best_feas[2], True,
+                          total_iters)
     res, flat = best_res
     return RateResult(math.inf, Control(flat.reshape(n_modes, bins)), res,
                       False, total_iters)

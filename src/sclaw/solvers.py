@@ -374,47 +374,93 @@ def base_small_time_endpoints(eta: ScalarField, epsilon: float,
                   path_indices, stream).ends
 
 
+# ---------------------------------------------------------------------------
+# the skeleton integrator
+#
+# Per bin the right-hand side is affine, q0 + q1 * u, and one classical
+# RK4 step of an affine ODE is exactly the affine map u -> A * u + B with
+# A = 1 + z * S, B = dt * q0 * S, S = 1 + z/2 (1 + z/3 (1 + z/4)) and
+# z = dt * q1.  The per-bin coefficients are a fixed-order einsum over
+# the K modes, as in _sweep, so a control's rows do not depend on the
+# height of its stack.
+
+
+def uniform_times(n_steps: int) -> np.ndarray:
+    times = np.arange(n_steps + 1) * (1.0 / n_steps)
+    times[-1] = 1.0
+    return times
+
+
+def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
+                       n_steps: int,
+                       target: np.ndarray | None = None) -> np.ndarray:
+    """RK4 skeleton du/dt = sum_k g_k(x, u) h_k(t) on [0, 1] for a stack
+    h of piecewise-constant controls shaped (C, K, B), all from eta.
+
+    Without target, returns every snapshot, (n_steps + 1, C, cells).
+    With target ((n_steps + 1, cells) values on the same uniform time
+    grid), returns the trapezoidal L1-in-time, L1-in-space distance of
+    each skeleton to it, shaped (C,).  Nothing is checked for
+    finiteness here: a control that overflows yields inf or nan.
+    """
+    if h.ndim != 3 or h.shape[1] != noise.n_modes:
+        raise ValueError(f"control stack shape {h.shape} does not match "
+                         f"{noise.n_modes} noise modes")
+    bins = h.shape[2]
+    if bins < 1 or n_steps < bins or n_steps % bins:
+        raise ValueError(
+            f"n_steps={n_steps} must be a positive multiple of bins={bins}")
+    m = eta.grid.cells
+    dx = eta.grid.dx
+    dt = 1.0 / n_steps
+    p0, p1 = noise.affine_parts(eta.grid.centers)
+    q = np.einsum("ckb,kx->bcx", h, np.concatenate([p0, p1], axis=1))
+    z = dt * q[:, :, m:]
+    poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
+    amp = 1.0 + z * poly
+    shift = dt * q[:, :, :m] * poly
+    u = np.tile(eta.values, (len(h), 1))
+    if target is None:
+        saved = np.empty((n_steps + 1,) + u.shape)
+
+        def observe(s):
+            saved[s] = u
+    else:
+        gaps = np.empty((len(h), n_steps + 1))
+        tmp = np.empty_like(u)
+
+        def observe(s):
+            np.subtract(u, target[s], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.add.reduce(tmp, axis=1, out=gaps[:, s])
+    observe(0)
+    for s in range(n_steps):
+        b = (s * bins) // n_steps
+        u *= amp[b]
+        u += shift[b]
+        observe(s + 1)
+    if target is None:
+        return saved
+    weights = np.full(n_steps + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
+    # each lane's time sum runs along its own contiguous row
+    return dx * (gaps * weights).sum(axis=1)
+
+
 def solve_skeleton(eta: ScalarField, h_values: np.ndarray, noise: NoiseModel,
                    n_steps: int) -> Trajectory:
     """Integrate the controlled ODE du/dt = sum_k g_k(x, u) h_k(t) on [0, 1].
 
     The control is piecewise constant on B equal bins, h_values shaped
     (K, B); integration is classical RK4 with steps aligned to the bins
-    (n_steps must be a multiple of B).  Since g is affine in u the
-    right-hand side per bin is q0(x) + q1(x) * u.
+    (n_steps must be a multiple of B): a stack of one control of
+    integrate_skeleton.
     """
-    h = np.asarray(h_values, dtype=float)
-    if h.ndim != 2 or h.shape[0] != noise.n_modes:
-        raise ValueError(f"control shape {h.shape} does not match "
-                         f"{noise.n_modes} noise modes")
-    bins = h.shape[1]
-    if bins < 1 or not np.all(np.isfinite(h)):
-        raise ValueError("control must be finite with at least one bin")
-    if n_steps < bins or n_steps % bins:
-        raise ValueError(
-            f"n_steps={n_steps} must be a positive multiple of bins={bins}")
-    grid = eta.grid
-    p0, p1 = noise.affine_parts(grid.centers)
-    q0 = h.T @ p0 if noise.n_modes else np.zeros((bins, grid.cells))
-    q1 = h.T @ p1 if noise.n_modes else np.zeros((bins, grid.cells))
-    dt = 1.0 / n_steps
-    u = np.array(eta.values, dtype=float)
-    saved = np.empty((n_steps + 1, grid.cells))
-    saved[0] = u
-    for s in range(n_steps):
-        b = (s * bins) // n_steps
-        c0, c1 = q0[b], q1[b]
-        k1 = c0 + c1 * u
-        k2 = c0 + c1 * (u + 0.5 * dt * k1)
-        k3 = c0 + c1 * (u + 0.5 * dt * k2)
-        k4 = c0 + c1 * (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        saved[s + 1] = u
+    saved = integrate_skeleton(eta, np.asarray(h_values, dtype=float)[None],
+                               noise, n_steps)[:, 0]
     if not np.all(np.isfinite(saved)):
         raise NumericalFailure("non-finite state in skeleton integration")
-    times = np.arange(n_steps + 1) * dt
-    times[-1] = 1.0
-    return Trajectory(grid, times, saved)
+    return Trajectory(eta.grid, uniform_times(n_steps), saved)
 
 
 def lp_moment(traj: Trajectory, p: float) -> float:

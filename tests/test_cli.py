@@ -1,11 +1,13 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        emit_plot_data, load_config, run)
+from sclaw.errors import ConfigError
 from sclaw.harness import MomentRow, MomentTable, ScanTable
 
 BASE = {
@@ -309,6 +311,30 @@ def test_rate_bad_target(tmp_path, capsys):
     doc = patched(RATE_BASE, rate={"target": "sideways"})
     assert run(["rate", "--config", write_cfg(tmp_path, doc)]) == EXIT_CONFIG
     assert "rate.target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("bins", 0, "rate.bins"),
+    ("n_steps", 0, "rate.n_steps"),
+    ("bins", 3, "rate.bins"),              # 32 steps are not a multiple of 3
+    ("slope", "abc", "rate.slope"),
+    ("bins", 4.5, "rate.bins"),
+    ("bins", True, "rate.bins"),
+    ("n_steps", 32.5, "rate.n_steps"),
+    ("max_iters", 2.5, "rate.max_iters"),
+    ("tol_feas", "abc", "rate.tol_feas"),
+    ("lambda_ladder", 5, "rate.lambda_ladder"),
+    ("lambda_ladder", [10.0, "x"], "rate.lambda_ladder[1]"),
+])
+def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys, key,
+                                                  value, named):
+    path = write_cfg(tmp_path, patched(RATE_BASE, rate={key: value}))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(path)
+    out = tmp_path / "out"
+    assert run(["rate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

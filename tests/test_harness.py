@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
+from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.harness import (_BATCH, FUNCTIONALS, MCEstimate, MomentRow,
                            MomentTable, ScanRow, ScanTable, estimate_tail,
                            exp_equiv_scan, fmean, functional_values,
-                           l1l1_distance, map_blocks, map_paths, moment_scan,
-                           scaling_check, worker_count)
+                           map_blocks, map_paths, moment_scan, scaling_check,
+                           worker_count)
 from sclaw.models import NoiseModel, SimConfig, additive_noise, make_flux
 from sclaw.solvers import pair_l1_distances
 
@@ -64,33 +64,6 @@ def test_fmean_order_insensitive():
     vals = [0.1, 0.2, 0.3, 1e16, -1e16, 0.4]
     assert fmean(vals) == fmean(list(reversed(vals)))
     assert fmean([2.0, 4.0]) == 3.0
-
-
-# ---------------------------------------------------------------------------
-# distances
-
-
-def test_l1l1_distance_hand_value():
-    grid = TorusGrid(4)
-    times = np.array([0.0, 0.5, 1.0])
-    u = Trajectory(grid, times, np.ones((3, 4)))
-    v = Trajectory(grid, times, np.zeros((3, 4)))
-    assert l1l1_distance(u, v) == pytest.approx(1.0, abs=1e-15)
-    # triangle wedge: distance grows linearly from 0 to 1
-    w = Trajectory(grid, times, np.ones((3, 4)) * times[:, None])
-    assert l1l1_distance(w, v) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_l1l1_distance_validation():
-    grid = TorusGrid(4)
-    times = np.array([0.0, 1.0])
-    u = Trajectory(grid, times, np.zeros((2, 4)))
-    v = Trajectory(TorusGrid(8), times, np.zeros((2, 8)))
-    with pytest.raises(ValueError):
-        l1l1_distance(u, v)
-    w = Trajectory(grid, np.array([0.0, 0.5]), np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        l1l1_distance(u, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sclaw.errors import ConfigError
-from sclaw.grid import ScalarField, TorusGrid, make_initial
+from sclaw.errors import ConfigError, NumericalFailure
+from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
 from sclaw.models import NoiseMode, NoiseModel, additive_noise
-from sclaw.ratefn import (Control, OptConfig, RateResult, action,
-                          central_gradient, constant_target, drift_target,
-                          inverse_dynamics_start, objective_gradient,
-                          penalty_objective, rate_estimate, refine_control,
-                          skeleton_residual, uniform_times)
+from sclaw.ratefn import (Control, OptConfig, RateResult, _fd_bundle,
+                          _line_search, _objectives, action,
+                          backtracking_steps,
+                          constant_target, drift_target,
+                          inverse_dynamics_start, penalty_objective,
+                          rate_estimate, refine_control, skeleton_residual,
+                          uniform_times)
 from sclaw.solvers import solve_skeleton
 
 
@@ -106,6 +109,13 @@ def test_residual_requires_divisible_bins(flat8, unit_mode):
         skeleton_residual(Control(np.zeros((1, 3))), target, unit_mode)
 
 
+def test_residual_rejects_foreign_time_grid(flat8, unit_mode):
+    target = drift_target(flat8, 0.7, 8)
+    bent = Trajectory(flat8.grid, target.times ** 2, target.values)
+    with pytest.raises(ValueError, match="time grid"):
+        skeleton_residual(Control(np.zeros((1, 4))), bent, unit_mode)
+
+
 def test_penalty_objective_combines_action_and_residual(flat8, unit_mode):
     target = constant_target(flat8, 32)
     h = Control(np.full((1, 8), 1.0))
@@ -116,6 +126,26 @@ def test_penalty_objective_combines_action_and_residual(flat8, unit_mode):
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+def central_gradient(fn, x, step):
+    """Central finite differences of a scalar function, one coordinate
+    at a time: the reference for the batched gradient."""
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        g[i] = (fn(xp) - fn(xm)) / (2.0 * step)
+    return g
+
+
+def objective_gradient(h, lam, target, noise, fd_step=1e-4):
+    """The optimizer's batched central-difference gradient at h."""
+    objectives = _objectives(lam, h.n_modes, h.bins, target, noise,
+                             target.field(0))
+    return _fd_bundle(objectives, h.values.flatten(), fd_step)[0]
 
 
 def test_central_gradient_quadratic_exact():
@@ -136,6 +166,100 @@ def test_objective_gradient_matches_secant(flat8, unit_mode):
 
     ref = central_gradient(fn, h.values.flatten(), 1e-6)
     assert np.allclose(g, ref, rtol=1e-5, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# line search
+
+
+def _sequential_search(x, d, phi, slope, lam, opt, target, noise, shape):
+    """The backtracking loop one scalar objective at a time."""
+    s = opt.init_step
+    while s >= opt.min_step:
+        try:
+            cand = penalty_objective(Control((x + s * d).reshape(shape)), lam,
+                                     target, noise)
+        except NumericalFailure:
+            cand = math.inf
+        if cand <= phi + opt.armijo * s * slope or cand < phi - 1e-14:
+            return s, cand
+        s *= opt.shrink
+    return None
+
+
+def _search_case(noise, eta, slope_t, bins, x, lam, scale=1.0, ascent=False,
+                 overstate=1.0):
+    """(sequential, batched) line searches from x along the scaled
+    negative gradient (or, with ascent, along the gradient), with the
+    directional slope overstated by a factor."""
+    opt = OptConfig()
+    target = drift_target(eta, slope_t, 64)
+    shape = (noise.n_modes, bins)
+    h = Control(np.asarray(x, dtype=float).reshape(shape))
+    phi = penalty_objective(h, lam, target, noise)
+    g = objective_gradient(h, lam, target, noise)
+    d = (g if ascent else -g) * (scale / math.sqrt(float(g @ g)))
+    slope = -abs(float(g @ d)) * overstate
+    xf = h.values.flatten()
+    with np.errstate(all="ignore"):
+        ref = _sequential_search(xf, d, phi, slope, lam, opt, target, noise,
+                                 shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _line_search(_objectives(lam, *shape, target, noise, eta), xf,
+                           d, phi, slope, backtracking_steps(opt), opt.armijo)
+    return ref, got
+
+
+def test_backtracking_ladder_default():
+    steps = backtracking_steps(OptConfig())
+    assert len(steps) == 40
+    assert steps[0] == 1.0 and steps[-1] == 2.0 ** -39
+    with pytest.raises(ValueError):
+        OptConfig(shrink=1.0)
+
+
+@pytest.mark.parametrize("case", ["start", "near-optimum", "two-modes",
+                                  "plain-decrease", "ascent"])
+def test_batched_line_search_matches_sequential(flat8, unit_mode, case):
+    eta_sine = make_initial(TorusGrid(8), "sine", mean=0.2, amp=0.5, mode=1)
+    two = NoiseModel((NoiseMode(sigma=1.0),
+                      NoiseMode(sigma=0.5, profile="cos", wavenumber=1,
+                                alpha=0.5, beta=0.5)))
+    gen = np.random.default_rng(5)
+    ref, got = {
+        "start": lambda: _search_case(unit_mode, flat8, 0.7, 16,
+                                      np.zeros(16), 10.0, scale=3.0),
+        "near-optimum": lambda: _search_case(
+            unit_mode, flat8, 0.7, 16, 0.7 + 1e-3 * gen.standard_normal(16),
+            1e4, scale=0.1),
+        "two-modes": lambda: _search_case(
+            two, eta_sine, -0.4, 8, 0.3 * gen.standard_normal(16), 100.0,
+            scale=20.0),
+        # no step meets Armijo against a slope overstated 1e5 times,
+        # so the plain-decrease rule must take the first lane that drops
+        "plain-decrease": lambda: _search_case(unit_mode, flat8, 0.7, 16,
+                                               np.zeros(16), 10.0, scale=3.0,
+                                               overstate=1e5),
+        "ascent": lambda: _search_case(unit_mode, flat8, 0.7, 16,
+                                       np.zeros(16), 10.0, ascent=True),
+    }[case]()
+    if case == "ascent":
+        assert ref is None and got is None
+    else:
+        assert ref is not None and got == ref
+
+
+def test_batched_line_search_skips_overflowing_lanes():
+    # u' = h u from u = 1: the largest steps drive exp(int h) past the
+    # float range; those lanes must read +inf without a warning or a
+    # NumericalFailure, and the first finite lane that passes is taken
+    mult = NoiseModel((NoiseMode(sigma=1.0, alpha=0.0, beta=1.0),))
+    eta = make_initial(TorusGrid(8), "constant", value=1.0)
+    ref, got = _search_case(mult, eta, 0.7, 16, np.zeros(16), 100.0,
+                            scale=4e4)
+    assert ref is not None and got == ref
+    assert ref[0] < 1.0 / 64
 
 
 # ---------------------------------------------------------------------------

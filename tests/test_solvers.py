@@ -12,7 +12,7 @@ from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, make_flux)
 from sclaw.solvers import (STREAM_MAIN, base_small_time_endpoints,
-                           deterministic_step, lp_moment,
+                           deterministic_step, integrate_skeleton, lp_moment,
                            pair_l1_distances, pair_moment_maxes,
                            scaled_endpoints, solve_base_small_time,
                            solve_coupled_pair, solve_flux_free,
@@ -268,6 +268,45 @@ def test_skeleton_rk4_order():
 def test_skeleton_requires_bin_divisibility(small_eta, unit_additive):
     with pytest.raises(ValueError):
         solve_skeleton(small_eta, np.zeros((1, 3)), unit_additive, 16)
+
+
+_SKELETON_NOISES = {
+    "additive-1": (NoiseMode(sigma=0.8),),
+    "multiplicative-1": (NoiseMode(sigma=0.6, alpha=0.0, beta=1.0),),
+    "additive-2": (NoiseMode(sigma=0.8),
+                   NoiseMode(sigma=0.3, profile="cos", wavenumber=1)),
+    "multiplicative-2": (NoiseMode(sigma=0.6, alpha=0.0, beta=1.0),
+                         NoiseMode(sigma=0.25, profile="sin", wavenumber=2,
+                                   alpha=0.5, beta=0.75)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SKELETON_NOISES))
+def test_skeleton_rows_independent_of_stack_height(kind):
+    # heights 1, 40 (one line-search ladder) and 1025 (2 * 512 + 1, the
+    # finite-difference bundle at the dimension cap)
+    noise = NoiseModel(_SKELETON_NOISES[kind])
+    eta = make_initial(TorusGrid(8), "sine", mean=0.5, amp=0.5, mode=1)
+    n_steps, bins = 64, 16
+    gen = np.random.default_rng(9)
+    stack = gen.normal(0.0, 0.7, (1025, noise.n_modes, bins))
+    target = gen.normal(0.5, 0.4, (n_steps + 1, 8))
+    states = integrate_skeleton(eta, stack, noise, n_steps)
+    res = integrate_skeleton(eta, stack, noise, n_steps, target=target)
+    assert states.shape == (n_steps + 1, 1025, 8) and res.shape == (1025,)
+    assert np.all(np.isfinite(states)) and np.all(res > 0.0)
+    assert np.array_equal(integrate_skeleton(eta, stack[:40], noise, n_steps),
+                          states[:, :40])
+    assert np.array_equal(integrate_skeleton(eta, stack[:40], noise, n_steps,
+                                             target=target), res[:40])
+    for i in (0, 17, 39, 1024):
+        one = stack[i:i + 1]
+        assert np.array_equal(integrate_skeleton(eta, one, noise, n_steps),
+                              states[:, i:i + 1]), i
+        assert np.array_equal(integrate_skeleton(eta, one, noise, n_steps,
+                                                 target=target), res[i:i + 1])
+        assert np.array_equal(solve_skeleton(eta, one[0], noise,
+                                             n_steps).values, states[:, i])
 
 
 # ---------------------------------------------------------------------------
