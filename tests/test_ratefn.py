@@ -219,31 +219,33 @@ def test_backtracking_ladder_default():
         OptConfig(shrink=1.0)
 
 
-@pytest.mark.parametrize("case", ["start", "near-optimum", "two-modes",
-                                  "plain-decrease", "ascent"])
-def test_batched_line_search_matches_sequential(flat8, unit_mode, case):
-    eta_sine = make_initial(TorusGrid(8), "sine", mean=0.2, amp=0.5, mode=1)
-    two = NoiseModel((NoiseMode(sigma=1.0),
-                      NoiseMode(sigma=0.5, profile="cos", wavenumber=1,
-                                alpha=0.5, beta=0.5)))
-    gen = np.random.default_rng(5)
-    ref, got = {
-        "start": lambda: _search_case(unit_mode, flat8, 0.7, 16,
-                                      np.zeros(16), 10.0, scale=3.0),
-        "near-optimum": lambda: _search_case(
-            unit_mode, flat8, 0.7, 16, 0.7 + 1e-3 * gen.standard_normal(16),
-            1e4, scale=0.1),
-        "two-modes": lambda: _search_case(
-            two, eta_sine, -0.4, 8, 0.3 * gen.standard_normal(16), 100.0,
-            scale=20.0),
-        # no step meets Armijo against a slope overstated 1e5 times,
-        # so the plain-decrease rule must take the first lane that drops
-        "plain-decrease": lambda: _search_case(unit_mode, flat8, 0.7, 16,
-                                               np.zeros(16), 10.0, scale=3.0,
-                                               overstate=1e5),
-        "ascent": lambda: _search_case(unit_mode, flat8, 0.7, 16,
-                                       np.zeros(16), 10.0, ascent=True),
-    }[case]()
+_FLAT8 = make_initial(TorusGrid(8), "constant", value=0.0)
+_SINE8 = make_initial(TorusGrid(8), "sine", mean=0.2, amp=0.5, mode=1)
+_TWO_MODES = NoiseModel((NoiseMode(sigma=1.0),
+                         NoiseMode(sigma=0.5, profile="cos", wavenumber=1,
+                                   alpha=0.5, beta=0.5)))
+_JITTER = np.random.default_rng(5).standard_normal(16)
+_SEARCH_CASES = {
+    # name: (noise, eta, target slope, bins, x, lam, _search_case options)
+    "start": (additive_noise(1.0), _FLAT8, 0.7, 16, np.zeros(16), 10.0,
+              {"scale": 3.0}),
+    "near-optimum": (additive_noise(1.0), _FLAT8, 0.7, 16,
+                     0.7 + 1e-3 * _JITTER, 1e4, {"scale": 0.1}),
+    "two-modes": (_TWO_MODES, _SINE8, -0.4, 8, 0.3 * _JITTER, 100.0,
+                  {"scale": 20.0}),
+    # no step meets Armijo against a slope overstated 1e5 times, so the
+    # plain-decrease rule must take the first lane that drops
+    "plain-decrease": (additive_noise(1.0), _FLAT8, 0.7, 16, np.zeros(16),
+                       10.0, {"scale": 3.0, "overstate": 1e5}),
+    "ascent": (additive_noise(1.0), _FLAT8, 0.7, 16, np.zeros(16), 10.0,
+               {"ascent": True}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_batched_line_search_matches_sequential(case):
+    *args, options = _SEARCH_CASES[case]
+    ref, got = _search_case(*args, **options)
     if case == "ascent":
         assert ref is None and got is None
     else:
