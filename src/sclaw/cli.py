@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import platform
 import sys
 from pathlib import Path
@@ -27,17 +28,15 @@ import scipy
 from . import __version__
 from .errors import ConfigError, NumericalFailure
 from .grid import TorusGrid, make_initial
-from .models import (NoiseMode, NoiseModel, SimConfig, make_flux,
-                     validate_flux, validate_noise)
+from .models import (FLUX_KINDS, PROFILE_KINDS, NoiseMode, NoiseModel,
+                     SimConfig, make_flux, validate_flux, validate_noise)
 from .mollifier import MollifierPair
 from .solvers import solve_coupled_pair
 from .diagnostics import (bound_check_I, bound_check_J, error_term,
                           write_bound_reports)
-from .harness import (estimate_tail, exp_equiv_scan, map_paths, moment_scan,
-                      scaling_check)
+from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
+                      moment_scan, scaling_check, worker_count)
 from .ratefn import OptConfig, constant_target, drift_target, rate_estimate
-
-PLOT_KINDS = ("eps_log_p", "moment_scan", "error_ladder")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,36 +45,100 @@ EXIT_INFEASIBLE = 4
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# configuration table
+#
+# Every leaf is (default, rule).  A default of _REQ makes the key
+# required; a default of None leaves it unset unless given.  A rule
+# checks a value under its dotted key, raises a ConfigError naming that
+# key, and returns the resolved value.
 
 _REQ = object()   # no default: the key must be present in the document
 
-_MODE_SCHEMA = {
-    "sigma": _REQ,
-    "profile": "constant",
-    "wavenumber": 1,
-    "alpha": 1.0,
-    "beta": 0.0,
-}
+_SIGNS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+
+def _rule(what: str, test):
+    """Accept the values that pass test; what describes them."""
+    def rule(key, val):
+        if not test(val):
+            raise ConfigError(f"{key} must be {what}, got {val!r}")
+        return val
+    return rule
+
+
+def _int(lo: int):
+    # booleans and integral floats such as 64.0 are not integers
+    return _rule(f"an integer >= {lo}", lambda v: type(v) is int and v >= lo)
+
+
+def _num(**bounds):
+    """A finite number meeting each bound, e.g. _num(gt=0, le=1)."""
+    return _rule("a finite number" + "".join(
+        f" {_SIGNS[op]} {b}" for op, b in bounds.items()),
+        lambda v: type(v) in (int, float) and math.isfinite(v) and all(
+            getattr(operator, op)(v, b) for op, b in bounds.items()))
+
+
+def _one_of(choices):
+    return _rule(f"one of {', '.join(choices)}", lambda v: v in choices)
+
+
+def _list(entry, nonempty: bool = True, strictly: str | None = None):
+    """A list whose entries, named key[i], pass entry (a rule or a table);
+    strictly ("descending" or "increasing") orders consecutive entries."""
+    def rule(key, val):
+        if not isinstance(val, list) or (nonempty and not val):
+            raise ConfigError(f"{key} must be a {'non-empty ' * nonempty}"
+                              f"list, got {val!r}")
+        out = [_resolve(v, entry, f"{key}[{i}].") if isinstance(entry, dict)
+               else entry(f"{key}[{i}]", v) for i, v in enumerate(val)]
+        cmp = operator.gt if strictly == "descending" else operator.lt
+        if strictly and not all(map(cmp, out, out[1:])):
+            raise ConfigError(f"{key} must be strictly {strictly}, got {val!r}")
+        return out
+    return rule
+
+
+_EPSILON = _num(gt=0, le=1)
 
 _SCHEMA = {
     "model": {
-        "flux": {"kind": "burgers", "growth_power": 2.0, "growth_const": 1.0,
-                 "speed": 0.0, "coeffs": []},
-        "noise": {"modes": _REQ, "state_bound": 10.0},
+        "flux": {"kind": ("burgers", _one_of(FLUX_KINDS)),
+                 "growth_power": (2.0, _num(ge=1)),
+                 "growth_const": (1.0, _num(ge=0)), "speed": (0.0, _num()),
+                 "coeffs": ([], _list(_num(), nonempty=False))},
+        "noise": {"modes": (_REQ, _list({
+                      "sigma": (_REQ, _num()),
+                      "profile": ("constant", _one_of(PROFILE_KINDS)),
+                      "wavenumber": (1, _int(1)), "alpha": (1.0, _num()),
+                      "beta": (0.0, _num())})),
+                  "state_bound": (10.0, _num(gt=0))},
     },
-    "initial": {"kind": _REQ, "value": None, "left": None, "right": None,
-                "x0": None, "mean": None, "amp": None, "mode": None},
-    "sim": {"epsilon": _REQ, "cells": _REQ, "seed": _REQ, "dt": None,
-            "cfl_fraction": 0.45, "horizon": 1.0, "splitting": "lie",
-            "save_stride": 1},
-    "mollifier": {"gamma": 0.1, "delta": 0.1},
-    "harness": {"iota": None, "ladder": None, "n_tail": 1000,
-                "functionals": ["mass", "l2norm"], "n_scaling": 2000,
-                "p_list": [2.0], "moment_ladder": None, "n_moment": 500,
-                "n_pairs": 50},
-    "rate": {"target": "drift", "slope": 0.7, "n_steps": 64, "bins": 16,
-             "lambda_ladder": None, "tol_feas": None, "max_iters": None},
+    "initial": {"kind": (_REQ, _one_of(("constant", "riemann", "sine"))),
+                "value": (None, _num()), "left": (None, _num()),
+                "right": (None, _num()), "x0": (None, _num(ge=0, le=1)),
+                "mean": (None, _num()), "amp": (None, _num()),
+                "mode": (None, _int(1))},
+    "sim": {"epsilon": (_REQ, _EPSILON), "cells": (_REQ, _int(2)),
+            "seed": (_REQ, _int(0)), "dt": (None, _num(gt=0, le=1)),
+            "cfl_fraction": (0.45, _num(gt=0, lt=1)),
+            "splitting": ("lie", _one_of(("lie", "strang"))),
+            "save_stride": (1, _int(1))},
+    "mollifier": {"gamma": (0.1, _num(gt=0, lt=0.5)),
+                  "delta": (0.1, _num(gt=0))},
+    "harness": {"iota": (None, _num(gt=0)),
+                "ladder": (None, _list(_EPSILON, strictly="descending")),
+                "n_tail": (1000, _int(1)),
+                "functionals": (["mass", "l2norm"], _list(_one_of(FUNCTIONALS))),
+                "n_scaling": (2000, _int(200)),
+                "p_list": ([2.0], _list(_num(ge=1, le=8))),
+                "moment_ladder": (None, _list(_EPSILON)),
+                "n_moment": (500, _int(1)), "n_pairs": (50, _int(1))},
+    "rate": {"target": ("drift", _one_of(("drift", "constant"))),
+             "slope": (0.7, _num()), "n_steps": (64, _int(1)),
+             "bins": (16, _int(1)),
+             "lambda_ladder": (None, _list(_num(gt=0), strictly="increasing")),
+             "tol_feas": (None, _num(gt=0)), "max_iters": (None, _int(1))},
 }
 
 
@@ -86,63 +149,35 @@ def _resolve(user: dict, schema: dict, prefix: str = "") -> dict:
         if key not in schema:
             raise ConfigError(f"unknown key: {prefix}{key}")
     out = {}
-    for key, default in schema.items():
+    for key, spec in schema.items():
         dotted = f"{prefix}{key}"
-        if dotted == "model.noise.modes":
-            modes = user.get(key)
-            if modes is None:
-                raise ConfigError(f"missing key: {dotted}")
-            if not isinstance(modes, list) or not modes:
-                raise ConfigError(f"{dotted} must be a non-empty list")
-            out[key] = [_resolve(m, _MODE_SCHEMA, f"{dotted}[{i}].")
-                        for i, m in enumerate(modes)]
-        elif isinstance(default, dict):
-            out[key] = _resolve(user.get(key, {}), default, dotted + ".")
-        elif default is _REQ:
-            if user.get(key) is None:
-                raise ConfigError(f"missing key: {dotted}")
-            out[key] = user[key]
-        else:
-            val = user.get(key)
-            out[key] = default if val is None else val
+        if isinstance(spec, dict):
+            out[key] = _resolve(user.get(key, {}), spec, dotted + ".")
+            continue
+        default, rule = spec
+        val = user.get(key)
+        if val is None and default is _REQ:
+            raise ConfigError(f"missing key: {dotted}")
+        val = default if val is None else val
+        out[key] = None if val is None else rule(dotted, val)
     return out
 
 
-def _check_rate(rc: dict) -> None:
-    """Types and ranges of the rate section, checked before any compute."""
-    if rc["target"] not in ("drift", "constant"):
-        raise ConfigError(f"rate.target must be 'drift' or 'constant', "
-                          f"got {rc['target']!r}")
-    ladder = rc["lambda_ladder"]
-    if ladder is not None and not isinstance(ladder, list):
-        raise ConfigError(f"rate.lambda_ladder must be a list, got {ladder!r}")
-    numbers = [("slope", rc["slope"]), ("tol_feas", rc["tol_feas"])] + \
-        [(f"lambda_ladder[{i}]", lam) for i, lam in enumerate(ladder or [])]
-    for key, val in numbers:
-        if val is not None and (isinstance(val, bool) or not isinstance(
-                val, (int, float)) or not math.isfinite(val)):
-            raise ConfigError(f"rate.{key} must be a finite number, "
-                              f"got {val!r}")
-    for key in ("bins", "n_steps", "max_iters"):
-        val = rc[key]
-        if val is not None and (isinstance(val, bool)
-                                or not isinstance(val, int) or val < 1):
-            raise ConfigError(f"rate.{key} must be a positive integer, "
-                              f"got {val!r}")
-    if rc["n_steps"] % rc["bins"]:
-        raise ConfigError(f"rate.n_steps {rc['n_steps']} must be a multiple "
-                          f"of rate.bins {rc['bins']}")
-
-
-def load_config(path) -> dict:
-    """Parse and resolve a configuration document against the schema."""
+def load_config(path, seed: int | None = None) -> dict:
+    """Parse a configuration document and resolve it against the table;
+    a given seed overrides sim.seed under the same rule."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     resolved = _resolve(raw, _SCHEMA)
-    _check_rate(resolved["rate"])
+    if seed is not None:
+        resolved["sim"]["seed"] = _SCHEMA["sim"]["seed"][1]("sim.seed", seed)
+    rc = resolved["rate"]
+    if rc["n_steps"] % rc["bins"]:
+        raise ConfigError(f"rate.n_steps {rc['n_steps']} must be a multiple "
+                          f"of rate.bins {rc['bins']}")
     return resolved
 
 
@@ -156,51 +191,66 @@ def _require(resolved: dict, dotted: str):
 
 
 # ---------------------------------------------------------------------------
-# model builders (constructor errors surface as configuration errors)
+# model builders (a library guard's message starts with its field name, so
+# prefixing the section names the key)
 
 
-def _cfgerr(builder, *args, **kwargs):
+def _cfgerr(prefix: str, builder, *args, **kwargs):
     try:
         return builder(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def build_flux(resolved: dict):
     f = resolved["model"]["flux"]
-    return _cfgerr(make_flux, f["kind"], growth_power=f["growth_power"],
+    return _cfgerr("model.flux.", make_flux, f["kind"],
+                   growth_power=f["growth_power"],
                    growth_const=f["growth_const"], speed=f["speed"],
                    coeffs=tuple(f["coeffs"]))
 
 
 def build_noise(resolved: dict) -> NoiseModel:
     nz = resolved["model"]["noise"]
-    modes = tuple(_cfgerr(NoiseMode, **m) for m in nz["modes"])
-    return _cfgerr(NoiseModel, modes, state_bound=nz["state_bound"])
+    modes = tuple(_cfgerr(f"model.noise.modes[{i}].", NoiseMode, **m)
+                  for i, m in enumerate(nz["modes"]))
+    return _cfgerr("model.noise.", NoiseModel, modes,
+                   state_bound=nz["state_bound"])
 
 
 def build_initial(resolved: dict, grid: TorusGrid):
     ini = resolved["initial"]
     params = {k: v for k, v in ini.items() if k != "kind" and v is not None}
-    return _cfgerr(make_initial, grid, ini["kind"], **params)
+    return _cfgerr("initial.", make_initial, grid, ini["kind"], **params)
 
 
 def build_sim(resolved: dict) -> SimConfig:
-    s = resolved["sim"]
-    return _cfgerr(SimConfig, epsilon=s["epsilon"], cells=int(s["cells"]),
-                   seed=int(s["seed"]), dt=s["dt"],
-                   cfl_fraction=s["cfl_fraction"], horizon=s["horizon"],
-                   splitting=s["splitting"],
-                   save_stride=int(s["save_stride"]))
+    return _cfgerr("sim.", SimConfig, **resolved["sim"])
 
 
-def build_mollifier(resolved: dict) -> MollifierPair:
+def build_run(resolved: dict):
+    """(SimConfig, flux, noise, initial field) of a stochastic run."""
+    cfg = build_sim(resolved)
+    return (cfg, build_flux(resolved), build_noise(resolved),
+            build_initial(resolved, cfg.grid))
+
+
+def build_mollifier(resolved: dict, grid: TorusGrid) -> MollifierPair:
     m = resolved["mollifier"]
-    return _cfgerr(MollifierPair, m["gamma"], m["delta"])
+    moll = _cfgerr("mollifier.", MollifierPair, m["gamma"], m["delta"])
+    _cfgerr("mollifier.", moll.support_offsets, grid)   # gamma >= dx
+    return moll
 
 
 # ---------------------------------------------------------------------------
 # artifacts
+
+
+def _ready(out_dir: Path | None) -> bool:
+    """Whether to write artifacts, making out_dir only once they exist."""
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir is not None
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -225,7 +275,7 @@ def write_manifest(out_dir: Path, resolved: dict, seed: int,
                for p in sorted(files, key=lambda p: p.name)]
     manifest = {
         "config": resolved,
-        "seed": int(seed),
+        "seed": seed,
         "files": entries,
         "versions": {
             "numpy": np.__version__,
@@ -296,7 +346,7 @@ def _cmd_validate(resolved, out_dir):
     for rep in reports.values():
         lines += rep.lines()
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         path = out_dir / "validation.txt"
         _write_lines(path, lines)
         files.append(path)
@@ -307,16 +357,13 @@ def _cmd_validate(resolved, out_dir):
 
 
 def _cmd_simulate(resolved, out_dir):
-    cfg = build_sim(resolved)
-    flux = build_flux(resolved)
-    noise = build_noise(resolved)
-    eta = build_initial(resolved, cfg.grid)
+    cfg, flux, noise, eta = build_run(resolved)
     u, v = solve_coupled_pair(eta, cfg, flux, noise)
     gap = float(np.abs(u.values[-1] - v.values[-1]).sum() * u.grid.dx)
     lines = [f"steps {len(u.times) - 1}",
              f"final_l1_gap {gap!r}"]
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         for name, traj in (("u.csv", u), ("v.csv", v)):
             path = out_dir / name
             traj.to_csv(path)
@@ -325,17 +372,14 @@ def _cmd_simulate(resolved, out_dir):
 
 
 def _cmd_tail(resolved, out_dir):
-    cfg = build_sim(resolved)
-    flux = build_flux(resolved)
-    noise = build_noise(resolved)
-    eta = build_initial(resolved, cfg.grid)
+    cfg, flux, noise, eta = build_run(resolved)
     iota = _require(resolved, "harness.iota")
-    n = int(resolved["harness"]["n_tail"])
-    est = estimate_tail(eta, iota, n, cfg, flux, noise)
+    est = estimate_tail(eta, iota, resolved["harness"]["n_tail"], cfg, flux,
+                        noise)
     lines = [f"n {est.n}", f"hits {est.hits}", f"p_hat {est.p_hat!r}",
              f"ci_lo {est.ci_lo!r}", f"ci_hi {est.ci_hi!r}"]
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         path = out_dir / "tail.csv"
         _write_lines(path, ["n,hits,p_hat,ci_lo,ci_hi",
                             f"{est.n},{est.hits},{est.p_hat!r},"
@@ -345,40 +389,32 @@ def _cmd_tail(resolved, out_dir):
 
 
 def _cmd_scan(resolved, out_dir):
-    cfg = build_sim(resolved)
-    flux = build_flux(resolved)
-    noise = build_noise(resolved)
-    eta = build_initial(resolved, cfg.grid)
+    cfg, flux, noise, eta = build_run(resolved)
+    h = resolved["harness"]
     iota = _require(resolved, "harness.iota")
     ladder = _require(resolved, "harness.ladder")
-    n = int(resolved["harness"]["n_tail"])
-    table = exp_equiv_scan(eta, ladder, iota, n, cfg, flux, noise)
+    table = exp_equiv_scan(eta, ladder, iota, h["n_tail"], cfg, flux, noise)
     lines = table.csv_lines()
     lines.append("eps_log_p decreasing: "
                  f"{str(table.eps_log_p_decreasing()).lower()}")
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         path = out_dir / "scan.csv"
         _write_lines(path, table.csv_lines())
         files.append(path)
         files += emit_plot_data(table, "eps_log_p", out_dir)
-        if resolved["harness"]["moment_ladder"] is not None:
-            moments = moment_scan(eta, resolved["harness"]["moment_ladder"],
-                                  resolved["harness"]["p_list"],
-                                  int(resolved["harness"]["n_moment"]),
-                                  cfg, flux, noise)
+        if h["moment_ladder"] is not None:
+            moments = moment_scan(eta, h["moment_ladder"], h["p_list"],
+                                  h["n_moment"], cfg, flux, noise)
             files += emit_plot_data(moments, "moment_scan", out_dir)
     return EXIT_OK, files, lines
 
 
 def _cmd_scaling(resolved, out_dir):
-    cfg = build_sim(resolved)
-    flux = build_flux(resolved)
-    noise = build_noise(resolved)
-    eta = build_initial(resolved, cfg.grid)
-    names = resolved["harness"]["functionals"]
-    n = int(resolved["harness"]["n_scaling"])
-    result = scaling_check(eta, cfg.epsilon, names, n, cfg, flux, noise)
+    cfg, flux, noise, eta = build_run(resolved)
+    h = resolved["harness"]
+    result = scaling_check(eta, cfg.epsilon, h["functionals"], h["n_scaling"],
+                           cfg, flux, noise)
     header = "functional,n,mode,ks_stat,p_value,max_abs_gap,pass"
     rows = [f"{r.functional},{r.n},{r.mode},{r.ks_stat!r},{r.p_value!r},"
             f"{r.max_abs_gap!r},{str(r.passed).lower()}"
@@ -386,7 +422,7 @@ def _cmd_scaling(resolved, out_dir):
     lines = [header] + rows
     lines.append(f"all passed: {str(result.passed).lower()}")
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         path = out_dir / "scaling.csv"
         _write_lines(path, [header] + rows)
         files.append(path)
@@ -394,12 +430,8 @@ def _cmd_scaling(resolved, out_dir):
 
 
 def _cmd_doubling(resolved, out_dir):
-    cfg = build_sim(resolved)
-    flux = build_flux(resolved)
-    noise = build_noise(resolved)
-    eta = build_initial(resolved, cfg.grid)
-    moll = build_mollifier(resolved)
-    n_pairs = int(resolved["harness"]["n_pairs"])
+    cfg, flux, noise, eta = build_run(resolved)
+    moll = build_mollifier(resolved, eta.grid)
 
     def one(i):
         pair = solve_coupled_pair(eta, cfg, flux, noise, path_index=i)
@@ -408,7 +440,7 @@ def _cmd_doubling(resolved, out_dir):
         finals = (pair[0].final(), pair[1].final()) if i == 0 else None
         return [j1, j2, rep_i], finals
 
-    results = map_paths(one, n_pairs)
+    results = map_paths(one, resolved["harness"]["n_pairs"])
     reports = [rep for batch, _ in results for rep in batch]
     u_final, v_final = results[0][1]
     # half the widths twice; rungs finer than the grid are dropped
@@ -423,7 +455,7 @@ def _cmd_doubling(resolved, out_dir):
     lines += [f"error_ladder gamma={g!r} delta={d!r} abs_error={v!r}"
               for g, d, v in ladder]
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         path = out_dir / "bounds.csv"
         write_bound_reports(reports, path)
         files.append(path)
@@ -433,19 +465,18 @@ def _cmd_doubling(resolved, out_dir):
 
 def _cmd_rate(resolved, out_dir):
     noise = build_noise(resolved)
-    grid = TorusGrid(int(_require(resolved, "sim.cells")))
-    eta = build_initial(resolved, grid)
+    eta = build_initial(resolved, TorusGrid(resolved["sim"]["cells"]))
     rc = resolved["rate"]
     if rc["target"] == "drift":
-        target = drift_target(eta, float(rc["slope"]), rc["n_steps"])
+        target = drift_target(eta, rc["slope"], rc["n_steps"])
     else:
         target = constant_target(eta, rc["n_steps"])
-    opt = _cfgerr(OptConfig, **{key: rc[key] for key in (
+    opt = _cfgerr("rate.", OptConfig, **{key: rc[key] for key in (
         "lambda_ladder", "tol_feas", "max_iters") if rc[key] is not None})
     result = rate_estimate(target, noise, eta=eta, bins=rc["bins"], opt=opt)
     lines = result.report_lines()
     files = []
-    if out_dir is not None:
+    if _ready(out_dir):
         path = out_dir / "rate.txt"
         _write_lines(path, result.report_lines())
         files.append(path)
@@ -491,20 +522,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        resolved = load_config(args.config)
-        if args.seed is not None:
-            resolved["sim"]["seed"] = args.seed
-        out_dir = None
-        if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        resolved = load_config(args.config, seed=args.seed)
+        _cfgerr("", worker_count)
+        out_dir = None if args.out is None else Path(args.out)
         code, files, lines = _DISPATCH[args.command](resolved, out_dir)
         if not args.quiet:
             for line in lines:
                 print(line)
         if out_dir is not None:
-            write_manifest(out_dir, resolved, int(resolved["sim"]["seed"]),
-                           files)
+            write_manifest(out_dir, resolved, resolved["sim"]["seed"], files)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

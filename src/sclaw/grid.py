@@ -169,11 +169,12 @@ def make_initial(grid: TorusGrid, kind: str, **params) -> ScalarField:
     else:
         raise ValueError(f"unknown initial kind: {kind}")
     if params:
-        raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
+        raise ValueError(f"{min(params)} is not a parameter of initial "
+                         f"kind {kind}")
     return ScalarField(grid, vals)
 
 
 def _take(params: dict, key: str, kind: str):
     if key not in params:
-        raise ValueError(f"initial kind {kind} requires parameter {key}")
+        raise ValueError(f"{key} is required by initial kind {kind}")
     return params.pop(key)

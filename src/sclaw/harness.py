@@ -37,12 +37,10 @@ FUNCTIONALS = ("mass", "l2norm", "maxval")
 
 def worker_count() -> int:
     env = os.environ.get("SCLAW_THREADS", "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"SCLAW_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"SCLAW_THREADS must be a positive integer, "
+                         f"got {env!r}")
+    return int(env) if env else os.cpu_count() or 1
 
 
 def map_paths(fn, n: int) -> list:
@@ -61,13 +59,8 @@ def map_blocks(fn, n: int) -> np.ndarray:
     every float produced) is identical for any worker count.
     """
     blocks = [range(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
-    workers = worker_count()
-    if workers <= 1 or len(blocks) <= 1:
-        parts = [fn(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(fn, blocks))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(map_paths(lambda b: fn(blocks[b]), len(blocks)),
+                          axis=0)
 
 
 def fmean(values) -> float:

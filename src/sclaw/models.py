@@ -66,7 +66,7 @@ class FluxModel:
         if self.growth_const < 0:
             raise ValueError(f"growth_const must be >= 0, got {self.growth_const}")
         if self.kind == "polynomial" and len(self.coeffs) == 0:
-            raise ValueError("polynomial flux needs coefficients")
+            raise ValueError("coeffs must be non-empty for a polynomial flux")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         self._build_piecewise()
 
@@ -572,7 +572,7 @@ class SimConfig:
     """Static description of one stochastic run on the unit horizon.
 
     Exactly one time-step policy applies: an explicit dt (must divide
-    the horizon) or a CFL-derived dt.  ``cfl_fraction`` doubles as the
+    1) or a CFL-derived dt.  ``cfl_fraction`` doubles as the
     ceiling of the per-step Courant certificate even when dt is
     explicit.
     """
@@ -582,7 +582,6 @@ class SimConfig:
     seed: int
     dt: float | None = None
     cfl_fraction: float = 0.45
-    horizon: float = 1.0
     splitting: str = "lie"
     save_stride: int = 1
 
@@ -598,17 +597,14 @@ class SimConfig:
         if not 0.0 < self.cfl_fraction < 1.0:
             raise ValueError(
                 f"cfl_fraction must lie in (0, 1), got {self.cfl_fraction}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if self.splitting not in ("lie", "strang"):
             raise ValueError(f"unknown splitting: {self.splitting}")
         if self.save_stride < 1:
             raise ValueError("save_stride must be >= 1")
         if self.dt is not None:
-            n = round(self.horizon / self.dt)
-            if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-                raise ValueError(
-                    f"dt={self.dt} does not divide horizon={self.horizon}")
+            n = round(1.0 / self.dt)
+            if n < 1 or abs(n * self.dt - 1.0) > 1e-9:
+                raise ValueError(f"dt={self.dt} does not divide 1")
 
     @property
     def grid(self) -> "TorusGrid":

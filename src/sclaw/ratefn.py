@@ -211,9 +211,9 @@ class OptConfig:
     def __post_init__(self):
         ladder = tuple(float(x) for x in self.lambda_ladder)
         if not ladder or any(x <= 0 for x in ladder):
-            raise ValueError("penalty ladder must be positive")
+            raise ValueError("lambda_ladder must be non-empty and positive")
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("penalty ladder must be strictly increasing")
+            raise ValueError("lambda_ladder must be strictly increasing")
         object.__setattr__(self, "lambda_ladder", ladder)
         for name in ("tol_feas", "fd_step", "armijo", "init_step", "shrink",
                      "min_step", "grad_tol"):

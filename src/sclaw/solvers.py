@@ -42,19 +42,17 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel | None,
     applied to the initial range plus margin, capped at dx so that
     flux-free runs still resolve the noise in time.
     """
-    horizon = cfg.horizon
     if cfg.dt is not None:
-        n = round(horizon / cfg.dt)
-        return n, horizon / n
-    dx = 1.0 / cfg.cells
-    dt = min(dx, horizon)
+        n = round(1.0 / cfg.dt)
+        return n, 1.0 / n
+    dx = dt = 1.0 / cfg.cells
     if flux is not None:
         lo, hi = eta.range_bounds()
         sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
         if cfg.epsilon * sup > 0.0:
             dt = min(dt, cfg.cfl_fraction * dx / (cfg.epsilon * sup))
-    n = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    return n, horizon / n
+    n = max(1, int(np.ceil(1.0 / dt - 1e-12)))
+    return n, 1.0 / n
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +234,6 @@ def stochastic_substep(field: ScalarField, noise: NoiseModel, amp: float,
 def _scaled(cfg: SimConfig, flux: FluxModel | None,
             eta: ScalarField) -> tuple[float, float, int, float]:
     """(flux scale, noise amplitude, n_steps, dt) of the rescaled dynamics."""
-    if cfg.horizon != 1.0:
-        raise ValueError("the rescaled dynamics run on the unit horizon")
     n, dt = resolve_time_grid(cfg, flux, eta)
     return cfg.epsilon, math.sqrt(cfg.epsilon), n, dt
 
@@ -278,7 +274,7 @@ def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
     obs = _block(eta, cfg, flux, noise, dynamics, [path_index], stream,
                  noise_path, pair=pair, stride=cfg.save_stride)
     times = np.array(obs.marks, dtype=float) * dynamics[3]
-    times[-1] = cfg.horizon
+    times[-1] = 1.0   # every recorded run ends at t = 1 exactly
     return [Trajectory(eta.grid, times, obs.saved[:, i, 0])
             for i in range(obs.saved.shape[1])]
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from sclaw import cli
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        emit_plot_data, load_config, run)
 from sclaw.errors import ConfigError
@@ -313,6 +314,28 @@ def test_rate_bad_target(tmp_path, capsys):
     assert "rate.target" in capsys.readouterr().err
 
 
+# the CLI's compute entry points: a malformed input must stop a run first
+COMPUTE = ("validate_flux", "validate_noise", "solve_coupled_pair",
+           "estimate_tail", "exp_equiv_scan", "moment_scan", "scaling_check",
+           "map_paths", "rate_estimate")
+
+SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,
+                                   "ladder": [0.5, 0.2],
+                                   "moment_ladder": [0.5, 0.2],
+                                   "n_moment": 24, "n_pairs": 2})
+
+# rows that load_config accepts: their checks need the environment, the
+# command line, a built model or the command
+AFTER_LOAD = [("SCLAW_THREADS", "0"), ("SCLAW_THREADS", "abc"),
+              ("--seed", "-1"), ("dt", 0.3), ("amp", None), ("gamma", 0.02)]
+
+
+def _no_compute(*_args, **_kwargs):
+    raise AssertionError("compute started before the configuration check")
+
+
+# key is a path below the section of the named key, or an environment
+# variable, or a command-line flag
 @pytest.mark.parametrize("key,value,named", [
     ("bins", 0, "rate.bins"),
     ("n_steps", 0, "rate.n_steps"),
@@ -325,14 +348,58 @@ def test_rate_bad_target(tmp_path, capsys):
     ("tol_feas", "abc", "rate.tol_feas"),
     ("lambda_ladder", 5, "rate.lambda_ladder"),
     ("lambda_ladder", [10.0, "x"], "rate.lambda_ladder[1]"),
+    ("lambda_ladder", [100.0, 10.0], "rate.lambda_ladder"),
+    ("ladder", [0.2, 0.5], "harness.ladder"),
+    ("n_scaling", 100, "harness.n_scaling"),
+    ("p_list", [9.0], "harness.p_list[0]"),
+    ("iota", 0, "harness.iota"),
+    ("n_tail", 0, "harness.n_tail"),
+    ("n_tail", 40.7, "harness.n_tail"),
+    ("n_pairs", 0, "harness.n_pairs"),
+    ("functionals", ["mass", "entropy"], "harness.functionals[1]"),
+    ("moment_ladder", [2.0], "harness.moment_ladder[0]"),
+    ("gamma", 0.02, "mollifier.gamma"),    # below dx = 1/32
+    ("gamma", 0.6, "mollifier.gamma"),
+    ("horizon", 2, "sim.horizon"),
+    ("epsilon", "abc", "sim.epsilon"),
+    ("cells", 32.5, "sim.cells"),
+    ("seed", 1.5, "sim.seed"),
+    ("save_stride", 1.5, "sim.save_stride"),
+    ("dt", 0.3, "sim.dt"),                 # does not divide 1
+    ("--seed", "-1", "sim.seed"),
+    ("noise.modes", [{"sigma": "x"}], "model.noise.modes[0].sigma"),
+    ("noise.modes", [{"sigma": 0.4, "profile": "tan"}],
+     "model.noise.modes[0].profile"),
+    ("amp", None, "initial.amp"),          # a sine needs its amplitude
+    ("SCLAW_THREADS", "0", "SCLAW_THREADS"),
+    ("SCLAW_THREADS", "abc", "SCLAW_THREADS"),
 ])
-def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys, key,
-                                                  value, named):
-    path = write_cfg(tmp_path, patched(RATE_BASE, rate={key: value}))
-    with pytest.raises(ConfigError, match=re.escape(named)):
-        load_config(path)
+def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
+                                                  monkeypatch, key, value,
+                                                  named):
+    section = named.split(".")[0]
+    doc = copy.deepcopy(RATE_BASE if section == "rate" else SCAN_BASE)
+    command = {"rate": "rate", "mollifier": "doubling"}.get(section, "scan")
+    flags = []
+    if key == "SCLAW_THREADS":
+        monkeypatch.setenv(key, value)
+    elif key == "--seed":
+        flags = [key, value]
+    else:
+        node = doc
+        *parents, leaf = f"{section}.{key}".split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    path = write_cfg(tmp_path, doc)
+    if (key, value) not in AFTER_LOAD:
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(path)
+    for name in COMPUTE:
+        monkeypatch.setattr(cli, name, _no_compute)
     out = tmp_path / "out"
-    assert run(["rate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert run([command, "--config", path, "--out", str(out)] + flags) == \
+        EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not out.exists()
 
