@@ -342,6 +342,9 @@ def _cmd_validate(resolved, out_dir):
     noise = build_noise(resolved)
     reports = {"model.flux": validate_flux(flux),
                "model.noise": validate_noise(noise)}
+    bad = [key for key, rep in reports.items() if not rep.passed]
+    if bad:
+        raise ConfigError(f"certificate failure in {', '.join(bad)}")
     lines = []
     for rep in reports.values():
         lines += rep.lines()
@@ -350,9 +353,6 @@ def _cmd_validate(resolved, out_dir):
         path = out_dir / "validation.txt"
         _write_lines(path, lines)
         files.append(path)
-    bad = [key for key, rep in reports.items() if not rep.passed]
-    if bad:
-        raise ConfigError(f"certificate failure in {', '.join(bad)}")
     return EXIT_OK, files, lines
 
 

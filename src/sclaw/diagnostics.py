@@ -34,9 +34,6 @@ from .mollifier import MollifierPair, kernel_tables, psi_scalar, psi_sup
 from .models import FluxModel, NoiseModel, NoisePath
 from .solvers import lp_moment
 
-# 12-point Gauss-Legendre rule for the speed-weighted wedge integrals
-_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
 Pair = tuple[Trajectory, Trajectory]
 
 
@@ -292,36 +289,43 @@ def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
     return r1, r2
 
 
-def _wedge_values(a: np.ndarray, b: np.ndarray, flux: FluxModel,
-                  moll: MollifierPair) -> np.ndarray:
-    """W+(a,b) + W-(a,b): the speed-weighted kinetic wedges.
+def _wedges(a, b, flux: FluxModel, delta: float) -> np.ndarray:
+    """W+(a,b) + W-(a,b): the speed-weighted kinetic wedges
 
         W+(a,b) = int_{xi < a} a(xi) X_delta(xi - b) dxi
         W-(a,b) = int_{xi >= a} a(xi) (1 - X_delta(xi - b)) dxi
 
-    Both integrands vanish outside (b - delta, b + delta) except for the
-    flat tail of W+ above b + delta (resp. of W- below b - delta), which
-    integrates the plain speed and is the exact flux difference A(.)-A(.).
-    The banded parts use fixed 12-point Gauss against the tabulated CDF.
+    in closed form.  Off the band (b - delta, b + delta) the integrands
+    are the plain speed, above it in W+ and below it in W-, and give
+    exact flux differences A(.) - A(.).  On the band, xi = b + delta*s
+    turns the speed into a(b + delta*s) = sum_j p_j(b) s^j with
+    p_j = delta^j a^(j)(b) / j!, and with r = clip((a - b)/delta, -1, 1)
+    the two banded parts add up to
+
+        delta * sum_j p_j(b) * [2 M_j(r) - M_j(1) + (1 - r^(j+1))/(j+1)]
+      = delta * sum_j p_j(b) * [r^(j+1) (2 X(r) - 1) - 2 P_(j+1)(r)
+                                + P_(j+1)(1)] / (j+1),
+
+    since M_j(r) = int_{-1}^{r} s^j X(s) ds = (r^(j+1) X(r) - P_(j+1)(r))/(j+1)
+    by parts, with P_k the tabulated moment primitives of psi.
     """
-    delta = moll.delta
-    tab = kernel_tables()
-
-    def band(lo, hi, conj: bool):
-        half = 0.5 * np.maximum(hi - lo, 0.0)
-        mid = 0.5 * (hi + lo)
-        nodes = mid[:, None] + half[:, None] * _GL12_NODES[None, :]
-        xfac = tab.X((nodes - b[:, None]) / delta)
-        if conj:
-            xfac = 1.0 - xfac
-        integ = flux.a(nodes) * xfac
-        return half * (integ @ _GL12_WEIGHTS)
-
-    wplus = band(b - delta, np.minimum(a, b + delta), conj=False)
-    wplus = wplus + np.where(a > b + delta, flux.A(a) - flux.A(b + delta), 0.0)
-    wminus = band(np.maximum(a, b - delta), b + delta, conj=True)
-    wminus = wminus + np.where(a < b - delta, flux.A(b - delta) - flux.A(a), 0.0)
-    return wplus + wminus
+    q = np.asarray(flux.speed_coeffs)
+    kmax = len(q)
+    tab = kernel_tables(kmax)
+    lo, hi = b - delta, b + delta
+    tails = ((flux.A(np.maximum(a, hi)) - flux.A(hi))
+             + (flux.A(lo) - flux.A(np.minimum(a, lo))))
+    r = np.clip((a - b) / delta, -1.0, 1.0)
+    prims = tab.primitives(r, kmax)
+    ends = tab.primitives(np.ones(1), kmax)
+    lead = r * (2.0 * prims[0] - 1.0)        # r^(j+1) (2 X(r) - 1)
+    band = np.zeros(np.broadcast(a, b).shape)
+    for j in range(kmax):
+        p_j = delta ** j * np.polynomial.polynomial.polyval(b, q)
+        band += p_j * ((lead - 2.0 * prims[j + 1] + ends[j + 1]) / (j + 1))
+        q = np.polynomial.polynomial.polyder(q) / (j + 1)
+        lead = lead * r
+    return delta * band + tails
 
 
 def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
@@ -329,20 +333,29 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
     """Signed transport contribution along the pair:
 
         I = eps * int_t sum_z rho_gamma'(z) dx sum_x [W+ + W-](u(x), v(x-z)) dx
+
+    Each wedge sum is exact for the polynomial speed: with b = v(x - z),
+    r = clip((u(x) - b)/delta, -1, 1) and p_j = delta^j a^(j)(b)/j!,
+
+        [W+ + W-](u(x), b) = delta * sum_j p_j [r^(j+1) (2 X(r) - 1)
+                                 - 2 P_(j+1)(r) + P_(j+1)(1)] / (j+1)
+                             + the flux differences of the flat tails,
+
+    P_k the tabulated kernel moment primitives (derived at _wedges).
+    Every offset with a nonzero gradient weight is evaluated in one call.
     """
     uvals, vvals, times = _pair_arrays(pair)
     grid = pair[0].grid
     offs, gw = moll.gradient_weights(grid)
-    wts = np.diff(times)
+    keep = gw != 0.0
+    # v(x - z) for each kept offset z: shape (snapshots, offsets, cells)
+    shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
+    b = vvals[:-1][:, shifted]
+    per_t = _wedges(uvals[:-1][:, None, :], b, flux, moll.delta).sum(axis=2)
     total_t = np.zeros(len(times) - 1)
-    u = uvals[:-1]
-    for d, gwd in zip(offs, gw):
-        if gwd == 0.0:
-            continue
-        b = np.roll(vvals[:-1], d, axis=1)
-        vals = _wedge_values(u.ravel(), b.ravel(), flux, moll)
-        total_t += gwd * vals.reshape(u.shape).sum(axis=1)
-    return epsilon * float(np.dot(wts, total_t)) * grid.dx
+    for gwd, col in zip(gw[keep], per_t.T):
+        total_t += gwd * col
+    return epsilon * float(np.dot(np.diff(times), total_t)) * grid.dx
 
 
 def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,

@@ -94,6 +94,14 @@ class FluxModel:
             return u.copy()
         return np.polynomial.polynomial.polyval(u, self._da_coeffs)
 
+    @property
+    def speed_coeffs(self) -> tuple[float, ...]:
+        """Ascending power-series coefficients of a (every kind is polynomial)."""
+        if self.kind == "polynomial":
+            return self._da_coeffs
+        return {"zero": (0.0,), "linear": (self.speed,),
+                "burgers": (0.0, 1.0)}[self.kind]
+
     def growth_envelope(self, xi):
         """Right-hand side of the growth certificate, N * (1 + |xi|^q0)."""
         return self.growth_const * (1.0 + np.abs(xi) ** self.growth_power)

@@ -11,10 +11,14 @@ the primitives
     X(r)  = int_{-inf}^{r} psi(s) ds          (the kernel CDF)
     Xi(r) = int_{-inf}^{r} X(s) ds            (second antiderivative)
 
-X is tabulated once on 4096 lattice points by per-interval Gauss
-quadrature and evaluated with cubic interpolation; Xi follows from the
-exact integration-by-parts identity Xi(r) = r*X(r) - int_{-1}^{r} s*psi(s) ds,
-so Xi(1) = 1 and Xi(r) = r for r >= 1 with no drift.
+One stack of moment primitives P_k(r) = int_{-1}^{r} s^k psi(s) ds,
+k = 0..kmax, is tabulated once on 4096 uniform knots by per-interval
+Gauss quadrature and stored as the per-interval coefficients of a cubic
+spline through each.  Every read finds its interval by direct index on
+the uniform knots and sums that cubic exactly as CubicSpline does.
+X = P_0, and Xi follows from the exact integration-by-parts identity
+Xi(r) = r*X(r) - P_1(r), so Xi(1) = 1 and Xi(r) = r for r >= 1 with no
+drift.  The higher moments carry the transport wedges in closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from scipy.interpolate import CubicSpline
 from .errors import NumericalFailure
 
 TABLE_POINTS = 4096
+# P_0..P_2: X, Xi and the transport wedges of a speed of degree <= 1
+BASE_MOMENTS = 2
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -86,39 +92,67 @@ def _gauss_cumulative(f, grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Cubic-spline tables of X and of S(r) = int_{-1}^{r} s*psi(s) ds."""
+    """Cubic tables of the moment primitives P_k(r) = int_{-1}^{r} s^k psi(s) ds.
+
+    coeffs[k] holds the per-interval power-form coefficients of the
+    not-a-knot cubic spline through P_k on the uniform knots.
+    """
 
     knots: np.ndarray
-    x_spline: CubicSpline = field(repr=False)
-    s_spline: CubicSpline = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)  # (kmax + 1, 4, len(knots) - 1)
 
     @classmethod
-    def build(cls, n: int = TABLE_POINTS) -> "KernelTables":
+    def build(cls, n: int = TABLE_POINTS, kmax: int = BASE_MOMENTS
+              ) -> "KernelTables":
         knots = np.linspace(-1.0, 1.0, n)
-        xvals = _gauss_cumulative(psi, knots)
-        svals = _gauss_cumulative(lambda s: s * psi(s), knots)
-        return cls(knots, CubicSpline(knots, xvals), CubicSpline(knots, svals))
+        coeffs = [CubicSpline(knots, _gauss_cumulative(
+            lambda s, k=k: s ** k * psi(s), knots)).c for k in range(kmax + 1)]
+        return cls(knots, np.stack(coeffs))
+
+    def primitives(self, rc, kmax: int) -> list[np.ndarray]:
+        """[P_0(rc), ..., P_kmax(rc)] for rc already clipped to [-1, 1].
+
+        The interval comes from the uniform spacing, corrected once each
+        way against the knots, and each cubic is summed in the order
+        CubicSpline uses, so the values equal its evaluation bit for bit.
+        """
+        knots = self.knots
+        last = len(knots) - 2
+        i = np.minimum(((rc + 1.0) * (last + 1) / 2.0).astype(np.intp), last)
+        i -= rc < knots[i]
+        i += (rc >= knots[i + 1]) & (i < last)
+        t = rc - knots[i]
+        t2 = t * t
+        t3 = t2 * t
+        return [c[3][i] + c[2][i] * t + c[1][i] * t2 + c[0][i] * t3
+                for c in self.coeffs[:kmax + 1]]
 
     def X(self, r):
         """Kernel CDF: 0 left of the support, 1 right of it."""
         r = np.asarray(r, dtype=float)
         rc = np.clip(r, -1.0, 1.0)
         # clip away sub-1e-30 spline wiggle at the flat ends of the bump
-        out = np.clip(self.x_spline(rc), 0.0, 1.0)
+        out = np.clip(self.primitives(rc, 0)[0], 0.0, 1.0)
         return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, 1.0, out))
 
     def Xi(self, r):
         """Second antiderivative of psi: 0 for r <= -1, r for r >= 1."""
         r = np.asarray(r, dtype=float)
         rc = np.clip(r, -1.0, 1.0)
-        core = np.maximum(rc * self.x_spline(rc) - self.s_spline(rc), 0.0)
+        p0, p1 = self.primitives(rc, 1)
+        core = np.maximum(rc * p0 - p1, 0.0)
         return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, r, core))
 
 
-@lru_cache(maxsize=1)
-def kernel_tables() -> KernelTables:
-    """Shared immutable tables (safe to use from worker threads)."""
-    return KernelTables.build()
+def kernel_tables(kmax: int = BASE_MOMENTS) -> KernelTables:
+    """Shared immutable tables holding at least P_0..P_kmax (safe to use
+    from worker threads)."""
+    return _shared_tables(max(kmax, BASE_MOMENTS))
+
+
+@lru_cache(maxsize=None)
+def _shared_tables(kmax: int) -> KernelTables:
+    return KernelTables.build(kmax=kmax)
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,12 @@ def test_validate_rejects_uncertified_flux(tmp_path, capsys):
     doc["model"]["flux"] = {"kind": "polynomial",
                             "coeffs": [0.0, 0.0, 0.0, 0.0, 0.25],
                             "growth_power": 2.0, "growth_const": 1.0}
-    code = run(["validate", "--config", write_cfg(tmp_path, doc)])
+    out = tmp_path / "out"
+    code = run(["validate", "--config", write_cfg(tmp_path, doc),
+                "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "certificate failure in model.flux" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from sclaw.diagnostics import (BOUND_CSV_HEADER, BoundReport, bound_check_I,
+from sclaw.diagnostics import (BOUND_CSV_HEADER, BoundReport, _wedges,
+                               bound_check_I,
                                bound_check_J, bracket_identity,
                                correction_mass, direct_brackets,
                                doubling_functional, error_term,
@@ -15,7 +17,7 @@ from sclaw.diagnostics import (BOUND_CSV_HEADER, BoundReport, bound_check_I,
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (NoiseMode, NoiseModel, NoisePath, SimConfig,
                           additive_noise, make_flux)
-from sclaw.mollifier import MollifierPair, kernel_tables
+from sclaw.mollifier import MollifierPair, kernel_tables, psi_scalar
 from sclaw.solvers import STREAM_MAIN, resolve_time_grid, solve_coupled_pair
 
 XI_ZERO_REF = 0.16722699885498704
@@ -278,6 +280,115 @@ def test_transport_vanishes_for_zero_flux(coupled):
     pair, cfg = coupled
     moll = MollifierPair(0.1, 0.1)
     assert transport_term(pair, moll, cfg.epsilon, make_flux("zero")) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# transport wedges against independent quadratures
+
+_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def gl12_transport_term(pair, moll, epsilon, flux):
+    """Reference transport term: the banded parts of both wedges by
+    12-point Gauss-Legendre against the tabulated CDF, the flat tails
+    as flux differences, one offset at a time."""
+    u_all, v_all = pair[0].values, pair[1].values
+    grid = pair[0].grid
+    delta = moll.delta
+    tab = kernel_tables()
+
+    def wedges(a, b):
+        def band(lo, hi, conj):
+            half = 0.5 * np.maximum(hi - lo, 0.0)
+            mid = 0.5 * (hi + lo)
+            nodes = mid[:, None] + half[:, None] * _GL12_NODES[None, :]
+            xfac = tab.X((nodes - b[:, None]) / delta)
+            if conj:
+                xfac = 1.0 - xfac
+            return half * ((flux.a(nodes) * xfac) @ _GL12_WEIGHTS)
+
+        wplus = band(b - delta, np.minimum(a, b + delta), conj=False)
+        wplus += np.where(a > b + delta, flux.A(a) - flux.A(b + delta), 0.0)
+        wminus = band(np.maximum(a, b - delta), b + delta, conj=True)
+        wminus += np.where(a < b - delta, flux.A(b - delta) - flux.A(a), 0.0)
+        return wplus + wminus
+
+    offs, gw = moll.gradient_weights(grid)
+    u = u_all[:-1]
+    total_t = np.zeros(len(pair[0].times) - 1)
+    for d, gwd in zip(offs, gw):
+        if gwd != 0.0:
+            b = np.roll(v_all[:-1], d, axis=1)
+            vals = wedges(u.ravel(), b.ravel())
+            total_t += gwd * vals.reshape(u.shape).sum(axis=1)
+    return epsilon * float(np.dot(np.diff(pair[0].times), total_t)) * grid.dx
+
+
+def quad_wedges(a, b, flux, delta):
+    """W+(a,b) + W-(a,b) from their definitions by adaptive quadrature,
+    with the kernel CDF itself integrated adaptively (no tables)."""
+    def cdf(s):
+        if s <= -1.0:
+            return 0.0
+        if s >= 1.0:
+            return 1.0
+        return quad(psi_scalar, -1.0, s, epsabs=1e-14, epsrel=1e-13,
+                    limit=200)[0]
+
+    def xfac(xi):
+        return cdf((xi - b) / delta)
+
+    def speed(xi):
+        return float(flux.a(xi))
+
+    def integrate(f, lo, hi):
+        pts = [p for p in (b - delta, b + delta) if lo < p < hi]
+        return quad(f, lo, hi, points=pts or None, epsabs=1e-14,
+                    epsrel=1e-13, limit=200)[0]
+
+    wplus = wminus = 0.0
+    if a > b - delta:
+        wplus = integrate(lambda xi: speed(xi) * xfac(xi), b - delta, a)
+    if a < b + delta:
+        wminus = integrate(lambda xi: speed(xi) * (1.0 - xfac(xi)), a,
+                           b + delta)
+    return wplus + wminus
+
+
+WEDGE_FLUXES = {
+    "zero": make_flux("zero"),
+    "linear": make_flux("linear", speed=-0.7),
+    "burgers": make_flux("burgers"),
+    "cubic": make_flux("polynomial", coeffs=(0.1, -0.3, 0.5, 0.25)),
+    "quartic": make_flux("polynomial", coeffs=(0.0, 0.2, -0.4, 0.1, 0.3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEDGE_FLUXES))
+@pytest.mark.parametrize("regime,gap", [("below", -0.23), ("band_lo", -0.06),
+                                        ("band_hi", 0.041), ("above", 0.37)])
+def test_wedges_match_adaptive_quadrature(kind, regime, gap):
+    # regimes: a < b - delta, |a - b| < delta (both sides), a > b + delta
+    flux = WEDGE_FLUXES[kind]
+    delta = 0.1
+    for b in (-0.85, 0.3, 1.4):
+        a = b + gap
+        got = float(_wedges(np.array([a]), np.array([b]), flux, delta)[0])
+        want = quad_wedges(a, b, flux, delta)
+        assert abs(got - want) <= 1e-12, (b, got, want)
+
+
+def test_transport_matches_gl12_reference(coupled):
+    # a linear flux is left to the quadrature test above: its term nearly
+    # cancels over the antisymmetric weights, so GL12's own error
+    # dominates the relative gap
+    pair, cfg = coupled
+    moll = MollifierPair(0.1, 0.1)
+    for flux in (WEDGE_FLUXES["burgers"], WEDGE_FLUXES["cubic"],
+                 WEDGE_FLUXES["quartic"]):
+        got = transport_term(pair, moll, cfg.epsilon, flux)
+        want = gl12_transport_term(pair, moll, cfg.epsilon, flux)
+        assert got == pytest.approx(want, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

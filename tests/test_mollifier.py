@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from sclaw.grid import TorusGrid
-from sclaw.mollifier import (MollifierPair, bump_norm, bump_raw,
-                             kernel_tables, psi, psi_scalar, psi_sup)
+from sclaw.mollifier import (TABLE_POINTS, MollifierPair, _gauss_cumulative,
+                             bump_norm, bump_raw, kernel_tables, psi,
+                             psi_scalar, psi_sup)
 
 # independently frozen reference values (adaptive quadrature of the
 # closed-form bump, double-checked below against a second route)
@@ -126,6 +128,38 @@ def test_second_antiderivative_bounds(r):
 
 def test_tables_are_shared():
     assert kernel_tables() is kernel_tables()
+
+
+def test_table_lookup_matches_cubic_spline_bitwise():
+    # the direct-index lookup against scipy's own spline evaluation of
+    # the same knot values, for X and for S(r) = int_{-1}^{r} s psi(s) ds
+    knots = np.linspace(-1.0, 1.0, TABLE_POINTS)
+    x_spline = CubicSpline(knots, _gauss_cumulative(psi, knots))
+    s_spline = CubicSpline(knots, _gauss_cumulative(lambda s: s * psi(s),
+                                                    knots))
+
+    def x_ref(r):
+        rc = np.clip(r, -1.0, 1.0)
+        out = np.clip(x_spline(rc), 0.0, 1.0)
+        return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, 1.0, out))
+
+    def xi_ref(r):
+        rc = np.clip(r, -1.0, 1.0)
+        core = np.maximum(rc * x_spline(rc) - s_spline(rc), 0.0)
+        return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, r, core))
+
+    g = np.random.default_rng(5)
+    r = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                        np.nextafter(knots, np.inf),
+                        [-1.0, 1.0, -1.0 - 1e-12, 1.0 + 1e-12, -3.0, 2.5],
+                        g.uniform(-1.0, 1.0, 10_000)])
+    tables = kernel_tables()
+    for got, want in ((tables.X(r), x_ref(r)), (tables.Xi(r), xi_ref(r))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    rc = np.clip(r, -1.0, 1.0)
+    p0, p1 = tables.primitives(rc, 1)
+    assert np.array_equal(p0.view(np.uint64), x_spline(rc).view(np.uint64))
+    assert np.array_equal(p1.view(np.uint64), s_spline(rc).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
