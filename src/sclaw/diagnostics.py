@@ -319,10 +319,11 @@ def _wedges(a, b, flux: FluxModel, delta: float) -> np.ndarray:
     prims = tab.primitives(r, kmax)
     ends = tab.primitives(np.ones(1), kmax)
     lead = r * (2.0 * prims[0] - 1.0)        # r^(j+1) (2 X(r) - 1)
-    band = np.zeros(np.broadcast(a, b).shape)
+    band = 0.0
     for j in range(kmax):
         p_j = delta ** j * np.polynomial.polynomial.polyval(b, q)
-        band += p_j * ((lead - 2.0 * prims[j + 1] + ends[j + 1]) / (j + 1))
+        band = band + p_j * ((lead - 2.0 * prims[j + 1] + ends[j + 1])
+                             / (j + 1))
         q = np.polynomial.polynomial.polyder(q) / (j + 1)
         lead = lead * r
     return delta * band + tails
