@@ -13,8 +13,8 @@ for the wedge {xi < a, zeta >= b},
 
     int int psi_delta(xi - zeta) dxi dzeta = delta * Xi((a - b)/delta),
 
-and symmetrically for the opposite wedge.  A brute-force adaptive
-quadrature of the same wedges is kept as an independent cross-check.
+and symmetrically for the opposite wedge.  The tests check this against
+a brute-force adaptive 2-D quadrature of the same wedges.
 
 Discrete kernel sums use the unit-mass spatial weights of the
 MollifierPair, so the continuum inequalities for the error term and the
@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 
 from .grid import ScalarField, Trajectory
-from .mollifier import MollifierPair, kernel_tables, psi_scalar, psi_sup
+from .mollifier import MollifierPair, kernel_tables, psi_sup
 from .models import FluxModel, NoiseModel, NoisePath
 from .solvers import lp_moment
 
@@ -107,58 +106,20 @@ def correction_mass(u: ScalarField, dxi: float) -> float:
 # doubling functional
 
 
-def doubling_functional(u: ScalarField, v: ScalarField, moll: MollifierPair,
-                        method: str = "closed") -> float:
-    """Kernel-smoothed kinetic overlap of two fields (see module docstring).
-
-    method="closed" evaluates the exact Xi reduction through the kernel
-    tables; method="bruteforce" integrates psi_delta over both wedges
-    with adaptive 2-D quadrature per cell pair (small grids only).
-    """
+def doubling_functional(u: ScalarField, v: ScalarField,
+                        moll: MollifierPair) -> float:
+    """Kernel-smoothed kinetic overlap of two fields (see module docstring),
+    by the exact Xi reduction through the kernel tables."""
     if u.grid.cells != v.grid.cells:
         raise ValueError("fields must share a grid")
     offs, w = moll.spatial_weights(u.grid)
-    dx = u.grid.dx
+    tab = kernel_tables()
     delta = moll.delta
-    if method == "closed":
-        tab = kernel_tables()
-        total = 0.0
-        for d, wd in zip(offs, w):
-            diff = (u.values - np.roll(v.values, d)) / delta
-            total += wd * float(np.sum(tab.Xi(diff) + tab.Xi(-diff)))
-        return float(total * delta * dx)
-    if method == "bruteforce":
-        total = 0.0
-        for d, wd in zip(offs, w):
-            vy = np.roll(v.values, d)
-            total += wd * sum(_wedges_quadrature(a, b, moll)
-                              for a, b in zip(u.values, vy))
-        return float(total * dx)
-    raise ValueError(f"unknown method: {method}")
-
-
-def _wedges_quadrature(a: float, b: float, moll: MollifierPair) -> float:
-    """T+ + T- for one (a, b) pair by adaptive 2-D quadrature.
-
-    T+ integrates psi_delta(xi - zeta) over {xi < a, zeta >= b}, which
-    meets the kernel support only for xi in (b - delta, a); T- covers
-    the opposite wedge {xi >= a, zeta < b}.
-    """
-    delta = moll.delta
-    kw = dict(epsabs=1e-9, epsrel=1e-9)
-
-    def psi_d(z, x):
-        return psi_scalar((x - z) / delta) / delta
-
-    tp = 0.0
-    if a > b - delta:
-        tp, _ = dblquad(psi_d, b - delta, a,
-                        lambda x: b, lambda x: x + delta, **kw)
-    tm = 0.0
-    if a < b + delta:
-        tm, _ = dblquad(psi_d, a, b + delta,
-                        lambda x: x - delta, lambda x: b, **kw)
-    return tp + tm
+    total = 0.0
+    for d, wd in zip(offs, w):
+        diff = (u.values - np.roll(v.values, d)) / delta
+        total += wd * float(np.sum(tab.Xi(diff) + tab.Xi(-diff)))
+    return float(total * delta * u.grid.dx)
 
 
 def shift_modulus(v: ScalarField, gamma: float) -> float:

@@ -21,9 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .grid import ScalarField
+from .ks import ks_2samp
 from .models import (STREAM_BASE, STREAM_MAIN, STREAM_SCALED, FluxModel,
                      NoiseModel, SimConfig)
 from .solvers import (base_small_time_endpoints, pair_l1_distances,
@@ -228,10 +228,12 @@ def scaling_check(eta: ScalarField, epsilon: float, functionals, n: int,
 
     Sample A runs the base dynamics to time epsilon, sample B the
     rescaled dynamics to time 1, on disjoint RNG streams; each requested
-    functional of the endpoint gets a two-sample KS test (asymptotic
-    p-value).  If both samples are degenerate (zero spread, e.g. with
-    zero noise) the comparison falls back to exact equality within
-    1e-12.  A KS p-value above 0.01 passes; by construction that fails
+    functional of the endpoint gets a two-sample KS test.  Its p-value is
+    the two-sided asymptotic one of ``ks.ks_2samp``: the Kolmogorov
+    survival function at the effective size round(n/2) (Simard &
+    L'Ecuyer 2011; scipy.stats' code, ported bit for bit).  If both
+    samples are degenerate (zero spread, e.g. with zero noise) the
+    comparison falls back to exact equality within 1e-12.  A KS p-value above 0.01 passes; by construction that fails
     for about 2% of honest seed pairs, so callers may retry once with a
     fresh seed before treating a failure as real.
     """
@@ -259,7 +261,7 @@ def scaling_check(eta: ScalarField, epsilon: float, functionals, n: int,
         if np.ptp(a) == 0.0 and np.ptp(b) == 0.0:
             rows.append(ScalingRow(name, n, "exact", 0.0, 1.0, gap))
         else:
-            ks = ks_2samp(a, b, method="asymp")
+            ks = ks_2samp(a, b)
             rows.append(ScalingRow(name, n, "ks", float(ks.statistic),
                                    float(ks.pvalue), gap))
     return ScalingResult(epsilon, tuple(rows))

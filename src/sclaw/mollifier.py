@@ -23,15 +23,11 @@ drift.  The higher moments carry the transport wedges in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-
-from .errors import NumericalFailure
+from scipy.linalg import solve_banded
 
 TABLE_POINTS = 4096
 # P_0..P_2: X, Xi and the transport wedges of a speed of degree <= 1
@@ -52,15 +48,11 @@ def bump_raw(w):
     return out
 
 
-@lru_cache(maxsize=1)
 def bump_norm() -> float:
-    """Normalizer Z = int_{-1}^{1} exp(-1/(1-w^2)) dw by adaptive quadrature."""
-    val, err = quad(lambda s: float(bump_raw(s)), -1.0, 1.0,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    if not err < 1e-10:
-        raise NumericalFailure(
-            f"bump normalizer quadrature error {err:.3g} exceeds 1e-10")
-    return val
+    """Normalizer Z = int_{-1}^{1} exp(-1/(1-w^2)) dw, the bits of adaptive
+    quadrature at 1e-13 absolute and relative tolerance (the tests
+    recompute it)."""
+    return 0.44399381616807937
 
 
 def psi(w):
@@ -73,13 +65,6 @@ def psi_sup() -> float:
     return float(np.exp(-1.0) / bump_norm())
 
 
-def psi_scalar(w: float) -> float:
-    """Scalar psi without array overhead (hot path of adaptive quadrature)."""
-    if not -1.0 < w < 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - w * w)) / bump_norm()
-
-
 def _gauss_cumulative(f, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of f from grid[0], 5-point Gauss per interval."""
     lo, hi = grid[:-1], grid[1:]
@@ -88,6 +73,39 @@ def _gauss_cumulative(f, grid: np.ndarray) -> np.ndarray:
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     pieces = half * (f(nodes) @ _GL_WEIGHTS)
     return np.concatenate([[0.0], np.cumsum(pieces)])
+
+
+def _spline_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-interval power-form coefficients of the not-a-knot cubic spline
+    through (x, y), at least 4 knots.
+
+    The knot slopes solve CubicSpline's tridiagonal system, set up the
+    same way and passed to the same LAPACK solve, and the coefficients
+    are formed as CubicHermiteSpline forms them, so they equal
+    CubicSpline(x, y).c bit for bit.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))               # banded: upper, diagonal, lower
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    rhs = np.empty(n)
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]                     # not-a-knot at the left end
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]                   # and at the right end
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2]
+               + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, rhs.reshape(n, 1),
+                     check_finite=False).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 @dataclass(frozen=True)
@@ -105,8 +123,8 @@ class KernelTables:
     def build(cls, n: int = TABLE_POINTS, kmax: int = BASE_MOMENTS
               ) -> "KernelTables":
         knots = np.linspace(-1.0, 1.0, n)
-        coeffs = [CubicSpline(knots, _gauss_cumulative(
-            lambda s, k=k: s ** k * psi(s), knots)).c for k in range(kmax + 1)]
+        coeffs = [_spline_coeffs(knots, _gauss_cumulative(
+            lambda s, k=k: s ** k * psi(s), knots)) for k in range(kmax + 1)]
         return cls(knots, np.stack(coeffs))
 
     def primitives(self, rc, kmax: int) -> list[np.ndarray]:
@@ -196,10 +214,6 @@ class MollifierPair:
     def psi_delta(self, w):
         """State kernel psi_delta(w) = psi(w/delta)/delta."""
         return psi(np.asarray(w, dtype=float) / self.delta) / self.delta
-
-    def X_delta(self, w):
-        """CDF of psi_delta."""
-        return kernel_tables().X(np.asarray(w, dtype=float) / self.delta)
 
     # -- discrete offsets on a grid -----------------------------------------
 

@@ -1,7 +1,11 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +481,18 @@ def test_manifest_config_reproduces_outputs(tmp_path):
                 "--quiet"]) == EXIT_OK
     for name in ("u.csv", "v.csv", "manifest.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_cli_import_loads_no_stats_integrate_or_interpolate():
+    # the CLI's cold start pays for numpy, scipy.special and scipy.linalg
+    # only; the heavier scipy subpackages are test oracles
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, sclaw.cli; print(sorted(m for m in ("
+            "'scipy.stats', 'scipy.integrate', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

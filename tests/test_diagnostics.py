@@ -17,8 +17,10 @@ from sclaw.diagnostics import (BOUND_CSV_HEADER, BoundReport, _wedges,
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (NoiseMode, NoiseModel, NoisePath, SimConfig,
                           additive_noise, make_flux)
-from sclaw.mollifier import MollifierPair, kernel_tables, psi_scalar
+from sclaw.mollifier import MollifierPair, kernel_tables
 from sclaw.solvers import STREAM_MAIN, resolve_time_grid, solve_coupled_pair
+
+from oracles import doubling_bruteforce, psi_scalar
 
 XI_ZERO_REF = 0.16722699885498704
 
@@ -139,8 +141,8 @@ def test_doubling_closed_matches_bruteforce():
     u = _rand_field(grid, 1)
     v = _rand_field(grid, 2)
     moll = MollifierPair(0.2, 0.15)
-    closed = doubling_functional(u, v, moll, method="closed")
-    brute = doubling_functional(u, v, moll, method="bruteforce")
+    closed = doubling_functional(u, v, moll)
+    brute = doubling_bruteforce(u, v, moll)
     assert abs(closed - brute) <= 1e-6
 
 
@@ -150,8 +152,6 @@ def test_doubling_validation():
     moll = MollifierPair(0.25, 0.1)
     with pytest.raises(ValueError):
         doubling_functional(u, ScalarField(TorusGrid(4), np.zeros(4)), moll)
-    with pytest.raises(ValueError):
-        doubling_functional(u, u, moll, method="nope")
 
 
 def test_doubling_symmetric():

@@ -10,7 +10,9 @@ from scipy.interpolate import CubicSpline
 from sclaw.grid import TorusGrid
 from sclaw.mollifier import (TABLE_POINTS, MollifierPair, _gauss_cumulative,
                              bump_norm, bump_raw, kernel_tables, psi,
-                             psi_scalar, psi_sup)
+                             psi_sup)
+
+from oracles import psi_scalar
 
 # independently frozen reference values (adaptive quadrature of the
 # closed-form bump, double-checked below against a second route)
@@ -36,6 +38,15 @@ def test_normalizer_value_and_oracle():
                         np.exp(-1.0 / (1.0 - pts ** 2)), 0.0)
     total = float((half[:, None] * weights[None, :] * vals).sum())
     assert total == pytest.approx(Z_REF, abs=1e-13)
+
+
+def test_normalizer_literal_is_the_quadrature_result():
+    # the constant was frozen from this adaptive quadrature; same bits
+    val, err = quad(lambda s: float(bump_raw(s)), -1.0, 1.0,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err < 1e-10
+    assert (np.float64(bump_norm()).view(np.uint64)
+            == np.float64(val).view(np.uint64))
 
 
 def test_kernel_integrates_to_one():
@@ -201,9 +212,10 @@ def test_state_kernel_scaling():
                   epsabs=1e-12, limit=200)
     assert val == pytest.approx(1.0, abs=1e-10)
     assert float(pair.psi_delta(0.0)) <= 1.0 / 0.05
-    assert float(pair.X_delta(-0.05)) == 0.0
-    assert float(pair.X_delta(0.05)) == 1.0
-    assert float(pair.X_delta(0.0)) == pytest.approx(0.5, abs=1e-12)
+    x = kernel_tables().X   # the CDF of psi_delta is X(w / delta)
+    assert float(x(-0.05 / pair.delta)) == 0.0
+    assert float(x(0.05 / pair.delta)) == 1.0
+    assert float(x(0.0 / pair.delta)) == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
