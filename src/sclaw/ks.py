@@ -67,7 +67,7 @@ def ks_2samp(a, b) -> KSResult:
     d = min_s if min_s > max_s else max_s
     m, n = sorted([float(n1), float(n2)], reverse=True)
     en = np.round(m * n / (m + n))
-    return KSResult(np.float64(d), np.clip(kolmogorov_sf(d, en), 0, 1))
+    return KSResult(np.float64(d), kolmogorov_sf(d, en))
 
 
 def kolmogorov_sf(x, n) -> np.float64:

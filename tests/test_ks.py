@@ -59,7 +59,7 @@ def test_ks_2samp_rejects_empty_sample():
 
 
 # (n, x, the helper that branch must call, if any)
-_BRANCHES = {
+BRANCHES = {
     "t_at_most_half": (3, float(np.nextafter(0.5 / 3, 1.0)), None),
     "below_support": (50, 0.01, None),
     "above_support": (50, 1.0, None),
@@ -78,9 +78,9 @@ _BRANCHES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BRANCHES))
+@pytest.mark.parametrize("case", sorted(BRANCHES))
 def test_kolmogorov_sf_branches_match_kstwo(case, monkeypatch):
-    n, x, helper = _BRANCHES[case]
+    n, x, helper = BRANCHES[case]
     if case == "t_at_most_half":   # inside the support, yet n*x rounds to 1/2
         assert x > 0.5 / n and n * x <= 0.5
     called = []
