@@ -135,10 +135,37 @@ class FluxModel:
             return 0.5 * np.minimum(u, 0.0) ** 2
         return self._piecewise_part(u, positive=False)
 
-    def eo_flux(self, ul, ur):
-        """Engquist-Osher two-point flux."""
-        a0 = float(self.A(0.0))
-        return a0 + self.apos(ul) + self.aneg(ur)
+    def eo_flux(self, ul, ur, out=None, work=None):
+        """Engquist-Osher two-point flux (a0 + apos(ul)) + aneg(ur).
+
+        apos(ul) is formed in out and aneg(ur) in work, with the same
+        operations as apos and aneg; both buffers are allocated when not
+        given.  Returns out.
+        """
+        ul = np.asarray(ul, dtype=float)
+        ur = np.asarray(ur, dtype=float)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(ul.shape, ur.shape))
+        if work is None:
+            work = np.empty_like(out)
+        if self.kind == "zero":
+            out.fill(0.0)
+            work.fill(0.0)
+        elif self.kind == "linear":
+            np.multiply(max(self.speed, 0.0), ul, out=out)
+            np.multiply(min(self.speed, 0.0), ur, out=work)
+        elif self.kind == "burgers":
+            for buf, part, u in ((out, np.maximum, ul),
+                                 (work, np.minimum, ur)):
+                part(u, 0.0, out=buf)
+                np.square(buf, out=buf)
+                np.multiply(0.5, buf, out=buf)
+        else:
+            out[...] = self._piecewise_part(ul, positive=True)
+            work[...] = self._piecewise_part(ur, positive=False)
+        np.add(float(self.A(0.0)), out, out=out)
+        out += work
+        return out
 
     def sup_abs_a(self, lo: float, hi: float) -> float:
         """sup |a| over [lo, hi]: endpoints plus interior critical points."""
@@ -146,6 +173,8 @@ class FluxModel:
             return 0.0
         if self.kind == "linear":
             return abs(self.speed)
+        if self.kind == "burgers":
+            return max(abs(lo), abs(hi))
         cand = [lo, hi]
         cand.extend(r for r in self._crit if lo < r < hi)
         return float(np.max(np.abs(self.a(np.array(cand)))))
@@ -156,10 +185,8 @@ class FluxModel:
         empty = np.empty(0)
         if self.kind != "polynomial":
             for name in ("_a_roots", "_take_pos", "_take_neg", "_phi_pos",
-                         "_phi_neg"):
+                         "_phi_neg", "_crit"):
                 object.__setattr__(self, name, empty)
-            crit = np.array([0.0]) if self.kind == "burgers" else empty
-            object.__setattr__(self, "_crit", crit)
             return
         pa = Polynomial(self.coeffs).deriv()
         object.__setattr__(self, "_da_coeffs", tuple(pa.coef))
@@ -553,7 +580,10 @@ def block_increments(seed: int, stream: int, path_indices, n_steps: int,
 
     Column r is the NoisePath of path_indices[r]: each path draws its
     (n_steps, n_modes) normals from its own Philox counter, then the
-    whole block is scaled by sqrt(dt) in place.
+    whole block is scaled by sqrt(dt) in place.  One Philox generator
+    serves the block: before each path its state is reset to that of a
+    fresh Philox(counter=[0, 0, i, 0], key=key), so no draw depends on
+    the path drawn before it.
     """
     indices = [int(i) for i in path_indices]
     if seed < 0 or stream < 0 or min(indices, default=0) < 0:
@@ -563,9 +593,17 @@ def block_increments(seed: int, stream: int, path_indices, n_steps: int,
     out = np.empty((n_steps, max(n_modes, 0), len(indices)))
     z = np.empty(out.shape[:2])
     key = [seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF]
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64),
+                       "key": np.array(key, dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for r, i in enumerate(indices):
-        bits = np.random.Philox(counter=[0, 0, i, 0], key=key)
-        np.random.Generator(bits).standard_normal(out=z)
+        fresh["state"]["counter"][2] = i
+        bits.state = fresh
+        gen.standard_normal(out=z)
         out[:, :, r] = z
     out *= math.sqrt(dt)
     return out

@@ -59,9 +59,11 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel | None,
 # the stepping engine
 #
 # Each update acts row by row: the flux substep is elementwise, and the
-# noise coefficients are a fixed-order einsum over the K modes, which
-# never reaches BLAS.  A row's bits therefore do not depend on the
-# height of its block.
+# noise coefficients c0 = db^T P0 and c1 = db^T P1 are two fixed-order
+# einsums over the K modes, each into its own contiguous (paths, cells)
+# buffer, which never reach BLAS.  A row's bits therefore do not depend
+# on the height of its block.  Every (paths, cells) buffer a step writes
+# is allocated once per block; a step allocates only per-row vectors.
 
 
 def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
@@ -76,8 +78,9 @@ def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
 
 def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
                   flux: FluxModel, scale: float, dt: float, nu_max: float,
-                  path_indices, step: int, tmp: np.ndarray) -> None:
-    """Engquist-Osher update of every row of u, in place; tmp is scratch."""
+                  path_indices, step: int, scratch: np.ndarray) -> None:
+    """Engquist-Osher update of every row of u, in place; scratch holds
+    three arrays shaped like u."""
     sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
     if scale * sup * dt / dx > nu_max:
         # the hull bound is conservative: certify per path before failing
@@ -91,10 +94,10 @@ def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
                     f"CFL violation: Courant number {courant:.6g} exceeds "
                     f"the certified fraction {nu_max:.6g}",
                     path_indices[r], step)
-    right = tmp
+    right, f, work = scratch
     right[:, :-1] = u[:, 1:]
     right[:, -1] = u[:, 0]
-    f = flux.eo_flux(u, right)       # flux through right interfaces
+    flux.eo_flux(u, right, f, work)  # flux through right interfaces
     div = right
     np.subtract(f[:, 1:], f[:, :-1], out=div[:, 1:])
     np.subtract(f[:, :1], f[:, -1:], out=div[:, :1])
@@ -102,12 +105,11 @@ def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
     u -= div
 
 
-def _noise_substep(u: np.ndarray, coef: np.ndarray, amp: float,
-                   tmp: np.ndarray) -> None:
-    """u += amp * (c0 + c1 * u) in place, with coef = [c0 | c1] per row."""
-    m = u.shape[1]
-    np.multiply(coef[:, m:], u, out=tmp)
-    tmp += coef[:, :m]
+def _noise_substep(u: np.ndarray, c0: np.ndarray, c1: np.ndarray,
+                   amp: float, tmp: np.ndarray) -> None:
+    """u += amp * (c0 + c1 * u) in place; tmp is scratch."""
+    np.multiply(c1, u, out=tmp)
+    tmp += c0
     tmp *= amp
     u += tmp
 
@@ -131,7 +133,7 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
     increments, (n_steps, K, paths)).  A step is the flux substep (two
     half steps around the noise for Strang) and the Euler-Maruyama noise
     substep.  The noise coefficients sum_k db_k P0[k] and sum_k db_k P1[k]
-    are one einsum per step, shared by both members when pair is set;
+    are formed once per step, shared by both members when pair is set;
     the second member runs without flux.  Observers: the endpoint always,
     the trapezoidal L1 gap of a pair, the running maxima of
     dx * sum |.|^p for each p in p_list, and, when stride > 0, snapshots
@@ -142,9 +144,9 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
     dx = eta.grid.dx
     m = eta.grid.cells
     p0, p1 = noise.affine_parts(eta.grid.centers)
-    coef_fields = np.concatenate([p0, p1], axis=1)
-    coef = np.empty((rows, 2 * m))
-    tmp = np.empty((rows, m))
+    c0, c1 = np.empty((2, rows, m))
+    scratch = np.empty((3, rows, m))  # flux substep: right states, f, work
+    tmp = scratch[0]
     u = np.tile(eta.values, (rows, 1))
     members = [u, u.copy()] if pair else [u]
     out = _Observed(u)
@@ -156,14 +158,15 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
         nonlocal lo_hi
         lo, hi = lo_hi or _range(u, indices, s)
         _flux_substep(u, lo, hi, dx, flux, flux_scale, h, nu_max, indices, s,
-                      tmp)
+                      scratch)
         lo_hi = None
 
     def observe():
         for i, w in enumerate(members):
-            a = np.abs(w)
             for j, p in enumerate(p_list):
-                np.maximum(out.moms[:, j, i], dx * (a ** p).sum(axis=1),
+                a = np.abs(w, out=tmp)
+                a **= p
+                np.maximum(out.moms[:, j, i], dx * a.sum(axis=1),
                            out=out.moms[:, j, i])
 
     if pair:
@@ -179,9 +182,10 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
         if flux is not None:
             flux_step(s)
         if n_modes:
-            np.einsum("kb,kc->bc", inc[s], coef_fields, out=coef)
+            np.einsum("kb,kc->bc", inc[s], p0, out=c0)
+            np.einsum("kb,kc->bc", inc[s], p1, out=c1)
             for w in members:
-                _noise_substep(w, coef, amp, tmp)
+                _noise_substep(w, c0, c1, amp, tmp)
             lo_hi = _range(u, indices, s)
         if flux is not None and strang:
             flux_step(s)
@@ -212,7 +216,7 @@ def deterministic_step(field: ScalarField, flux: FluxModel, scale: float,
         raise ValueError("dt must be positive")
     u = field.values[None, :].copy()
     _flux_substep(u, *field.range_bounds(), field.grid.dx, flux, scale, dt,
-                  nu_max, [None], None, np.empty_like(u))
+                  nu_max, [None], None, np.empty((3,) + u.shape))
     return ScalarField(field.grid, u[0])
 
 
@@ -223,10 +227,10 @@ def stochastic_substep(field: ScalarField, noise: NoiseModel, amp: float,
     if db.shape != (noise.n_modes,):
         raise ValueError(f"expected {noise.n_modes} increments, got {db.shape}")
     p0, p1 = noise.affine_parts(field.grid.centers)
-    coef = np.einsum("kb,kc->bc", db[:, None],
-                     np.concatenate([p0, p1], axis=1))
+    c0 = np.einsum("kb,kc->bc", db[:, None], p0)
+    c1 = np.einsum("kb,kc->bc", db[:, None], p1)
     u = field.values[None, :].copy()
-    _noise_substep(u, coef, amp, np.empty_like(u))
+    _noise_substep(u, c0, c1, amp, np.empty_like(u))
     _range(u, [None], None)
     return ScalarField(field.grid, u[0])
 

@@ -92,6 +92,25 @@ def test_flux_certificate_monotone_in_range():
     assert validate_flux(flux, r_val=3.0).passed
 
 
+def test_burgers_sup_abs_a_matches_candidate_evaluation():
+    def by_candidates(flux, lo, hi):
+        # the former evaluation: |a| at both ends and at the critical
+        # point 0 when it lies inside
+        cand = [lo, hi] + [r for r in (0.0,) if lo < r < hi]
+        return float(np.max(np.abs(flux.a(np.array(cand)))))
+
+    flux = make_flux("burgers")
+    tiny = float(np.finfo(float).smallest_subnormal)
+    ends = (-1e150, -2.5, -1.0, -tiny, -0.0, 0.0, tiny, 0.75, 1.0, 2.5,
+            1e150)
+    for lo in ends:
+        for hi in ends:
+            new = flux.sup_abs_a(lo, hi)
+            old = by_candidates(flux, lo, hi)
+            assert type(new) is float
+            assert math.copysign(1.0, new) == 1.0 and new == old, (lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # noise certificates
 
@@ -189,6 +208,20 @@ def test_block_increments_equal_stacked_paths():
             assert np.array_equal(path.increments, block[:, :, r])
     with pytest.raises(ValueError):
         block_increments(7, 2, [-1], 40, 1, 0.01)
+
+
+def test_block_increments_match_fresh_generators():
+    # one generator is reset before every path; the repeated 5 after
+    # other draws would expose a stale buffer position or cached word
+    idx = [5, 3, 5, 0]
+    for n_modes in (1, 3):
+        block = block_increments(11, 4, idx, 37, n_modes, 0.02)
+        for r, i in enumerate(idx):
+            bits = np.random.Philox(counter=[0, 0, i, 0], key=[11, 4])
+            z = np.random.Generator(bits).standard_normal((37, n_modes))
+            z *= math.sqrt(0.02)
+            assert np.array_equal(block[:, :, r].view(np.uint64),
+                                  z.view(np.uint64)), (n_modes, r)
 
 
 def test_noise_path_stream_separation():

@@ -56,6 +56,76 @@ def test_eo_polynomial_parts_match_quadrature():
         assert float(flux.aneg(u)) == pytest.approx(neg, abs=1e-9)
 
 
+_EO_FLUXES = {
+    "zero": make_flux("zero"),
+    "linear_pos": make_flux("linear", speed=0.7),
+    "linear_neg": make_flux("linear", speed=-0.7),
+    "burgers": make_flux("burgers"),
+    # A(0) = 0.25, and a = -0.5 + 0.2 u + 0.3 u^2 changes sign at u = -5/3
+    # and u = 1
+    "cubic": make_flux("polynomial", coeffs=(0.25, -0.5, 0.1, 0.1),
+                       growth_power=3.0, growth_const=3.0),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", sorted(_EO_FLUXES))
+def test_eo_flux_buffers_match_reference_bitwise(kind):
+    flux = _EO_FLUXES[kind]
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e150,
+                        -1e150, 1.0, -1.0, 0.3])
+    g = np.random.default_rng(17)
+    ul = np.concatenate([np.repeat(special, special.size),
+                         g.normal(0.0, 2.0, 399)]).reshape(-1, 8)
+    ur = np.concatenate([np.tile(special, special.size),
+                         g.normal(0.0, 2.0, 399)]).reshape(-1, 8)
+    with np.errstate(all="ignore"):
+        ref = float(flux.A(0.0)) + flux.apos(ul) + flux.aneg(ur)
+        out, work = np.full((2,) + ul.shape, np.nan)
+        assert flux.eo_flux(ul, ur, out, work) is out
+        fresh = flux.eo_flux(ul, ur)
+    assert np.array_equal(_bits(out), _bits(ref))
+    assert np.array_equal(_bits(fresh), _bits(ref))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
+def test_split_noise_coefficients_match_concatenated_einsum(n_modes):
+    # the sweep forms c0 and c1 by two einsums into contiguous buffers;
+    # the former single einsum over [P0 | P1] gave the same bits
+    g = np.random.default_rng(n_modes)
+    m = 16
+    p0, p1 = g.normal(size=(2, n_modes, m))
+    p0[:, ::5] = -0.0
+    p1[:, 1::7] = 0.0
+    for rows in (1, 7, _BATCH):
+        inc = g.normal(size=(3, n_modes, rows))   # step-major, as swept
+        inc[:, :, ::4] = -0.0
+        for s in range(3):
+            old = np.einsum("kb,kc->bc", inc[s], np.concatenate([p0, p1],
+                                                                axis=1))
+            c0, c1 = np.full((2, rows, m), np.nan)
+            np.einsum("kb,kc->bc", inc[s], p0, out=c0)
+            np.einsum("kb,kc->bc", inc[s], p1, out=c1)
+            assert np.array_equal(_bits(c0), _bits(old[:, :m]))
+            assert np.array_equal(_bits(c1), _bits(old[:, m:]))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5, 8.0])
+def test_inplace_moment_power_matches_power_bitwise(p):
+    tiny = np.finfo(float).smallest_subnormal
+    w = np.random.default_rng(5).normal(0.0, 3.0, (33, 16))
+    w[0, :6] = (0.0, -0.0, tiny, -tiny, 1e150, -1e-310)
+    with np.errstate(all="ignore"):
+        ref = np.abs(w) ** p
+        a = np.abs(w, out=np.empty_like(w))
+        a **= p
+    assert np.array_equal(_bits(a), _bits(ref))
+
+
 # ---------------------------------------------------------------------------
 # deterministic step
 
@@ -396,8 +466,20 @@ def test_coupled_pair_members_match_single_runs(small_eta, burgers,
     assert np.array_equal(u.times, free.times)
 
 
-@pytest.mark.parametrize("n_modes", [1, 2, 3])
-def test_rows_independent_of_block_width(burgers, n_modes):
+# Burgers under Lie keeps the ids 1..3; the other cases run every
+# in-place branch of eo_flux, and Strang reuses the flux buffers twice
+# per step
+_BLOCK_CASES = (
+    [pytest.param("burgers", "lie", k, id=str(k)) for k in (1, 2, 3)]
+    + [pytest.param(f, s, k, id=f"{f}-{s}-{k}")
+       for f in ("burgers", "linear_neg", "cubic")
+       for s in ("lie", "strang") for k in (1, 2, 3)
+       if (f, s) != ("burgers", "lie")])
+
+
+@pytest.mark.parametrize("flux_name, splitting, n_modes", _BLOCK_CASES)
+def test_rows_independent_of_block_width(flux_name, splitting, n_modes):
+    flux = _EO_FLUXES[flux_name]
     modes = (NoiseMode(sigma=0.4, alpha=0.0, beta=1.0),
              NoiseMode(sigma=0.25, profile="cos", wavenumber=1, alpha=1.0,
                        beta=0.5),
@@ -407,16 +489,16 @@ def test_rows_independent_of_block_width(burgers, n_modes):
     grid = TorusGrid(8)
     eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.3, cells=8, seed=4, dt=1.0 / 16,
-                    cfl_fraction=0.9)
+                    cfl_fraction=0.9, splitting=splitting)
     full = np.arange(_BATCH)
     partial = full[:_BATCH // 3]
     singles = (0, 5, _BATCH // 3 - 1)
     sweeps = {
-        "gap": lambda idx: pair_l1_distances(eta, cfg, burgers, noise, idx),
-        "moments": lambda idx: pair_moment_maxes(eta, cfg, burgers, noise,
+        "gap": lambda idx: pair_l1_distances(eta, cfg, flux, noise, idx),
+        "moments": lambda idx: pair_moment_maxes(eta, cfg, flux, noise,
                                                  idx, [1.0, 2.0, 3.5]),
-        "scaled": lambda idx: scaled_endpoints(eta, cfg, burgers, noise, idx),
-        "base": lambda idx: base_small_time_endpoints(eta, 0.3, cfg, burgers,
+        "scaled": lambda idx: scaled_endpoints(eta, cfg, flux, noise, idx),
+        "base": lambda idx: base_small_time_endpoints(eta, 0.3, cfg, flux,
                                                       noise, idx),
     }
     for name, sweep in sweeps.items():
