@@ -31,7 +31,7 @@ from .grid import TorusGrid, make_initial
 from .models import (FLUX_KINDS, PROFILE_KINDS, NoiseMode, NoiseModel,
                      SimConfig, make_flux, validate_flux, validate_noise)
 from .mollifier import MollifierPair
-from .solvers import solve_coupled_pair
+from .solvers import solve_coupled_pair, solve_coupled_pairs
 from .diagnostics import (bound_check_I, bound_check_J, error_term,
                           write_bound_reports)
 from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
+
+# coupled pairs recorded per block by doubling: 64 pairs of snapshots on
+# the shipped grid are about 17 MB
+PAIR_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +437,23 @@ def _cmd_doubling(resolved, out_dir):
     cfg, flux, noise, eta = build_run(resolved)
     moll = build_mollifier(resolved, eta.grid)
 
-    def one(i):
-        pair = solve_coupled_pair(eta, cfg, flux, noise, path_index=i)
-        j1, j2 = bound_check_J(pair, moll, cfg.epsilon, noise, path_index=i)
-        rep_i = bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)
-        finals = (pair[0].final(), pair[1].final()) if i == 0 else None
-        return [j1, j2, rep_i], finals
+    n_pairs = resolved["harness"]["n_pairs"]
+    reports = []
+    for lo in range(0, n_pairs, PAIR_BLOCK):
+        pairs = solve_coupled_pairs(eta, cfg, flux, noise,
+                                    range(lo, min(lo + PAIR_BLOCK, n_pairs)))
+        if lo == 0:
+            u_final, v_final = pairs[0][0].final(), pairs[0][1].final()
 
-    results = map_paths(one, resolved["harness"]["n_pairs"])
-    reports = [rep for batch, _ in results for rep in batch]
-    u_final, v_final = results[0][1]
+        def one(r):
+            pair, i = pairs[r], lo + r
+            j1, j2 = bound_check_J(pair, moll, cfg.epsilon, noise,
+                                   path_index=i)
+            rep_i = bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)
+            return [j1, j2, rep_i]
+
+        reports += [rep for batch in map_paths(one, len(pairs))
+                    for rep in batch]
     # half the widths twice; rungs finer than the grid are dropped
     ladder = []
     for k in range(3):

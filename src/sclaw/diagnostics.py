@@ -35,6 +35,10 @@ from .solvers import lp_moment
 
 Pair = tuple[Trajectory, Trajectory]
 
+# snapshots per tile of the transport wedges: a tile's (snapshots, offsets,
+# cells) temporaries stay in cache instead of streaming through it
+TRANSPORT_TILE = 32
+
 
 # ---------------------------------------------------------------------------
 # state-variable quadratures
@@ -304,16 +308,23 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
                              + the flux differences of the flat tails,
 
     P_k the tabulated kernel moment primitives (derived at _wedges).
-    Every offset with a nonzero gradient weight is evaluated in one call.
+    Every offset with a nonzero gradient weight is evaluated in one call
+    per tile of TRANSPORT_TILE snapshots.
     """
     uvals, vvals, times = _pair_arrays(pair)
     grid = pair[0].grid
     offs, gw = moll.gradient_weights(grid)
     keep = gw != 0.0
-    # v(x - z) for each kept offset z: shape (snapshots, offsets, cells)
+    # cell indices of v(x - z) for each kept offset z: (offsets, cells)
     shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
-    b = vvals[:-1][:, shifted]
-    per_t = _wedges(uvals[:-1][:, None, :], b, flux, moll.delta).sum(axis=2)
+    u, v = uvals[:-1], vvals[:-1]
+    per_t = np.empty((len(u), len(shifted)))
+    for lo in range(0, len(u), TRANSPORT_TILE):
+        hi = lo + TRANSPORT_TILE
+        # (snapshots, offsets, cells) wedges; each sum runs over its own
+        # contiguous cells, so the bits do not depend on the tile
+        per_t[lo:hi] = _wedges(u[lo:hi, None, :], v[lo:hi][:, shifted], flux,
+                               moll.delta).sum(axis=2)
     total_t = np.zeros(len(times) - 1)
     for gwd, col in zip(gw[keep], per_t.T):
         total_t += gwd * col

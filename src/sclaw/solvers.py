@@ -177,7 +177,10 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
         observe()
     if stride:
         out.marks = [0]
-        saved = [[w.copy() for w in members]]
+        # the start, every stride steps, and the end
+        out.saved = np.empty((1 + math.ceil(n / stride), len(members), rows,
+                              m))
+        out.saved[0] = members
     for s in range(n):
         if flux is not None:
             flux_step(s)
@@ -202,10 +205,8 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
         if p_list:
             observe()
         if stride and ((s + 1) % stride == 0 or s + 1 == n):
-            saved.append([w.copy() for w in members])
+            out.saved[len(out.marks)] = members
             out.marks.append(s + 1)
-    if stride:
-        out.saved = np.array(saved)
     return out
 
 
@@ -271,16 +272,18 @@ def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
 
 
 def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
-                  noise: NoiseModel, dynamics, path_index: int, stream: int,
+                  noise: NoiseModel, dynamics, path_indices, stream: int,
                   noise_path: NoisePath | None = None,
-                  pair: bool = False) -> list[Trajectory]:
-    """Recorded run of one path: [u] or, for a pair, [u, v]."""
-    obs = _block(eta, cfg, flux, noise, dynamics, [path_index], stream,
+                  pair: bool = False) -> list[list[Trajectory]]:
+    """Recorded runs of a block of paths: per path [u] or, for a pair,
+    [u, v]."""
+    obs = _block(eta, cfg, flux, noise, dynamics, path_indices, stream,
                  noise_path, pair=pair, stride=cfg.save_stride)
     times = np.array(obs.marks, dtype=float) * dynamics[3]
     times[-1] = 1.0   # every recorded run ends at t = 1 exactly
-    return [Trajectory(eta.grid, times, obs.saved[:, i, 0])
-            for i in range(obs.saved.shape[1])]
+    return [[Trajectory(eta.grid, times, obs.saved[:, i, r])
+             for i in range(obs.saved.shape[1])]
+            for r in range(obs.saved.shape[2])]
 
 
 def solve_scaled_spde(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -289,7 +292,7 @@ def solve_scaled_spde(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                       noise_path: NoisePath | None = None) -> Trajectory:
     """Solve du + eps * div A(u) dt = sqrt(eps) * sum g_k db_k on [0, 1]."""
     return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                         path_index, stream, noise_path)[0]
+                         [path_index], stream, noise_path)[0][0]
 
 
 def solve_flux_free(eta: ScalarField, cfg: SimConfig, noise: NoiseModel,
@@ -300,23 +303,32 @@ def solve_flux_free(eta: ScalarField, cfg: SimConfig, noise: NoiseModel,
     if noise_path is not None:
         n, dt = noise_path.n_steps, noise_path.dt
     return _trajectories(eta, cfg, None, noise, (scale, amp, n, dt),
-                         path_index, stream, noise_path)[0]
+                         [path_index], stream, noise_path)[0][0]
+
+
+def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
+                        noise: NoiseModel, path_indices,
+                        stream: int = STREAM_MAIN
+                        ) -> list[tuple[Trajectory, Trajectory]]:
+    """(transport run, flux-free run) for each path index, recorded in
+    one block.
+
+    Both members of a pair are driven by one shared noise path on the
+    time grid resolved from the transport side, so they see identical
+    Brownian increments step by step and their gap isolates the effect
+    of the scaled flux.  Rows do not depend on the height of the block.
+    """
+    return [tuple(runs) for runs in _trajectories(
+        eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices, stream,
+        pair=True)]
 
 
 def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                        noise: NoiseModel, path_index: int = 0,
                        stream: int = STREAM_MAIN
                        ) -> tuple[Trajectory, Trajectory]:
-    """(transport run, flux-free run) driven by one shared noise path.
-
-    The time grid is resolved once from the transport side, so both
-    members see identical Brownian increments step by step; their gap
-    isolates the effect of the scaled flux.
-    """
-    with_flux, without = _trajectories(eta, cfg, flux, noise,
-                                       _scaled(cfg, flux, eta), path_index,
-                                       stream, pair=True)
-    return with_flux, without
+    """The coupled pair of one path: a block of one of solve_coupled_pairs."""
+    return solve_coupled_pairs(eta, cfg, flux, noise, [path_index], stream)[0]
 
 
 def solve_base_small_time(eta: ScalarField, epsilon: float, cfg: SimConfig,

@@ -12,8 +12,10 @@ import pytest
 from sclaw import cli
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        emit_plot_data, load_config, run)
+from sclaw.diagnostics import bound_check_I, bound_check_J
 from sclaw.errors import ConfigError
 from sclaw.harness import MomentRow, MomentTable, ScanTable
+from sclaw.solvers import solve_coupled_pair
 
 BASE = {
     "model": {"noise": {"modes": [
@@ -286,6 +288,33 @@ def test_doubling_command(tmp_path, capsys):
     assert len(ladder) == 3
 
 
+def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
+                                                      monkeypatch):
+    # 67 pairs span two recording blocks: PAIR_BLOCK rows, then 3
+    assert cli.PAIR_BLOCK < 67 <= 2 * cli.PAIR_BLOCK
+    path = write_cfg(tmp_path, patched(BASE, harness={"n_pairs": 67}))
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SCLAW_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert run(["doubling", "--config", path, "--out", str(out),
+                    "--quiet"]) == EXIT_OK
+        outputs[threads] = {name: (out / name).read_bytes() for name in
+                            ("bounds.csv", "error_ladder.csv",
+                             "error_ladder.plot.txt")}
+    assert outputs["1"] == outputs["2"]
+    rows = outputs["1"]["bounds.csv"].decode().splitlines()
+    assert len(rows) == 1 + 3 * 67
+    resolved = load_config(path)
+    cfg, flux, noise, eta = cli.build_run(resolved)
+    moll = cli.build_mollifier(resolved, eta.grid)
+    for i in (0, 63, 64, 66):
+        pair = solve_coupled_pair(eta, cfg, flux, noise, path_index=i)
+        want = [*bound_check_J(pair, moll, cfg.epsilon, noise, path_index=i),
+                bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)]
+        assert rows[1 + 3 * i:4 + 3 * i] == [r.csv_row() for r in want], i
+
+
 # ---------------------------------------------------------------------------
 # rate
 
@@ -323,7 +352,7 @@ def test_rate_bad_target(tmp_path, capsys):
 
 # the CLI's compute entry points: a malformed input must stop a run first
 COMPUTE = ("validate_flux", "validate_noise", "solve_coupled_pair",
-           "estimate_tail", "exp_equiv_scan", "moment_scan", "scaling_check",
+           "solve_coupled_pairs", "estimate_tail", "exp_equiv_scan", "moment_scan", "scaling_check",
            "map_paths", "rate_estimate")
 
 SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sclaw.diagnostics import (BOUND_CSV_HEADER, BoundReport, _wedges,
-                               bound_check_I,
+from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
+                               BoundReport, _wedges, bound_check_I,
                                bound_check_J, bracket_identity,
                                correction_mass, direct_brackets,
                                doubling_functional, error_term,
                                martingale_diagnostic, martingale_path,
                                shift_modulus, smoothing_defect,
                                transport_term, write_bound_reports)
-from sclaw.grid import ScalarField, TorusGrid, make_initial
+from sclaw.grid import ScalarField, Trajectory, TorusGrid, make_initial
 from sclaw.models import (NoiseMode, NoiseModel, NoisePath, SimConfig,
                           additive_noise, make_flux)
 from sclaw.mollifier import MollifierPair, kernel_tables
@@ -389,6 +389,56 @@ def test_transport_matches_gl12_reference(coupled):
         got = transport_term(pair, moll, cfg.epsilon, flux)
         want = gl12_transport_term(pair, moll, cfg.epsilon, flux)
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def untiled_transport_term(pair, moll, epsilon, flux):
+    """Untiled reference for transport_term: the wedges of every
+    snapshot in one array, then one cell sum."""
+    uvals, vvals = pair[0].values, pair[1].values
+    grid = pair[0].grid
+    offs, gw = moll.gradient_weights(grid)
+    keep = gw != 0.0
+    shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
+    b = vvals[:-1][:, shifted]
+    per_t = _wedges(uvals[:-1][:, None, :], b, flux, moll.delta).sum(axis=2)
+    total_t = np.zeros(len(pair[0].times) - 1)
+    for gwd, col in zip(gw[keep], per_t.T):
+        total_t += gwd * col
+    return epsilon * float(np.dot(np.diff(pair[0].times), total_t)) * grid.dx
+
+
+TILE_FLUXES = {
+    "linear_pos": make_flux("linear", speed=0.8),
+    "linear_neg": make_flux("linear", speed=-0.7),
+    "burgers": make_flux("burgers"),
+    "cubic": WEDGE_FLUXES["cubic"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TILE_FLUXES))
+def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
+    flux = TILE_FLUXES[kind]
+    grid = TorusGrid(16)
+    moll = MollifierPair(0.2, 0.1)
+    g = np.random.default_rng(3)
+    pairs = []
+    for count in (1, TRANSPORT_TILE - 1, TRANSPORT_TILE, TRANSPORT_TILE + 1):
+        # count snapshots enter the wedges: the last one only closes time
+        times = np.linspace(0.0, 1.0, count + 1)
+        pairs.append(tuple(
+            Trajectory(grid, times, g.uniform(-1.2, 1.2, (count + 1, 16)))
+            for _ in range(2)))
+    eta = make_initial(TorusGrid(32), "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=1.0 / 128,
+                    cfl_fraction=0.9, save_stride=3)
+    run = solve_coupled_pair(eta, cfg, make_flux("burgers"), pair_noise)
+    assert (len(run[0].times) - 1) % TRANSPORT_TILE != 0   # a partial tile
+    pairs.append(run)
+    for pair in pairs:
+        got = transport_term(pair, moll, 0.1, flux)
+        want = untiled_transport_term(pair, moll, 0.1, flux)
+        assert np.float64(got).view(np.uint64) == \
+            np.float64(want).view(np.uint64), len(pair[0].times)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from sclaw.errors import NumericalFailure
 from sclaw.grid import ScalarField, TorusGrid, make_initial
+from sclaw.cli import PAIR_BLOCK
 from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, make_flux)
@@ -15,7 +16,8 @@ from sclaw.solvers import (STREAM_MAIN, base_small_time_endpoints,
                            deterministic_step, integrate_skeleton, lp_moment,
                            pair_l1_distances, pair_moment_maxes,
                            scaled_endpoints, solve_base_small_time,
-                           solve_coupled_pair, solve_flux_free,
+                           solve_coupled_pair, solve_coupled_pairs,
+                           solve_flux_free,
                            solve_scaled_spde, solve_skeleton,
                            stochastic_substep)
 
@@ -464,6 +466,27 @@ def test_coupled_pair_members_match_single_runs(small_eta, burgers,
     assert np.array_equal(u.values, alone.values)
     assert np.array_equal(v.values, free.values)
     assert np.array_equal(u.times, free.times)
+
+
+@pytest.mark.parametrize("indices, stride", [
+    ([0], 1), ([0, 1], 3),
+    # the partial block doubling records past the cap for 67 pairs
+    (range(PAIR_BLOCK, PAIR_BLOCK + 3), 4)])
+def test_pair_block_rows_match_single_pairs(two_mode_noise, burgers,
+                                            indices, stride):
+    eta = make_initial(TorusGrid(16), "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.2, cells=16, seed=9, dt=1.0 / 32,
+                    cfl_fraction=0.9, save_stride=stride)
+    block = solve_coupled_pairs(eta, cfg, burgers, two_mode_noise, indices)
+    assert len(block) == len(indices)
+    for i, pair in zip(indices, block):
+        alone = solve_coupled_pair(eta, cfg, burgers, two_mode_noise, i)
+        for got, want in zip(pair, alone):
+            assert got.values.shape == want.values.shape
+            assert np.array_equal(got.values.view(np.uint64),
+                                  want.values.view(np.uint64)), i
+            assert np.array_equal(got.times.view(np.uint64),
+                                  want.times.view(np.uint64)), i
 
 
 # Burgers under Lie keeps the ids 1..3; the other cases run every
