@@ -489,7 +489,7 @@ def _cmd_rate(resolved, out_dir):
     files = []
     if _ready(out_dir):
         path = out_dir / "rate.txt"
-        _write_lines(path, result.report_lines())
+        _write_lines(path, lines)
         files.append(path)
         path = out_dir / "rate_control.csv"
         _write_lines(path, result.control_csv_lines())

@@ -407,7 +407,12 @@ def _ratio_check(name: str, lhs: np.ndarray, rhs: np.ndarray,
     inequality is attained with equality.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
+        ratio = np.divide(lhs, rhs)
+    # where not rhs > 0 (nan included) the ratio reads inf if lhs > 0, else 0
+    off = np.broadcast_to(np.logical_not(rhs > 0), ratio.shape)
+    if off.any():
+        ratio[off] = np.where(np.broadcast_to(lhs, ratio.shape)[off] > 0,
+                              np.inf, 0.0)
     flat = int(np.argmax(ratio))
     worst = float(ratio.flat[flat])
     idx = np.unravel_index(flat, ratio.shape)

@@ -109,16 +109,6 @@ def skeleton_residual(h: Control, rho_target: Trajectory, noise: NoiseModel,
     return res
 
 
-def penalty_objective(h: Control, lam: float, rho_target: Trajectory,
-                      noise: NoiseModel,
-                      eta: ScalarField | None = None) -> float:
-    res = skeleton_residual(h, rho_target, noise, eta)
-    phi = action(h) + lam * res * res
-    if not math.isfinite(phi):
-        raise NumericalFailure("non-finite penalty objective")
-    return phi
-
-
 def _fd_bundle(objectives, x: np.ndarray, fd_step: float
                ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One batched sweep of x and its coordinate perturbations.

@@ -397,10 +397,24 @@ def base_small_time_endpoints(eta: ScalarField, epsilon: float,
 # height of its stack.
 
 
+# snapshots per tile when a target is observed: the buffer holds one tile
+SKELETON_TILE = 64
+
+
 def uniform_times(n_steps: int) -> np.ndarray:
     times = np.arange(n_steps + 1) * (1.0 / n_steps)
     times[-1] = 1.0
     return times
+
+
+def _skeleton_steps(rows: np.ndarray, amp: np.ndarray, shift: np.ndarray,
+                    first: int, n_steps: int) -> None:
+    """Step rows[0] into rows[1:], starting at step `first`."""
+    bins = len(amp)
+    for j in range(len(rows) - 1):
+        b = ((first + j) * bins) // n_steps
+        np.multiply(rows[j], amp[b], out=rows[j + 1])
+        np.add(rows[j + 1], shift[b], out=rows[j + 1])
 
 
 def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
@@ -412,8 +426,9 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     Without target, returns every snapshot, (n_steps + 1, C, cells).
     With target ((n_steps + 1, cells) values on the same uniform time
     grid), returns the trapezoidal L1-in-time, L1-in-space distance of
-    each skeleton to it, shaped (C,).  Nothing is checked for
-    finiteness here: a control that overflows yields inf or nan.
+    each skeleton to it, shaped (C,), observed per tile of SKELETON_TILE
+    steps.  Nothing is checked for finiteness here: a control that
+    overflows yields inf or nan.
     """
     if h.ndim != 3 or h.shape[1] != noise.n_modes:
         raise ValueError(f"control stack shape {h.shape} does not match "
@@ -431,48 +446,29 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
     amp = 1.0 + z * poly
     shift = dt * q[:, :, :m] * poly
-    u = np.tile(eta.values, (len(h), 1))
     if target is None:
-        saved = np.empty((n_steps + 1,) + u.shape)
-
-        def observe(s):
-            saved[s] = u
-    else:
-        gaps = np.empty((len(h), n_steps + 1))
-        tmp = np.empty_like(u)
-
-        def observe(s):
-            np.subtract(u, target[s], out=tmp)
-            np.abs(tmp, out=tmp)
-            np.add.reduce(tmp, axis=1, out=gaps[:, s])
-    observe(0)
-    for s in range(n_steps):
-        b = (s * bins) // n_steps
-        u *= amp[b]
-        u += shift[b]
-        observe(s + 1)
-    if target is None:
-        return saved
+        rows = np.empty((n_steps + 1, len(h), m))
+        rows[0] = eta.values
+        _skeleton_steps(rows, amp, shift, 0, n_steps)
+        return rows
+    gaps = np.empty((len(h), n_steps + 1))
+    buf = np.empty((min(n_steps, SKELETON_TILE) + 1, len(h), m))
+    buf[0] = eta.values
+    for lo in range(0, n_steps, SKELETON_TILE):
+        hi = min(lo + SKELETON_TILE, n_steps)
+        rows = buf[:hi - lo + 1]
+        _skeleton_steps(rows, amp, shift, lo, n_steps)
+        carry = rows[-1].copy()
+        # |u - target| in place; each (snapshot, lane) sum runs over its
+        # own contiguous cells, so the bits do not depend on the tile
+        np.subtract(rows, target[lo:hi + 1, None, :], out=rows)
+        np.abs(rows, out=rows)
+        gaps[:, lo:hi + 1] = np.add.reduce(rows, axis=2).T
+        buf[0] = carry
     weights = np.full(n_steps + 1, dt)
     weights[[0, -1]] = 0.5 * dt
     # each lane's time sum runs along its own contiguous row
     return dx * (gaps * weights).sum(axis=1)
-
-
-def solve_skeleton(eta: ScalarField, h_values: np.ndarray, noise: NoiseModel,
-                   n_steps: int) -> Trajectory:
-    """Integrate the controlled ODE du/dt = sum_k g_k(x, u) h_k(t) on [0, 1].
-
-    The control is piecewise constant on B equal bins, h_values shaped
-    (K, B); integration is classical RK4 with steps aligned to the bins
-    (n_steps must be a multiple of B): a stack of one control of
-    integrate_skeleton.
-    """
-    saved = integrate_skeleton(eta, np.asarray(h_values, dtype=float)[None],
-                               noise, n_steps)[:, 0]
-    if not np.all(np.isfinite(saved)):
-        raise NumericalFailure("non-finite state in skeleton integration")
-    return Trajectory(eta.grid, uniform_times(n_steps), saved)
 
 
 def lp_moment(traj: Trajectory, p: float) -> float:

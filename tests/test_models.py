@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclaw.grid import ScalarField, TorusGrid, make_initial
-from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
-                          SimConfig, additive_noise, block_increments,
-                          make_flux, validate_flux, validate_noise)
+from sclaw.models import (CheckResult, FluxModel, NoiseMode, NoiseModel,
+                          NoisePath, SimConfig, _ratio_check, additive_noise,
+                          block_increments, make_flux, validate_flux,
+                          validate_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,52 @@ def test_noise_single_mode_certificate_always_passes(sigma, alpha, beta):
     model = NoiseModel((NoiseMode(sigma=sigma, profile="cos", wavenumber=2,
                                   alpha=alpha, beta=beta),))
     assert validate_noise(model).passed
+
+
+def _ratio_where(name, lhs, rhs, points):
+    """The two-where ratio check, kept as the reference."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
+    flat = int(np.argmax(ratio))
+    worst = float(ratio.flat[flat])
+    idx = np.unravel_index(flat, ratio.shape)
+    point = tuple(float(np.broadcast_to(p, ratio.shape)[idx]) for p in points)
+    return CheckResult(name, worst <= 1.0 + 1e-12, worst, point)
+
+
+_RATIO_VALUES = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan,
+                          5e-324, 1e308, 2.5])
+
+
+@pytest.mark.parametrize("lhs_axis", [0, 1])
+def test_ratio_check_matches_where_reference(lhs_axis):
+    # lhs along one axis and rhs along the other, each side also given
+    # full-shape; the whole cross, the cross without nan, every subset that
+    # drops one value, and every single pair
+    n = len(_RATIO_VALUES)
+    pick = np.arange(n)
+    subsets = [pick, pick[~np.isnan(_RATIO_VALUES)]]
+    subsets += [np.delete(pick, i) for i in range(n)]
+    cases = [(sl, sr) for sl in subsets for sr in subsets[:2]]
+    cases += [(sr, sl) for sl, sr in cases]
+    cases += [(pick[i:i + 1], pick[j:j + 1]) for i in pick for j in pick]
+    lhs_shape, rhs_shape = ((-1, 1), (1, -1))[::1 - 2 * lhs_axis]
+    for keep_l, keep_r in cases:
+        # points are the value indices, so a nan value stays comparable
+        il = keep_l.reshape(lhs_shape).astype(float)
+        ir = keep_r.reshape(rhs_shape).astype(float)
+        lhs = _RATIO_VALUES[keep_l].reshape(lhs_shape)
+        rhs = _RATIO_VALUES[keep_r].reshape(rhs_shape)
+        full = np.broadcast_shapes(lhs.shape, rhs.shape)
+        for a, b in ((lhs, rhs), (np.broadcast_to(lhs, full).copy(), rhs),
+                     (lhs, np.broadcast_to(rhs, full).copy())):
+            with np.errstate(over="ignore"):
+                ref = _ratio_where("r", a, b, [il, ir])
+                got = _ratio_check("r", a, b, [il, ir])
+            assert got.passed == ref.passed
+            assert got.worst_point == ref.worst_point
+            assert (np.float64(got.worst_ratio).view(np.uint64)
+                    == np.float64(ref.worst_ratio).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from sclaw.ratefn import (Control, OptConfig, RateResult, _fd_bundle,
                           _line_search, _objectives, action,
                           backtracking_steps,
                           constant_target, drift_target,
-                          inverse_dynamics_start, penalty_objective,
-                          rate_estimate, refine_control, skeleton_residual,
-                          uniform_times)
-from sclaw.solvers import solve_skeleton
+                          inverse_dynamics_start, rate_estimate,
+                          refine_control, skeleton_residual, uniform_times)
+from sclaw.solvers import integrate_skeleton
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +113,16 @@ def test_residual_rejects_foreign_time_grid(flat8, unit_mode):
     bent = Trajectory(flat8.grid, target.times ** 2, target.values)
     with pytest.raises(ValueError, match="time grid"):
         skeleton_residual(Control(np.zeros((1, 4))), bent, unit_mode)
+
+
+def penalty_objective(h, lam, rho_target, noise, eta=None):
+    """action + lam * residual^2 of one control: the scalar reference
+    for the optimizer's stacked objectives."""
+    res = skeleton_residual(h, rho_target, noise, eta)
+    phi = action(h) + lam * res * res
+    if not math.isfinite(phi):
+        raise NumericalFailure("non-finite penalty objective")
+    return phi
 
 
 def test_penalty_objective_combines_action_and_residual(flat8, unit_mode):
@@ -270,8 +279,8 @@ def test_batched_line_search_skips_overflowing_lanes():
 
 def test_inverse_dynamics_recovers_additive_control(flat8, unit_mode):
     true = Control(np.array([[0.8, -0.3, 0.1, 0.6]]))
-    path = solve_skeleton(flat8, true.values, unit_mode, 32)
-    target = path
+    target = Trajectory(flat8.grid, uniform_times(32), integrate_skeleton(
+        flat8, true.values[None], unit_mode, 32)[:, 0])
     start = inverse_dynamics_start(target, unit_mode, bins=4)
     assert np.allclose(start.values, true.values, atol=1e-12)
 

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sclaw.errors import NumericalFailure
-from sclaw.grid import ScalarField, TorusGrid, make_initial
+from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
 from sclaw.cli import PAIR_BLOCK
 from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, make_flux)
-from sclaw.solvers import (STREAM_MAIN, base_small_time_endpoints,
-                           deterministic_step, integrate_skeleton, lp_moment,
-                           pair_l1_distances, pair_moment_maxes,
-                           scaled_endpoints, solve_base_small_time,
-                           solve_coupled_pair, solve_coupled_pairs,
-                           solve_flux_free,
-                           solve_scaled_spde, solve_skeleton,
-                           stochastic_substep)
+from sclaw.solvers import (SKELETON_TILE, STREAM_MAIN,
+                           base_small_time_endpoints, deterministic_step,
+                           integrate_skeleton, lp_moment, pair_l1_distances,
+                           pair_moment_maxes, scaled_endpoints,
+                           solve_base_small_time, solve_coupled_pair,
+                           solve_coupled_pairs, solve_flux_free,
+                           solve_scaled_spde, stochastic_substep,
+                           uniform_times)
 
 rng = np.random.default_rng(42)
 
@@ -300,18 +300,20 @@ def test_splitting_gap_shrinks_with_dt(small_eta, burgers, two_mode_noise):
 
 
 def test_skeleton_zero_control_constant(small_eta, unit_additive):
-    traj = solve_skeleton(small_eta, np.zeros((1, 4)), unit_additive, 16)
-    assert np.array_equal(traj.values[-1], small_eta.values)
+    values = integrate_skeleton(small_eta, np.zeros((1, 4))[None],
+                                unit_additive, 16)[:, 0]
+    assert np.array_equal(values[-1], small_eta.values)
 
 
 def test_skeleton_additive_linear_in_time(small_eta, unit_additive):
     c = 0.37
-    traj = solve_skeleton(small_eta, np.full((1, 8), c), unit_additive, 64)
+    values = integrate_skeleton(small_eta, np.full((1, 8), c)[None],
+                                unit_additive, 64)[:, 0]
     expect = small_eta.values + c
-    assert np.allclose(traj.values[-1], expect, atol=1e-13)
+    assert np.allclose(values[-1], expect, atol=1e-13)
     mid = small_eta.values + 0.5 * c
-    j = np.argmin(np.abs(traj.times - 0.5))
-    assert np.allclose(traj.values[j], mid, atol=1e-13)
+    j = np.argmin(np.abs(uniform_times(64) - 0.5))
+    assert np.allclose(values[j], mid, atol=1e-13)
 
 
 def test_skeleton_multiplicative_exponential():
@@ -320,8 +322,9 @@ def test_skeleton_multiplicative_exponential():
     mult = NoiseModel((NoiseMode(
         sigma=1.0, alpha=0.0, beta=1.0),))
     c = 0.9
-    traj = solve_skeleton(eta, np.full((1, 4), c), mult, 100)
-    assert np.allclose(traj.values[-1], eta.values * math.exp(c), atol=1e-8)
+    values = integrate_skeleton(eta, np.full((1, 4), c)[None], mult,
+                                100)[:, 0]
+    assert np.allclose(values[-1], eta.values * math.exp(c), atol=1e-8)
 
 
 def test_skeleton_rk4_order():
@@ -331,15 +334,17 @@ def test_skeleton_rk4_order():
         sigma=1.0, alpha=0.0, beta=1.0),))
     errs = []
     for n in (4, 8, 16, 32):
-        traj = solve_skeleton(eta, np.full((1, 4), 1.0), mult, n)
-        errs.append(abs(float(traj.values[-1][0]) - math.e))
+        values = integrate_skeleton(eta, np.full((1, 4), 1.0)[None], mult,
+                                    n)[:, 0]
+        errs.append(abs(float(values[-1][0]) - math.e))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
     assert all(r > 3.5 for r in rates)
 
 
 def test_skeleton_requires_bin_divisibility(small_eta, unit_additive):
     with pytest.raises(ValueError):
-        solve_skeleton(small_eta, np.zeros((1, 3)), unit_additive, 16)
+        integrate_skeleton(small_eta, np.zeros((1, 3))[None], unit_additive,
+                           16)
 
 
 _SKELETON_NOISES = {
@@ -377,8 +382,84 @@ def test_skeleton_rows_independent_of_stack_height(kind):
                               states[:, i:i + 1]), i
         assert np.array_equal(integrate_skeleton(eta, one, noise, n_steps,
                                                  target=target), res[i:i + 1])
-        assert np.array_equal(solve_skeleton(eta, one[0], noise,
-                                             n_steps).values, states[:, i])
+        assert np.array_equal(integrate_skeleton(eta, one[0][None], noise,
+                                                 n_steps)[:, 0], states[:, i])
+
+
+def _skeleton_per_step(eta, h, noise, n_steps, target=None):
+    """The per-step integrator, kept as the reference: one state array,
+    observed after every step."""
+    bins = h.shape[2]
+    m = eta.grid.cells
+    dt = 1.0 / n_steps
+    p0, p1 = noise.affine_parts(eta.grid.centers)
+    q = np.einsum("ckb,kx->bcx", h, np.concatenate([p0, p1], axis=1))
+    z = dt * q[:, :, m:]
+    poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
+    amp = 1.0 + z * poly
+    shift = dt * q[:, :, :m] * poly
+    u = np.tile(eta.values, (len(h), 1))
+    if target is None:
+        saved = np.empty((n_steps + 1,) + u.shape)
+
+        def observe(s):
+            saved[s] = u
+    else:
+        gaps = np.empty((len(h), n_steps + 1))
+        tmp = np.empty_like(u)
+
+        def observe(s):
+            np.subtract(u, target[s], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.add.reduce(tmp, axis=1, out=gaps[:, s])
+    observe(0)
+    for s in range(n_steps):
+        b = (s * bins) // n_steps
+        u *= amp[b]
+        u += shift[b]
+        observe(s + 1)
+    if target is None:
+        return saved
+    weights = np.full(n_steps + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
+    return eta.grid.dx * (gaps * weights).sum(axis=1)
+
+
+@pytest.mark.parametrize("lanes", [1, 40, 1025])
+@pytest.mark.parametrize("cells", [2, 9, 130])
+@pytest.mark.parametrize("kind", sorted(_SKELETON_NOISES))
+def test_skeleton_tiles_match_per_step_reference(kind, cells, lanes):
+    # one tile exactly, and three tiles with a partial last one
+    noise = NoiseModel(_SKELETON_NOISES[kind])
+    eta = make_initial(TorusGrid(cells), "sine", mean=0.5, amp=0.5, mode=1)
+    bins = 16
+    gen = np.random.default_rng(cells * 7919 + lanes)
+    stack = gen.normal(0.0, 0.7, (lanes, noise.n_modes, bins))
+    if lanes > 1:
+        # the last lane's controls are near the float limit: under
+        # multiplicative noise its state overflows to inf and nan
+        stack[-1, :, ::2] = 1.7e308
+        stack[-1, :, 1::2] = -1.7e308
+    overflows = lanes > 1 and kind.startswith("multiplicative")
+    for n_steps in (SKELETON_TILE, 2 * SKELETON_TILE + bins):
+        target = gen.normal(0.5, 0.4, (n_steps + 1, cells))
+        with np.errstate(all="ignore"):
+            got = integrate_skeleton(eta, stack, noise, n_steps,
+                                     target=target)
+            ref = _skeleton_per_step(eta, stack, noise, n_steps, target)
+        finite = np.isfinite(ref)
+        assert finite[:-1].all() and (finite[-1] or lanes > 1)
+        assert not (overflows and finite[-1])
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # the widest case would hold 155 MB of snapshots per side
+        if lanes * cells > 40 * 130:
+            continue
+        with np.errstate(all="ignore"):
+            got = integrate_skeleton(eta, stack, noise, n_steps)
+            ref = _skeleton_per_step(eta, stack, noise, n_steps)
+        assert not (overflows and np.all(np.isfinite(ref[:, -1])))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +469,13 @@ def test_skeleton_rows_independent_of_stack_height(kind):
 def test_lp_moment_constant_and_riemann():
     grid = TorusGrid(10)
     c = ScalarField(grid, np.full(10, -1.5))
-    traj_c = solve_skeleton(c, np.zeros((0, 1)), NoiseModel(()), 4)
+    traj_c = Trajectory(grid, uniform_times(4), integrate_skeleton(
+        c, np.zeros((0, 1))[None], NoiseModel(()), 4)[:, 0])
     assert lp_moment(traj_c, 2.0) == pytest.approx(2.25, abs=1e-14)
     grid4 = TorusGrid(4)
     step = make_initial(grid4, "riemann", left=1.0, right=0.0, x0=0.5)
-    traj_s = solve_skeleton(step, np.zeros((0, 1)), NoiseModel(()), 4)
+    traj_s = Trajectory(grid4, uniform_times(4), integrate_skeleton(
+        step, np.zeros((0, 1))[None], NoiseModel(()), 4)[:, 0])
     assert lp_moment(traj_s, 1.0) == pytest.approx(0.5, abs=1e-14)
 
 
