@@ -57,6 +57,7 @@ class FluxModel:
     _phi_pos: np.ndarray = field(init=False, repr=False, compare=False)
     _phi_neg: np.ndarray = field(init=False, repr=False, compare=False)
     _crit: np.ndarray = field(init=False, repr=False, compare=False)
+    _a0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FLUX_KINDS:
@@ -68,6 +69,7 @@ class FluxModel:
         if self.kind == "polynomial" and len(self.coeffs) == 0:
             raise ValueError("coeffs must be non-empty for a polynomial flux")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "_a0", float(self.A(0.0)))
         self._build_piecewise()
 
     # -- basic evaluations --------------------------------------------------
@@ -140,7 +142,8 @@ class FluxModel:
 
         apos(ul) is formed in out and aneg(ur) in work, with the same
         operations as apos and aneg; both buffers are allocated when not
-        given.  Returns out.
+        given.  Burgers skips the a0 add: a0 = 0 and 0.5 * max(ul, 0)**2
+        is never -0.0, so 0.0 + out is out bit for bit.  Returns out.
         """
         ul = np.asarray(ul, dtype=float)
         ur = np.asarray(ur, dtype=float)
@@ -163,7 +166,8 @@ class FluxModel:
         else:
             out[...] = self._piecewise_part(ul, positive=True)
             work[...] = self._piecewise_part(ur, positive=False)
-        np.add(float(self.A(0.0)), out, out=out)
+        if self.kind != "burgers":
+            np.add(self._a0, out, out=out)
         out += work
         return out
 
@@ -303,6 +307,8 @@ class NoiseModel:
 
     modes: tuple[NoiseMode, ...]
     state_bound: float = 10.0
+    _stacked: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -352,6 +358,18 @@ class NoiseModel:
         p0 = np.stack([m.sigma * m.alpha * m.phi(x) for m in self.modes])
         p1 = np.stack([m.sigma * m.beta * m.phi(x) for m in self.modes])
         return p0, p1
+
+    def stacked_parts(self, grid) -> np.ndarray:
+        """[P0 | P1] at the grid's cell centers, (K, 2 * cells), built
+        once per grid and read-only.  Worker threads may share the model:
+        setdefault on an int key is atomic, so every caller gets the
+        first array stored."""
+        parts = self._stacked.get(grid.cells)
+        if parts is None:
+            parts = np.concatenate(self.affine_parts(grid.centers), axis=1)
+            parts.setflags(write=False)
+            parts = self._stacked.setdefault(grid.cells, parts)
+        return parts
 
     def g_sq_sum(self, x, u):
         """G^2(x, u) = sum_k g_k(x, u)^2."""

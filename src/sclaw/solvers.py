@@ -58,12 +58,17 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel | None,
 # ---------------------------------------------------------------------------
 # the stepping engine
 #
-# Each update acts row by row: the flux substep is elementwise, and the
-# noise coefficients c0 = db^T P0 and c1 = db^T P1 are two fixed-order
-# einsums over the K modes, each into its own contiguous (paths, cells)
-# buffer, which never reach BLAS.  A row's bits therefore do not depend
-# on the height of its block.  Every (paths, cells) buffer a step writes
-# is allocated once per block; a step allocates only per-row vectors.
+# Each update acts row by row.  The flux substep's two cell shifts (the
+# right state u[i+1] and the difference F[i] - F[i-1]) run as one flat
+# pass over the C-contiguous (paths, cells) block, which is row by row
+# except in the wrap column, where the flat shift pairs a row with its
+# neighbour row; that one column is then rewritten from the row itself.
+# The noise coefficients c0 = db^T P0 and c1 = db^T P1 are two
+# fixed-order einsums over the K modes, each into its own contiguous
+# (paths, cells) buffer, which never reach BLAS.  A row's bits therefore
+# do not depend on the height of its block.  Every (paths, cells) buffer
+# a step writes is allocated once per block; a step allocates only
+# per-row vectors.
 
 
 def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
@@ -80,7 +85,10 @@ def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
                   flux: FluxModel, scale: float, dt: float, nu_max: float,
                   path_indices, step: int, scratch: np.ndarray) -> None:
     """Engquist-Osher update of every row of u, in place; scratch holds
-    three arrays shaped like u."""
+    three C-contiguous arrays shaped like u."""
+    right, f, work = scratch
+    if not (right.flags.c_contiguous and f.flags.c_contiguous):
+        raise ValueError("flux substep scratch must be C-contiguous")
     sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
     if scale * sup * dt / dx > nu_max:
         # the hull bound is conservative: certify per path before failing
@@ -94,12 +102,13 @@ def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
                     f"CFL violation: Courant number {courant:.6g} exceeds "
                     f"the certified fraction {nu_max:.6g}",
                     path_indices[r], step)
-    right, f, work = scratch
-    right[:, :-1] = u[:, 1:]
+    # flat shifts; each row's wrap column is then patched from the row
+    right.reshape(-1)[:-1] = u.reshape(-1)[1:]
     right[:, -1] = u[:, 0]
     flux.eo_flux(u, right, f, work)  # flux through right interfaces
     div = right
-    np.subtract(f[:, 1:], f[:, :-1], out=div[:, 1:])
+    flat = f.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=div.reshape(-1)[1:])
     np.subtract(f[:, :1], f[:, -1:], out=div[:, :1])
     div *= scale * (dt / dx)
     u -= div
@@ -440,8 +449,7 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     m = eta.grid.cells
     dx = eta.grid.dx
     dt = 1.0 / n_steps
-    p0, p1 = noise.affine_parts(eta.grid.centers)
-    q = np.einsum("ckb,kx->bcx", h, np.concatenate([p0, p1], axis=1))
+    q = np.einsum("ckb,kx->bcx", h, noise.stacked_parts(eta.grid))
     z = dt * q[:, :, m:]
     poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
     amp = 1.0 + z * poly

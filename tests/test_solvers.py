@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
 from sclaw.cli import PAIR_BLOCK
 from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
-                          SimConfig, additive_noise, make_flux)
-from sclaw.solvers import (SKELETON_TILE, STREAM_MAIN,
+                          SimConfig, additive_noise, block_increments,
+                          make_flux)
+from sclaw.solvers import (SKELETON_TILE, STREAM_MAIN, _flux_substep, _sweep,
                            base_small_time_endpoints, deterministic_step,
                            integrate_skeleton, lp_moment, pair_l1_distances,
                            pair_moment_maxes, scaled_endpoints,
@@ -184,6 +188,64 @@ def test_l1_contraction_sample():
             new = float(np.abs(u.values - v.values).sum() * grid.dx)
             assert new <= dist + 1e-10
             dist = new
+
+
+def _roll_eo_step(u, flux, scale, dt, dx):
+    """The EO step by np.roll, in the substep's operation order."""
+    f = flux.eo_flux(u, np.roll(u, -1, axis=1))
+    div = f - np.roll(f, 1, axis=1)
+    div *= scale * (dt / dx)
+    return u - div
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, _BATCH])
+@pytest.mark.parametrize("kind", sorted(_EO_FLUXES))
+def test_flux_substep_matches_roll_reference_bitwise(kind, rows):
+    # distinct rows, so a wrap column that mixes neighbour rows shows;
+    # the scratch starts as nan, so a cell left unwritten shows
+    flux = _EO_FLUXES[kind]
+    g = np.random.default_rng(rows)
+    u = g.uniform(-1.0, 1.0, (rows, 16))
+    u[:, ::5] = -0.0
+    ref = _roll_eo_step(u, flux, 0.3, 0.02, 1.0 / 16)
+    scratch = np.full((3,) + u.shape, np.nan)
+    _flux_substep(u, float(u.min()), float(u.max()), 1.0 / 16, flux, 0.3,
+                  0.02, 0.9, list(range(rows)), 0, scratch)
+    assert np.array_equal(_bits(u), _bits(ref))
+    field = ScalarField(TorusGrid(16), ref[-1])
+    one = deterministic_step(field, flux, 0.3, 0.02)
+    want = _roll_eo_step(ref[-1:], flux, 0.3, 0.02, 1.0 / 16)[0]
+    assert np.array_equal(_bits(one.values), _bits(want))
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("kind", sorted(_EO_FLUXES))
+def test_flux_only_sweep_matches_roll_reference_bitwise(kind, splitting):
+    flux = _EO_FLUXES[kind]
+    eta = make_initial(TorusGrid(16), "sine", mean=0.1, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.3, cells=16, seed=3, dt=1.0 / 16,
+                    cfl_fraction=0.9, splitting=splitting)
+    u = eta.values[None, :]
+    for _ in range(16):
+        if splitting == "lie":
+            u = _roll_eo_step(u, flux, 0.3, 1.0 / 16, 1.0 / 16)
+        else:
+            for _ in range(2):
+                u = _roll_eo_step(u, flux, 0.3, 0.5 * (1.0 / 16), 1.0 / 16)
+    for rows in (1, 2, 7, _BATCH):
+        ends = scaled_endpoints(eta, cfg, flux, NoiseModel(()), range(rows))
+        assert ends.shape == (rows, 16)
+        assert np.array_equal(_bits(ends), _bits(np.repeat(u, rows, 0)))
+
+
+def test_flux_substep_rejects_non_contiguous_scratch():
+    u = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 8))
+    before = u.copy()
+    scratch = np.empty((3, 8, 4)).transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _flux_substep(u, -1.0, 1.0, 1.0 / 8, make_flux("burgers"), 1.0,
+                      0.01, 0.9, list(range(4)), 0, scratch)
+    assert np.array_equal(u, before)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +487,43 @@ def _skeleton_per_step(eta, h, noise, n_steps, target=None):
     return eta.grid.dx * (gaps * weights).sum(axis=1)
 
 
+def test_stacked_parts_built_once_per_grid(two_mode_noise):
+    grid = TorusGrid(16)
+    parts = two_mode_noise.stacked_parts(grid)
+    assert two_mode_noise.stacked_parts(TorusGrid(16)) is parts
+    assert not parts.flags.writeable
+    want = np.concatenate(two_mode_noise.affine_parts(grid.centers), axis=1)
+    assert np.array_equal(_bits(parts), _bits(want))
+    assert two_mode_noise.stacked_parts(TorusGrid(8)).shape == (2, 16)
+
+
+def test_stacked_parts_shared_across_threads(two_mode_noise):
+    # more threads than cores and a short switch interval: every thread
+    # must get the one array the cache kept
+    noise = NoiseModel(two_mode_noise.modes)
+    grid = TorusGrid(64)
+    barrier = threading.Barrier(8)
+    got = []
+
+    def worker():
+        barrier.wait(timeout=10)
+        got.append(noise.stacked_parts(grid))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8
+    assert all(parts is noise.stacked_parts(grid) for parts in got)
+
+
 @pytest.mark.parametrize("lanes", [1, 40, 1025])
 @pytest.mark.parametrize("cells", [2, 9, 130])
 @pytest.mark.parametrize("kind", sorted(_SKELETON_NOISES))
@@ -624,6 +723,24 @@ def test_batched_cfl_failure_names_offender(small_eta, burgers):
         pair_l1_distances(small_eta, cfg, burgers, wild, np.arange(4))
     assert err.value.path_index is not None
     assert err.value.step is not None
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+def test_pair_sweep_allocates_no_per_step_block(two_mode_noise, burgers,
+                                                splitting):
+    # a block holds u, v, c0, c1 and three scratch arrays; one more
+    # (rows, cells) temporary per step would lift the peak past 8
+    rows, cells, n = 256, 64, 256
+    eta = make_initial(TorusGrid(cells), "sine", mean=0.0, amp=0.5, mode=1)
+    inc = block_increments(7, STREAM_MAIN, range(rows), n, 2, 1.0 / n)
+    tracemalloc.start()
+    try:
+        _sweep(eta, burgers, 0.1, two_mode_noise, math.sqrt(0.1), 1.0 / n,
+               inc, splitting, 0.9, range(rows), pair=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * rows * cells * 8
 
 
 # ---------------------------------------------------------------------------
