@@ -33,7 +33,7 @@ from .models import (FLUX_KINDS, PROFILE_KINDS, NoiseMode, NoiseModel,
 from .mollifier import MollifierPair
 from .solvers import solve_coupled_pair, solve_coupled_pairs
 from .diagnostics import (bound_check_I, bound_check_J, error_term,
-                          write_bound_reports)
+                          transport_constants, write_bound_reports)
 from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
                       moment_scan, scaling_check, worker_count)
 from .ratefn import OptConfig, constant_target, drift_target, rate_estimate
@@ -70,9 +70,10 @@ def _rule(what: str, test):
     return rule
 
 
-def _int(lo: int):
+def _int(lo: int, hi: float = math.inf):
     # booleans and integral floats such as 64.0 are not integers
-    return _rule(f"an integer >= {lo}", lambda v: type(v) is int and v >= lo)
+    what = f"an integer >= {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+    return _rule(what, lambda v: type(v) is int and lo <= v <= hi)
 
 
 def _num(**bounds):
@@ -124,7 +125,9 @@ _SCHEMA = {
                 "mean": (None, _num()), "amp": (None, _num()),
                 "mode": (None, _int(1))},
     "sim": {"epsilon": (_REQ, _EPSILON), "cells": (_REQ, _int(2)),
-            "seed": (_REQ, _int(0)), "dt": (None, _num(gt=0, le=1)),
+            # the seed is one 64-bit word of the Philox key
+            "seed": (_REQ, _int(0, 2 ** 64 - 1)),
+            "dt": (None, _num(gt=0, le=1)),
             "cfl_fraction": (0.45, _num(gt=0, lt=1)),
             "splitting": ("lie", _one_of(("lie", "strang"))),
             "save_stride": (1, _int(1))},
@@ -436,6 +439,10 @@ def _cmd_scaling(resolved, out_dir):
 def _cmd_doubling(resolved, out_dir):
     cfg, flux, noise, eta = build_run(resolved)
     moll = build_mollifier(resolved, eta.grid)
+    # the transport bound's constants, before any pair is stepped; q0
+    # alone first (a unit delta cannot overflow), so a failure names its key
+    _cfgerr("model.flux.", transport_constants, flux.growth_power, 1.0)
+    _cfgerr("mollifier.", transport_constants, flux.growth_power, moll.delta)
 
     n_pairs = resolved["harness"]["n_pairs"]
     reports = []

@@ -23,14 +23,13 @@ J-type certificates transfer to the grid exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import ScalarField, Trajectory
 from .mollifier import MollifierPair, kernel_tables, psi_sup
-from .models import FluxModel, NoiseModel, NoisePath
+from .models import FluxModel, NoiseModel
 from .solvers import lp_moment
 
 Pair = tuple[Trajectory, Trajectory]
@@ -90,22 +89,6 @@ def direct_brackets(u: ScalarField, v: ScalarField) -> tuple[float, float]:
             float(dx * np.sum(np.maximum(-d, 0.0))))
 
 
-def correction_mass(u: ScalarField, dxi: float) -> float:
-    """Mass of the kinetic correction |1_{u > xi} - 1_{0 > xi}|.
-
-    The correction is supported between 0 and u(x), so the exact value
-    is the L1 norm of u; the quadrature counts xi midpoints in between.
-    """
-    if dxi <= 0:
-        raise ValueError("dxi must be positive")
-    lo = min(float(u.values.min()), 0.0) - 1.0
-    hi = max(float(u.values.max()), 0.0) + 1.0
-    xi = _xi_grid(lo, hi, dxi)
-    below_u = np.searchsorted(xi, u.values)
-    below_0 = np.searchsorted(xi, 0.0)
-    return float(u.grid.dx * dxi * np.abs(below_u - below_0).sum())
-
-
 # ---------------------------------------------------------------------------
 # doubling functional
 
@@ -124,20 +107,6 @@ def doubling_functional(u: ScalarField, v: ScalarField,
         diff = (u.values - np.roll(v.values, d)) / delta
         total += wd * float(np.sum(tab.Xi(diff) + tab.Xi(-diff)))
     return float(total * delta * u.grid.dx)
-
-
-def shift_modulus(v: ScalarField, gamma: float) -> float:
-    """L1 modulus of continuity over the kernel-resolvable grid shifts:
-    max over offsets |d * dx| < gamma of int |v(x - d dx) - v(x)| dx."""
-    moll_offsets = int(np.ceil(gamma * v.grid.cells)) - 1
-    if moll_offsets < 1:
-        return 0.0
-    out = 0.0
-    for d in range(1, moll_offsets + 1):
-        for s in (d, -d):
-            out = max(out, float(np.abs(np.roll(v.values, s) - v.values).sum()
-                                 * v.grid.dx))
-    return out
 
 
 def error_term(u: ScalarField, v: ScalarField, moll: MollifierPair) -> float:
@@ -331,6 +300,19 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
     return epsilon * float(np.dot(np.diff(times), total_t)) * grid.dx
 
 
+def transport_constants(q0: float, delta: float) -> tuple[float, float]:
+    """(Cq, 1 + delta^(q0+1)) of bound_check_I, Cq = max(1, 2^q0); a
+    power that overflows raises ValueError naming growth_power or delta."""
+    try:
+        cq = max(1.0, 2.0 ** q0)
+    except OverflowError:
+        raise ValueError(f"growth_power {q0!r} overflows 2^q0") from None
+    try:
+        return cq, 1.0 + delta ** (q0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"delta {delta!r} overflows delta^(q0+1)") from None
+
+
 def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
                   flux: FluxModel, path_index: int = 0) -> BoundReport:
     """Certificate for the transport term via the growth envelope of a:
@@ -343,107 +325,10 @@ def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
     """
     lhs = abs(transport_term(pair, moll, epsilon, flux))
     q0 = flux.growth_power
-    cq = max(1.0, 2.0 ** q0)
+    cq, lift = transport_constants(q0, moll.delta)
     lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
     mom_u = lp_moment(pair[0], q0 + 1.0)
     mom_v = lp_moment(pair[1], q0 + 1.0)
-    rhs = lead * (1.0 + moll.delta ** (q0 + 1.0)) + lead * (mom_u + mom_v)
+    rhs = lead * lift + lead * (mom_u + mom_v)
     return BoundReport("I", lhs, rhs, epsilon, moll.gamma, moll.delta,
                        path_index)
-
-
-# ---------------------------------------------------------------------------
-# martingale diagnostic
-
-
-def martingale_path(pair: Pair, moll: MollifierPair, noise: NoiseModel,
-                    epsilon: float, path: NoisePath
-                    ) -> tuple[np.ndarray, float]:
-    """Accumulate the stochastic boundary term K(t) along one pair.
-
-    Per step j (state taken at the left endpoint) and mode k,
-
-        S_k = sum_z w(z) sum_x (g_k(x, u) - g_k(x - z, v(x - z)))
-                              * X((u(x) - v(x - z))/delta) dx,
-        K increment = 2 sqrt(eps) * sum_k S_k * db_k,
-
-    and the predictable bracket is <K>(1) = 4 eps int sum_k S_k^2 dt.
-    Requires the pair saved at every step (stride 1) so states align
-    with the increments of the driving path.
-    """
-    uvals, vvals, times = _pair_arrays(pair)
-    if len(times) != path.n_steps + 1:
-        raise ValueError("martingale accumulation needs save_stride 1 "
-                         "(one snapshot per increment)")
-    grid = pair[0].grid
-    offs, w = moll.spatial_weights(grid)
-    p0, p1 = noise.affine_parts(grid.centers)
-    tab = kernel_tables()
-    dx = grid.dx
-    delta = moll.delta
-    amp = 2.0 * math.sqrt(epsilon)
-    n = path.n_steps
-    kpath = np.zeros(n + 1)
-    qv = 0.0
-    for j in range(n):
-        u = uvals[j]
-        v = vvals[j]
-        gu = p0 + p1 * u
-        gv = p0 + p1 * v
-        s_k = np.zeros(noise.n_modes)
-        for d, wd in zip(offs, w):
-            xfac = tab.X((u - np.roll(v, d)) / delta)
-            s_k += wd * ((gu - np.roll(gv, d, axis=1)) @ xfac)
-        s_k *= dx
-        kpath[j + 1] = kpath[j] + amp * float(s_k @ path.increments[j])
-        qv += float(s_k @ s_k) * (times[j + 1] - times[j])
-    return kpath, 4.0 * epsilon * qv
-
-
-@dataclass(frozen=True)
-class MartingaleReport:
-    n_paths: int
-    mean_final: float
-    ci_lo: float
-    ci_hi: float
-    mean_sup_sq: float
-    doob_bound: float
-    slack: float
-
-    @property
-    def mean_covers_zero(self) -> bool:
-        return self.ci_lo <= 0.0 <= self.ci_hi
-
-    @property
-    def doob_ok(self) -> bool:
-        return self.mean_sup_sq <= self.doob_bound + self.slack
-
-    @property
-    def passed(self) -> bool:
-        return self.mean_covers_zero and self.doob_ok
-
-
-def martingale_diagnostic(ensemble: list[tuple[np.ndarray, float]]
-                          ) -> MartingaleReport:
-    """Aggregate K-paths: zero-mean check and the p=2 Doob inequality.
-
-    The mean of K(1) gets a normal 95% CI; the Doob check compares the
-    Monte Carlo means of sup_t K^2 and 4<K>(1) allowing three standard
-    errors of each side as slack.  Tallies run through math.fsum so the
-    result does not depend on accumulation order.
-    """
-    n = len(ensemble)
-    if n < 100:
-        raise ValueError(f"need at least 100 paths, got {n}")
-    finals = [float(k[-1]) for k, _ in ensemble]
-    sups = [float(np.max(k * k)) for k, _ in ensemble]
-    mean_f = math.fsum(finals) / n
-    var_f = math.fsum((f - mean_f) ** 2 for f in finals) / max(n - 1, 1)
-    half = 1.959963984540054 * math.sqrt(var_f / n)
-    mean_sup = math.fsum(sups) / n
-    mean_br = math.fsum(q for _, q in ensemble) / n
-    var_sup = math.fsum((s - mean_sup) ** 2 for s in sups) / max(n - 1, 1)
-    var_br = math.fsum((q - mean_br) ** 2 for _, q in ensemble) / max(n - 1, 1)
-    slack = 3.0 * (math.sqrt(var_sup / n) + 4.0 * math.sqrt(var_br / n))
-    return MartingaleReport(n, mean_f, mean_f - half, mean_f + half,
-                            mean_sup, 4.0 * mean_br, slack)

@@ -2,7 +2,7 @@
 
 Space is the unit torus [0, 1) split into M equal cells; a field is the
 vector of its cell averages.  Trajectories collect snapshots on a
-strictly increasing time grid and can round-trip through CSV.
+strictly increasing time grid and write them to CSV.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class ScalarField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
     def range_bounds(self) -> tuple[float, float]:
         return float(np.min(self.values)), float(np.max(self.values))
 
@@ -101,10 +98,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     def field(self, j: int) -> ScalarField:
         return ScalarField(self.grid, self.values[j])
 
@@ -119,19 +112,6 @@ class Trajectory:
             fh.write(header + "\n")
             for t, row in zip(self.times, self.values):
                 fh.write(_fmt(t) + "," + ",".join(_fmt(x) for x in row) + "\n")
-
-
-def trajectory_from_csv(path) -> Trajectory:
-    """Inverse of Trajectory.to_csv (exact, thanks to repr round-trip)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or not all(h == f"cell_{i}" for i, h in enumerate(header[1:])):
-            raise ValueError(f"unrecognized trajectory header in {path}")
-        rows = [[float(tok) for tok in line.strip().split(",")]
-                for line in fh if line.strip()]
-    data = np.array(rows)
-    grid = TorusGrid(len(header) - 1)
-    return Trajectory(grid, data[:, 0], data[:, 1:])
 
 
 def make_initial(grid: TorusGrid, kind: str, **params) -> ScalarField:

@@ -36,10 +36,10 @@ STREAM_SCALED = 2
 class FluxModel:
     """Scalar flux A with closed-form Engquist-Osher decomposition.
 
-    ``apos(u)`` and ``aneg(u)`` are the exact integrals of max(a, 0) and
-    min(a, 0) from 0 to u, so the two-point numerical flux is
+    With A+(u) and A-(u) the exact integrals of max(a, 0) and min(a, 0)
+    from 0 to u, the two-point numerical flux is
 
-        F(ul, ur) = A(0) + apos(ul) + aneg(ur),
+        F(ul, ur) = A(0) + A+(ul) + A-(ur),
 
     consistent (F(c, c) = A(c)), nondecreasing in ul and nonincreasing
     in ur.  ``growth_const`` (N) and ``growth_power`` (q0 >= 1) declare
@@ -115,35 +115,13 @@ class FluxModel:
 
     # -- Engquist-Osher pieces ----------------------------------------------
 
-    def apos(self, u):
-        """Integral of max(a, 0) from 0 to u, in closed form."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(u)
-        if self.kind == "linear":
-            return max(self.speed, 0.0) * u
-        if self.kind == "burgers":
-            return 0.5 * np.maximum(u, 0.0) ** 2
-        return self._piecewise_part(u, positive=True)
-
-    def aneg(self, u):
-        """Integral of min(a, 0) from 0 to u, in closed form."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(u)
-        if self.kind == "linear":
-            return min(self.speed, 0.0) * u
-        if self.kind == "burgers":
-            return 0.5 * np.minimum(u, 0.0) ** 2
-        return self._piecewise_part(u, positive=False)
-
     def eo_flux(self, ul, ur, out=None, work=None):
-        """Engquist-Osher two-point flux (a0 + apos(ul)) + aneg(ur).
+        """Engquist-Osher two-point flux (a0 + A+(ul)) + A-(ur).
 
-        apos(ul) is formed in out and aneg(ur) in work, with the same
-        operations as apos and aneg; both buffers are allocated when not
-        given.  Burgers skips the a0 add: a0 = 0 and 0.5 * max(ul, 0)**2
-        is never -0.0, so 0.0 + out is out bit for bit.  Returns out.
+        A+(ul) is formed in out and A-(ur) in work, each in closed form
+        for its kind; both buffers are allocated when not given.  Burgers
+        skips the a0 add: a0 = 0 and 0.5 * max(ul, 0)**2 is never -0.0,
+        so 0.0 + out is out bit for bit.  Returns out.
         """
         ul = np.asarray(ul, dtype=float)
         ur = np.asarray(ur, dtype=float)
@@ -571,30 +549,12 @@ class NoisePath:
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.increments.shape[1]
-
     @classmethod
     def generate(cls, seed: int, stream: int, path_index: int,
                  n_steps: int, n_modes: int, dt: float) -> "NoisePath":
         inc = block_increments(seed, stream, [path_index], n_steps,
                                n_modes, dt)
         return cls(seed, stream, path_index, dt, inc[:, :, 0])
-
-    def coarsen(self, factor: int) -> "NoisePath":
-        """Aggregate consecutive increments: the same Brownian path on a
-        grid coarsened by an integer factor."""
-        if factor < 1 or self.n_steps % factor:
-            raise ValueError(f"factor {factor} does not divide {self.n_steps} steps")
-        inc = self.increments.reshape(self.n_steps // factor, factor,
-                                      self.n_modes).sum(axis=1)
-        return NoisePath(self.seed, self.stream, self.path_index,
-                         self.dt * factor, inc)
 
 
 def block_increments(seed: int, stream: int, path_indices, n_steps: int,
@@ -609,18 +569,19 @@ def block_increments(seed: int, stream: int, path_indices, n_steps: int,
     the path drawn before it.
     """
     indices = [int(i) for i in path_indices]
-    if seed < 0 or stream < 0 or min(indices, default=0) < 0:
-        raise ValueError("seed, stream and path_index must be nonnegative")
+    if min(seed, stream, *indices) < 0 or max(seed, stream) >= 2 ** 64:
+        raise ValueError("seed and stream must lie in [0, 2**64) and "
+                         "path_index must be nonnegative")
     if n_steps < 1 or dt <= 0:
         raise ValueError("need n_steps >= 1 and dt > 0")
     out = np.empty((n_steps, max(n_modes, 0), len(indices)))
     z = np.empty(out.shape[:2])
-    key = [seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF]
+    # a list of Python ints above 2**63 would reach Philox through float64
+    key = np.array([seed, stream], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     gen = np.random.Generator(bits)
     fresh = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64),
-                       "key": np.array(key, dtype=np.uint64)},
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for r, i in enumerate(indices):

@@ -145,14 +145,6 @@ class KernelTables:
         return [c[3][i] + c[2][i] * t + c[1][i] * t2 + c[0][i] * t3
                 for c in self.coeffs[:kmax + 1]]
 
-    def X(self, r):
-        """Kernel CDF: 0 left of the support, 1 right of it."""
-        r = np.asarray(r, dtype=float)
-        rc = np.clip(r, -1.0, 1.0)
-        # clip away sub-1e-30 spline wiggle at the flat ends of the bump
-        out = np.clip(self.primitives(rc, 0)[0], 0.0, 1.0)
-        return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, 1.0, out))
-
     def Xi(self, r):
         """Second antiderivative of psi: 0 for r <= -1, r for r >= 1."""
         r = np.asarray(r, dtype=float)
@@ -179,7 +171,7 @@ class MollifierPair:
 
     gamma must leave room on both sides of the torus (gamma < 1/2) and
     delta must be positive.  All kernel evaluations are exact formulas;
-    only X and Xi go through the shared tables.
+    only Xi and the moment primitives go through the shared tables.
     """
 
     gamma: float

@@ -55,11 +55,6 @@ def action(h: Control) -> float:
     return 0.5 * float((v * v).sum()) / h.bins
 
 
-def refine_control(h: Control) -> Control:
-    """Same function on twice as many bins (exact piecewise embedding)."""
-    return Control(np.repeat(h.values, 2, axis=1))
-
-
 def drift_target(eta: ScalarField, slope: float, n_steps: int) -> Trajectory:
     """Target path eta + slope * t on the skeleton time grid."""
     times = uniform_times(n_steps)

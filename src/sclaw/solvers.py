@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .grid import ScalarField, Trajectory
 from .models import (STREAM_BASE, STREAM_MAIN, FluxModel, NoiseModel,
-                     NoisePath, SimConfig, block_increments)
+                     SimConfig, block_increments)
 
 # widening of the running solution range when certifying the CFL condition
 RANGE_PAD = 1.0
@@ -230,21 +230,6 @@ def deterministic_step(field: ScalarField, flux: FluxModel, scale: float,
     return ScalarField(field.grid, u[0])
 
 
-def stochastic_substep(field: ScalarField, noise: NoiseModel, amp: float,
-                       db: np.ndarray) -> ScalarField:
-    """One Euler-Maruyama noise update u + amp * sum_k g_k(x, u) db_k."""
-    db = np.asarray(db, dtype=float)
-    if db.shape != (noise.n_modes,):
-        raise ValueError(f"expected {noise.n_modes} increments, got {db.shape}")
-    p0, p1 = noise.affine_parts(field.grid.centers)
-    c0 = np.einsum("kb,kc->bc", db[:, None], p0)
-    c1 = np.einsum("kb,kc->bc", db[:, None], p1)
-    u = field.values[None, :].copy()
-    _noise_substep(u, c0, c1, amp, np.empty_like(u))
-    _range(u, [None], None)
-    return ScalarField(field.grid, u[0])
-
-
 def _scaled(cfg: SimConfig, flux: FluxModel | None,
             eta: ScalarField) -> tuple[float, float, int, float]:
     """(flux scale, noise amplitude, n_steps, dt) of the rescaled dynamics."""
@@ -254,7 +239,8 @@ def _scaled(cfg: SimConfig, flux: FluxModel | None,
 
 def _base(eta: ScalarField, epsilon: float, cfg: SimConfig,
           flux: FluxModel) -> tuple[float, float, int, float]:
-    """The same for the unscaled dynamics run to time epsilon."""
+    """The same for the unscaled dynamics run to time epsilon in as many
+    steps (dt_base = epsilon * dt); at epsilon = 1 it is the same run."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     n, dt = resolve_time_grid(replace(cfg, epsilon=epsilon), flux, eta)
@@ -263,56 +249,28 @@ def _base(eta: ScalarField, epsilon: float, cfg: SimConfig,
 
 def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
            noise: NoiseModel, dynamics, path_indices, stream: int,
-           noise_path: NoisePath | None = None, **observers) -> _Observed:
-    """_sweep of the given dynamics over a block of paths; a given
-    noise_path drives the block's single path instead of its own."""
+           **observers) -> _Observed:
+    """_sweep of the given dynamics over a block of paths, each driven by
+    its own counter-keyed increments."""
     scale, amp, n, dt = dynamics
-    if noise_path is None:
-        inc = block_increments(cfg.seed, stream, path_indices, n,
-                               noise.n_modes, dt)
-    elif (noise_path.n_steps, noise_path.n_modes) != (n, noise.n_modes):
-        raise ValueError(
-            f"noise path shape {(noise_path.n_steps, noise_path.n_modes)} "
-            f"does not match run shape {(n, noise.n_modes)}")
-    else:
-        inc = noise_path.increments[:, :, None]
+    inc = block_increments(cfg.seed, stream, path_indices, n, noise.n_modes,
+                           dt)
     return _sweep(eta, flux, scale, noise, amp, dt, inc, cfg.splitting,
                   cfg.cfl_fraction, path_indices, **observers)
 
 
 def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
                   noise: NoiseModel, dynamics, path_indices, stream: int,
-                  noise_path: NoisePath | None = None,
                   pair: bool = False) -> list[list[Trajectory]]:
     """Recorded runs of a block of paths: per path [u] or, for a pair,
     [u, v]."""
     obs = _block(eta, cfg, flux, noise, dynamics, path_indices, stream,
-                 noise_path, pair=pair, stride=cfg.save_stride)
+                 pair=pair, stride=cfg.save_stride)
     times = np.array(obs.marks, dtype=float) * dynamics[3]
     times[-1] = 1.0   # every recorded run ends at t = 1 exactly
     return [[Trajectory(eta.grid, times, obs.saved[:, i, r])
              for i in range(obs.saved.shape[1])]
             for r in range(obs.saved.shape[2])]
-
-
-def solve_scaled_spde(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                      noise: NoiseModel, path_index: int = 0,
-                      stream: int = STREAM_MAIN,
-                      noise_path: NoisePath | None = None) -> Trajectory:
-    """Solve du + eps * div A(u) dt = sqrt(eps) * sum g_k db_k on [0, 1]."""
-    return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                         [path_index], stream, noise_path)[0][0]
-
-
-def solve_flux_free(eta: ScalarField, cfg: SimConfig, noise: NoiseModel,
-                    path_index: int = 0, stream: int = STREAM_MAIN,
-                    noise_path: NoisePath | None = None) -> Trajectory:
-    """Same stochastic dynamics without transport: dv = sqrt(eps) sum g_k db_k."""
-    scale, amp, n, dt = _scaled(cfg, None, eta)
-    if noise_path is not None:
-        n, dt = noise_path.n_steps, noise_path.dt
-    return _trajectories(eta, cfg, None, noise, (scale, amp, n, dt),
-                         [path_index], stream, noise_path)[0][0]
 
 
 def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -338,23 +296,6 @@ def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                        ) -> tuple[Trajectory, Trajectory]:
     """The coupled pair of one path: a block of one of solve_coupled_pairs."""
     return solve_coupled_pairs(eta, cfg, flux, noise, [path_index], stream)[0]
-
-
-def solve_base_small_time(eta: ScalarField, epsilon: float, cfg: SimConfig,
-                          flux: FluxModel, noise: NoiseModel,
-                          path_index: int = 0, stream: int = STREAM_BASE,
-                          noise_path: NoisePath | None = None) -> ScalarField:
-    """Endpoint of the unscaled dynamics at the small horizon epsilon.
-
-    Runs du + div A(u) dt = sum g_k db_k to time epsilon with the same
-    number of steps the rescaled unit-horizon run would take, i.e.
-    dt_base = epsilon * dt.  In law the endpoint matches the rescaled
-    endpoint at time 1; with zero noise the two agree to roundoff, and
-    at epsilon = 1 the computation is identical step for step.
-    """
-    obs = _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux),
-                 [path_index], stream, noise_path)
-    return ScalarField(eta.grid, obs.ends[0])
 
 
 def pair_l1_distances(eta: ScalarField, cfg: SimConfig, flux: FluxModel,

@@ -1,9 +1,10 @@
-"""Reference computations shared by the tests, independent of the tables.
+"""Reference computations shared by the tests.
 
 The library evaluates the kernel through tabulated primitives and the
-doubling functional through the closed Xi reduction; these oracles go
-back to the definitions with adaptive quadrature instead (slow, small
-grids only).
+doubling functional through the closed Xi reduction; most oracles here
+go back to the definitions with adaptive quadrature instead (slow, small
+grids only).  kernel_cdf reads the kernel CDF from the tables, and
+coarsen aggregates a noise path onto a coarser time grid.
 """
 
 import math
@@ -11,7 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
-from sclaw.mollifier import bump_norm
+from sclaw.models import NoisePath
+from sclaw.mollifier import bump_norm, kernel_tables
 
 
 def psi_scalar(w: float) -> float:
@@ -19,6 +21,28 @@ def psi_scalar(w: float) -> float:
     if not -1.0 < w < 1.0:
         return 0.0
     return math.exp(-1.0 / (1.0 - w * w)) / bump_norm()
+
+
+def kernel_cdf(r):
+    """Kernel CDF X from the shared tables: 0 left of the support, 1
+    right of it."""
+    r = np.asarray(r, dtype=float)
+    rc = np.clip(r, -1.0, 1.0)
+    # clip away sub-1e-30 spline wiggle at the flat ends of the bump
+    out = np.clip(kernel_tables().primitives(rc, 0)[0], 0.0, 1.0)
+    return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, 1.0, out))
+
+
+def coarsen(path: NoisePath, factor: int) -> NoisePath:
+    """The same Brownian path on a grid coarsened by an integer factor:
+    consecutive increments summed."""
+    n_steps, n_modes = path.increments.shape
+    if factor < 1 or n_steps % factor:
+        raise ValueError(f"factor {factor} does not divide {n_steps} steps")
+    inc = path.increments.reshape(n_steps // factor, factor,
+                                  n_modes).sum(axis=1)
+    return NoisePath(path.seed, path.stream, path.path_index,
+                     path.dt * factor, inc)
 
 
 def wedges_quadrature(a: float, b: float, moll) -> float:

@@ -363,7 +363,8 @@ SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,
 # rows that load_config accepts: their checks need the environment, the
 # command line, a built model or the command
 AFTER_LOAD = [("SCLAW_THREADS", "0"), ("SCLAW_THREADS", "abc"),
-              ("--seed", "-1"), ("dt", 0.3), ("amp", None), ("gamma", 0.02)]
+              ("--seed", "-1"), ("--seed", str(2 ** 64)), ("dt", 0.3),
+              ("amp", None), ("gamma", 0.02)]
 
 
 def _no_compute(*_args, **_kwargs):
@@ -409,6 +410,8 @@ def _no_compute(*_args, **_kwargs):
     ("amp", None, "initial.amp"),          # a sine needs its amplitude
     ("SCLAW_THREADS", "0", "SCLAW_THREADS"),
     ("SCLAW_THREADS", "abc", "SCLAW_THREADS"),
+    ("seed", 2 ** 64, "sim.seed"),         # one 64-bit word of the key
+    ("--seed", str(2 ** 64), "sim.seed"),
 ])
 def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
                                                   monkeypatch, key, value,
@@ -437,6 +440,40 @@ def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
     assert run([command, "--config", path, "--out", str(out)] + flags) == \
         EXIT_CONFIG
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    top = 2 ** 64 - 1
+    path = write_cfg(tmp_path, patched(BASE, sim={"seed": top}))
+    assert load_config(path)["sim"]["seed"] == top
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", write_cfg(tmp_path, BASE, "b.json"),
+                "--seed", str(top), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == top
+
+
+# the table accepts both values; 2^q0 or delta^(q0 + 1) of the transport
+# bound then overflows, which doubling checks before it steps a pair
+@pytest.mark.parametrize("section,key,value", [
+    ("model.flux", "growth_power", 2000),
+    ("mollifier", "delta", 1e200),
+])
+def test_doubling_bound_overflow_exits_2_before_compute(
+        tmp_path, capsys, monkeypatch, section, key, value):
+    doc = copy.deepcopy(SCAN_BASE)
+    node = doc
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value
+    path = write_cfg(tmp_path, doc)
+    load_config(path)
+    for name in COMPUTE:
+        monkeypatch.setattr(cli, name, _no_compute)
+    out = tmp_path / "out"
+    assert run(["doubling", "--config", path, "--out", str(out)]) == \
+        EXIT_CONFIG
+    assert f"{section}.{key} " in capsys.readouterr().err
     assert not out.exists()
 
 

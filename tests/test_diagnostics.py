@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,18 +7,16 @@ from scipy.integrate import quad
 from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
                                BoundReport, _wedges, bound_check_I,
                                bound_check_J, bracket_identity,
-                               correction_mass, direct_brackets,
-                               doubling_functional, error_term,
-                               martingale_diagnostic, martingale_path,
-                               shift_modulus, smoothing_defect,
-                               transport_term, write_bound_reports)
+                               direct_brackets, doubling_functional,
+                               error_term, smoothing_defect,
+                               transport_constants, transport_term,
+                               write_bound_reports)
 from sclaw.grid import ScalarField, Trajectory, TorusGrid, make_initial
-from sclaw.models import (NoiseMode, NoiseModel, NoisePath, SimConfig,
-                          additive_noise, make_flux)
-from sclaw.mollifier import MollifierPair, kernel_tables
-from sclaw.solvers import STREAM_MAIN, resolve_time_grid, solve_coupled_pair
+from sclaw.models import NoiseMode, NoiseModel, SimConfig, make_flux
+from sclaw.mollifier import MollifierPair
+from sclaw.solvers import solve_coupled_pair
 
-from oracles import doubling_bruteforce, psi_scalar
+from oracles import doubling_bruteforce, kernel_cdf, psi_scalar
 
 XI_ZERO_REF = 0.16722699885498704
 
@@ -102,16 +98,7 @@ def test_direct_brackets_hand_values():
     plus, minus = direct_brackets(u, v)
     assert plus == pytest.approx(0.75)
     assert minus == pytest.approx(0.25)
-    assert plus - minus == pytest.approx(u.mean() * 1.0)
-
-
-def test_correction_mass_is_l1_norm():
-    grid = TorusGrid(8)
-    u = _rand_field(grid, 7, -2.0, 2.0)
-    want = float(np.abs(u.values).sum() * grid.dx)
-    assert correction_mass(u, 1e-3) == pytest.approx(want, abs=2e-3)
-    with pytest.raises(ValueError):
-        correction_mass(u, -1.0)
+    assert plus - minus == pytest.approx(np.mean(u.values) * 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +153,20 @@ def test_doubling_symmetric():
 
 # ---------------------------------------------------------------------------
 # defects and moduli
+
+
+def shift_modulus(v: ScalarField, gamma: float) -> float:
+    """L1 modulus of continuity over the kernel-resolvable grid shifts:
+    max over offsets |d * dx| < gamma of int |v(x - d dx) - v(x)| dx."""
+    moll_offsets = int(np.ceil(gamma * v.grid.cells)) - 1
+    if moll_offsets < 1:
+        return 0.0
+    out = 0.0
+    for d in range(1, moll_offsets + 1):
+        for s in (d, -d):
+            out = max(out, float(np.abs(np.roll(v.values, s) - v.values).sum()
+                                 * v.grid.dx))
+    return out
 
 
 def test_shift_modulus_basics():
@@ -276,6 +277,22 @@ def test_transport_rhs_linear_in_epsilon(coupled):
     assert r2.lhs == pytest.approx(2.0 * r1.lhs, rel=1e-12)
 
 
+def test_transport_constants_and_their_overflow():
+    assert transport_constants(-0.5, 0.1) == (1.0, 1.0 + 0.1 ** 0.5)
+    assert transport_constants(2.0, 3.0) == (4.0, 28.0)
+    # the largest finite 2^q0, and delta^(q0+1) on either side of overflow
+    assert transport_constants(1023.0, 1.0) == (2.0 ** 1023, 2.0)
+    assert transport_constants(1.0, 1e154) == (2.0, 1e308)
+    with pytest.raises(ValueError, match=r"^growth_power 1024\.0 "):
+        transport_constants(1024.0, 1.0)
+    with pytest.raises(ValueError, match="^growth_power 2000 "):
+        transport_constants(2000, 0.1)
+    with pytest.raises(ValueError, match=r"^delta 1e\+155 "):
+        transport_constants(1.0, 1e155)
+    with pytest.raises(ValueError, match=r"^delta 1e\+200 "):
+        transport_constants(2.0, 1e200)
+
+
 def test_transport_vanishes_for_zero_flux(coupled):
     pair, cfg = coupled
     moll = MollifierPair(0.1, 0.1)
@@ -295,14 +312,13 @@ def gl12_transport_term(pair, moll, epsilon, flux):
     u_all, v_all = pair[0].values, pair[1].values
     grid = pair[0].grid
     delta = moll.delta
-    tab = kernel_tables()
 
     def wedges(a, b):
         def band(lo, hi, conj):
             half = 0.5 * np.maximum(hi - lo, 0.0)
             mid = 0.5 * (hi + lo)
             nodes = mid[:, None] + half[:, None] * _GL12_NODES[None, :]
-            xfac = tab.X((nodes - b[:, None]) / delta)
+            xfac = kernel_cdf((nodes - b[:, None]) / delta)
             if conj:
                 xfac = 1.0 - xfac
             return half * ((flux.a(nodes) * xfac) @ _GL12_WEIGHTS)
@@ -439,85 +455,3 @@ def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
         want = untiled_transport_term(pair, moll, 0.1, flux)
         assert np.float64(got).view(np.uint64) == \
             np.float64(want).view(np.uint64), len(pair[0].times)
-
-
-# ---------------------------------------------------------------------------
-# martingale diagnostic
-
-
-def test_martingale_constant_additive_path_is_null():
-    grid = TorusGrid(16)
-    eta = make_initial(grid, "constant", value=0.3)
-    noise = additive_noise(0.5)
-    cfg = SimConfig(epsilon=0.2, cells=16, seed=4, dt=1.0 / 32)
-    pair = solve_coupled_pair(eta, cfg, make_flux("zero"), noise)
-    n, dt = resolve_time_grid(cfg, make_flux("zero"), eta)
-    path = NoisePath.generate(cfg.seed, STREAM_MAIN, 0, n, noise.n_modes, dt)
-    kpath, bracket = martingale_path(pair, MollifierPair(0.2, 0.1), noise,
-                                     cfg.epsilon, path)
-    assert np.allclose(kpath, 0.0, atol=1e-14)
-    assert bracket == pytest.approx(0.0, abs=1e-14)
-
-
-def test_martingale_requires_dense_snapshots(small_eta, burgers,
-                                             two_mode_noise):
-    cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=1.0 / 128,
-                    cfl_fraction=0.9, save_stride=4)
-    pair = solve_coupled_pair(small_eta, cfg, burgers, two_mode_noise)
-    n, dt = resolve_time_grid(cfg, burgers, small_eta)
-    path = NoisePath.generate(cfg.seed, STREAM_MAIN, 0, n,
-                              two_mode_noise.n_modes, dt)
-    with pytest.raises(ValueError, match="stride"):
-        martingale_path(pair, MollifierPair(0.1, 0.1), two_mode_noise,
-                        cfg.epsilon, path)
-
-
-def test_martingale_aggregation_synthetic():
-    # alternating +/- unit endpoints: zero mean, sup^2 = 1, bracket = 1/4
-    ensemble = []
-    for i in range(120):
-        sign = 1.0 if i % 2 == 0 else -1.0
-        ensemble.append((np.array([0.0, sign]), 0.25))
-    rep = martingale_diagnostic(ensemble)
-    assert rep.n_paths == 120
-    assert rep.mean_final == pytest.approx(0.0, abs=1e-15)
-    assert rep.mean_covers_zero
-    assert rep.doob_bound == pytest.approx(1.0)
-    assert rep.mean_sup_sq == pytest.approx(1.0)
-    assert rep.doob_ok
-    assert rep.passed
-
-
-def test_martingale_needs_enough_paths():
-    with pytest.raises(ValueError):
-        martingale_diagnostic([(np.zeros(2), 0.0)] * 99)
-
-
-def test_martingale_detects_bias():
-    ensemble = [(np.array([0.0, 1.0]), 0.5) for _ in range(150)]
-    rep = martingale_diagnostic(ensemble)
-    assert not rep.mean_covers_zero
-    assert not rep.passed
-
-
-def test_martingale_ensemble_statistics(pair_noise):
-    # frozen-seed statistical check: the boundary term is centered and
-    # its running maximum obeys the quadratic-variation bound
-    grid = TorusGrid(32)
-    eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
-    cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=1.0 / 64,
-                    cfl_fraction=0.9)
-    flux = make_flux("burgers")
-    moll = MollifierPair(0.1, 0.1)
-    n, dt = resolve_time_grid(cfg, flux, eta)
-    ensemble = []
-    for i in range(100):
-        pair = solve_coupled_pair(eta, cfg, flux, pair_noise, path_index=i)
-        path = NoisePath.generate(cfg.seed, STREAM_MAIN, i, n,
-                                  pair_noise.n_modes, dt)
-        ensemble.append(martingale_path(pair, moll, pair_noise,
-                                        cfg.epsilon, path))
-    rep = martingale_diagnostic(ensemble)
-    assert rep.mean_covers_zero
-    assert rep.doob_ok
-    assert rep.passed

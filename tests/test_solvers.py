@@ -16,16 +16,37 @@ from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, block_increments,
                           make_flux)
-from sclaw.solvers import (SKELETON_TILE, STREAM_MAIN, _flux_substep, _sweep,
-                           base_small_time_endpoints, deterministic_step,
-                           integrate_skeleton, lp_moment, pair_l1_distances,
-                           pair_moment_maxes, scaled_endpoints,
-                           solve_base_small_time, solve_coupled_pair,
-                           solve_coupled_pairs, solve_flux_free,
-                           solve_scaled_spde, stochastic_substep,
-                           uniform_times)
+from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN, _base,
+                           _block, _flux_substep, _scaled, _sweep,
+                           _trajectories, base_small_time_endpoints,
+                           deterministic_step, integrate_skeleton, lp_moment,
+                           pair_l1_distances, pair_moment_maxes,
+                           scaled_endpoints, solve_coupled_pair,
+                           solve_coupled_pairs, uniform_times)
+
+from oracles import coarsen
 
 rng = np.random.default_rng(42)
+
+
+def _run(eta, cfg, flux, noise, i=0):
+    """The recorded rescaled run of path i; without flux when flux is None."""
+    return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta), [i],
+                         STREAM_MAIN)[0][0]
+
+
+def _base_end(eta, epsilon, cfg, flux, noise, i=0, stream=STREAM_BASE):
+    """The endpoint of path i of the unscaled dynamics at time epsilon."""
+    return _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux), [i],
+                  stream).ends[0]
+
+
+def _noise_step(eta, noise, amp, db):
+    """One Euler-Maruyama noise step from eta of every column of db,
+    shaped (K, rows): a flux-free _sweep block of one step."""
+    inc = np.asarray(db, dtype=float)[None]
+    return _sweep(eta, None, 1.0, noise, amp, 1.0, inc, "lie", 0.9,
+                  range(inc.shape[2])).ends
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +72,30 @@ def test_eo_linear_upwind():
     assert back.eo_flux(0.7, -5.0) == pytest.approx(10.0)
 
 
+def apos(flux, u):
+    """Integral of max(a, 0) from 0 to u, in closed form."""
+    u = np.asarray(u, dtype=float)
+    if flux.kind == "zero":
+        return np.zeros_like(u)
+    if flux.kind == "linear":
+        return max(flux.speed, 0.0) * u
+    if flux.kind == "burgers":
+        return 0.5 * np.maximum(u, 0.0) ** 2
+    return flux._piecewise_part(u, positive=True)
+
+
+def aneg(flux, u):
+    """Integral of min(a, 0) from 0 to u, in closed form."""
+    u = np.asarray(u, dtype=float)
+    if flux.kind == "zero":
+        return np.zeros_like(u)
+    if flux.kind == "linear":
+        return min(flux.speed, 0.0) * u
+    if flux.kind == "burgers":
+        return 0.5 * np.minimum(u, 0.0) ** 2
+    return flux._piecewise_part(u, positive=False)
+
+
 def test_eo_polynomial_parts_match_quadrature():
     # quartic A with genuinely sign-changing speed a = A'
     flux = FluxModel(kind="polynomial", coeffs=(0.0, -0.5, 0.1, 0.0, 0.25),
@@ -58,8 +103,8 @@ def test_eo_polynomial_parts_match_quadrature():
     for u in (-1.7, -0.3, 0.0, 0.6, 1.9):
         pos, _ = quad(lambda s: max(float(flux.a(s)), 0.0), 0.0, u)
         neg, _ = quad(lambda s: min(float(flux.a(s)), 0.0), 0.0, u)
-        assert float(flux.apos(u)) == pytest.approx(pos, abs=1e-9)
-        assert float(flux.aneg(u)) == pytest.approx(neg, abs=1e-9)
+        assert float(apos(flux, u)) == pytest.approx(pos, abs=1e-9)
+        assert float(aneg(flux, u)) == pytest.approx(neg, abs=1e-9)
 
 
 _EO_FLUXES = {
@@ -90,7 +135,7 @@ def test_eo_flux_buffers_match_reference_bitwise(kind):
     ur = np.concatenate([np.tile(special, special.size),
                          g.normal(0.0, 2.0, 399)]).reshape(-1, 8)
     with np.errstate(all="ignore"):
-        ref = float(flux.A(0.0)) + flux.apos(ul) + flux.aneg(ur)
+        ref = float(flux.A(0.0)) + apos(flux, ul) + aneg(flux, ur)
         out, work = np.full((2,) + ul.shape, np.nan)
         assert flux.eo_flux(ul, ur, out, work) is out
         fresh = flux.eo_flux(ul, ur)
@@ -150,7 +195,8 @@ def test_step_preserves_mean(seed):
     vals = np.random.default_rng(seed).uniform(-1.0, 1.0, 32)
     f = ScalarField(grid, vals)
     out = deterministic_step(f, make_flux("burgers"), 1.0, 0.005)
-    assert abs(out.mean() - f.mean()) <= 1e-12 * (1.0 + abs(f.mean()))
+    mean = np.mean(f.values)
+    assert abs(np.mean(out.values) - mean) <= 1e-12 * (1.0 + abs(mean))
 
 
 def test_cfl_violation_names_courant_number():
@@ -255,15 +301,15 @@ def test_flux_substep_rejects_non_contiguous_scratch():
 def test_noise_substep_zero_amp():
     grid = TorusGrid(8)
     f = ScalarField(grid, np.linspace(-1, 1, 8))
-    out = stochastic_substep(f, additive_noise(1.0), 0.0, np.array([0.4]))
-    assert np.array_equal(out.values, f.values)
+    out = _noise_step(f, additive_noise(1.0), 0.0, [[0.4]])[0]
+    assert np.array_equal(out, f.values)
 
 
 def test_noise_substep_additive_shift():
     grid = TorusGrid(8)
     f = ScalarField(grid, np.zeros(8))
-    out = stochastic_substep(f, additive_noise(1.0), 1.0, np.array([0.3]))
-    assert np.allclose(out.values, 0.3, atol=1e-16)
+    out = _noise_step(f, additive_noise(1.0), 1.0, [[0.3]])[0]
+    assert np.allclose(out, 0.3, atol=1e-16)
 
 
 def test_noise_substep_mean_zero():
@@ -271,8 +317,8 @@ def test_noise_substep_mean_zero():
     f = ScalarField(grid, np.full(4, 0.2))
     noise = additive_noise(1.0)
     draws = math.sqrt(0.01) * np.random.default_rng(9).standard_normal(10_000)
-    mean = np.mean([stochastic_substep(f, noise, 1.0, np.array([d])).values[0]
-                    for d in draws])
+    # one block of 10 000 rows: a row does not depend on the block height
+    mean = np.mean(_noise_step(f, noise, 1.0, draws[None, :])[:, 0])
     se = math.sqrt(0.01 / 10_000)
     assert abs(mean - 0.2) <= 3 * se
 
@@ -283,33 +329,33 @@ def test_noise_substep_mean_zero():
 
 def test_flux_zero_matches_flux_free_bitwise(small_eta, two_mode_noise):
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64)
-    a = solve_scaled_spde(small_eta, cfg, make_flux("zero"), two_mode_noise)
-    b = solve_flux_free(small_eta, cfg, two_mode_noise)
+    a = _run(small_eta, cfg, make_flux("zero"), two_mode_noise)
+    b = _run(small_eta, cfg, None, two_mode_noise)
     assert np.array_equal(a.values, b.values)
 
 
 def test_trajectory_determinism(small_eta, two_mode_noise, burgers):
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                     cfl_fraction=0.9)
-    a = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise, 3)
-    b = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise, 3)
+    a = _run(small_eta, cfg, burgers, two_mode_noise, 3)
+    b = _run(small_eta, cfg, burgers, two_mode_noise, 3)
     assert np.array_equal(a.values, b.values)
-    c = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise, 4)
+    c = _run(small_eta, cfg, burgers, two_mode_noise, 4)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_zero_noise_flux_free_is_frozen(small_eta):
     dead = NoiseModel(())
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64)
-    traj = solve_flux_free(small_eta, cfg, dead)
+    traj = _run(small_eta, cfg, None, dead)
     assert np.allclose(traj.values, small_eta.values[None, :], atol=0.0)
 
 
 def test_flux_free_additive_integrates_exactly(small_eta):
     cfg = SimConfig(epsilon=0.25, cells=32, seed=8, dt=1.0 / 64)
-    traj = solve_flux_free(small_eta, cfg, additive_noise(1.0))
-    path = NoisePath.generate(8, STREAM_MAIN, 0, 64, 1, 1.0 / 64)
-    brownian = np.concatenate([[0.0], np.cumsum(path.increments[:, 0])])
+    traj = _run(small_eta, cfg, None, additive_noise(1.0))
+    inc = block_increments(8, STREAM_MAIN, [0], 64, 1, 1.0 / 64)
+    brownian = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
     expect = small_eta.values[None, :] + 0.5 * brownian[:, None]
     assert np.allclose(traj.values, expect, atol=1e-12)
 
@@ -325,34 +371,31 @@ def test_base_small_time_zero_noise_maps_onto_scaled(small_eta, burgers):
     dead = NoiseModel(())
     cfg = SimConfig(epsilon=0.25, cells=32, seed=5, dt=1.0 / 64,
                     cfl_fraction=0.9)
-    base = solve_base_small_time(small_eta, 0.25, cfg, burgers, dead)
-    scaled = solve_scaled_spde(small_eta, cfg, burgers, dead)
-    assert np.allclose(base.values, scaled.values[-1], atol=1e-12)
+    base = _base_end(small_eta, 0.25, cfg, burgers, dead)
+    scaled = _run(small_eta, cfg, burgers, dead)
+    assert np.allclose(base, scaled.values[-1], atol=1e-12)
 
 
 def test_base_small_time_at_unit_epsilon_is_scaled_run(small_eta, burgers,
                                                        two_mode_noise):
     cfg = SimConfig(epsilon=1.0, cells=32, seed=5, dt=1.0 / 64,
                     cfl_fraction=0.9)
-    base = solve_base_small_time(small_eta, 1.0, cfg, burgers, two_mode_noise,
-                                 stream=STREAM_MAIN)
-    scaled = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise)
-    assert np.array_equal(base.values, scaled.values[-1])
+    base = _base_end(small_eta, 1.0, cfg, burgers, two_mode_noise,
+                     stream=STREAM_MAIN)
+    scaled = _run(small_eta, cfg, burgers, two_mode_noise)
+    assert np.array_equal(base, scaled.values[-1])
 
 
 def test_splitting_gap_shrinks_with_dt(small_eta, burgers, two_mode_noise):
     fine = NoisePath.generate(5, STREAM_MAIN, 0, 512, 2, 1.0 / 512)
     gaps = []
     for n in (128, 256, 512):
-        path = fine.coarsen(512 // n)
-        gap = None
+        inc = coarsen(fine, 512 // n).increments[:, :, None]
         ends = {}
         for splitting in ("lie", "strang"):
-            cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / n,
-                            cfl_fraction=0.9, splitting=splitting)
-            traj = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise,
-                                     noise_path=path)
-            ends[splitting] = traj.values[-1]
+            obs = _sweep(small_eta, burgers, 0.1, two_mode_noise,
+                         math.sqrt(0.1), 1.0 / n, inc, splitting, 0.9, [0])
+            ends[splitting] = obs.ends[0]
         gaps.append(float(np.abs(ends["lie"] - ends["strang"]).max()))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -581,10 +624,10 @@ def test_lp_moment_constant_and_riemann():
 def test_lp_moment_stride_monotone(small_eta, burgers, two_mode_noise):
     base = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                      cfl_fraction=0.9)
-    dense = solve_scaled_spde(small_eta, base, burgers, two_mode_noise)
+    dense = _run(small_eta, base, burgers, two_mode_noise)
     sparse_cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                            cfl_fraction=0.9, save_stride=8)
-    sparse = solve_scaled_spde(small_eta, sparse_cfg, burgers, two_mode_noise)
+    sparse = _run(small_eta, sparse_cfg, burgers, two_mode_noise)
     assert lp_moment(dense, 2.0) >= lp_moment(sparse, 2.0)
 
 
@@ -625,15 +668,13 @@ def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
     idx = np.arange(4)
     ends = scaled_endpoints(small_eta, cfg, burgers, two_mode_noise, idx)
     for r, i in enumerate(idx):
-        traj = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise,
-                                 int(i))
+        traj = _run(small_eta, cfg, burgers, two_mode_noise, int(i))
         assert np.array_equal(ends[r], traj.values[-1])
     base = base_small_time_endpoints(small_eta, 0.2, cfg, burgers,
                                      two_mode_noise, idx)
     for r, i in enumerate(idx):
-        fld = solve_base_small_time(small_eta, 0.2, cfg, burgers,
-                                    two_mode_noise, int(i))
-        assert np.array_equal(base[r], fld.values)
+        fld = _base_end(small_eta, 0.2, cfg, burgers, two_mode_noise, int(i))
+        assert np.array_equal(base[r], fld)
 
 
 def test_coupled_pair_members_match_single_runs(small_eta, burgers,
@@ -641,10 +682,9 @@ def test_coupled_pair_members_match_single_runs(small_eta, burgers,
     cfg = SimConfig(epsilon=0.2, cells=32, seed=21, dt=1.0 / 64,
                     cfl_fraction=0.9, save_stride=4)
     u, v = solve_coupled_pair(small_eta, cfg, burgers, two_mode_noise, 2)
-    alone = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise, 2)
-    free = solve_flux_free(small_eta, cfg, two_mode_noise, 2,
-                           noise_path=NoisePath.generate(21, STREAM_MAIN, 2,
-                                                         64, 2, 1.0 / 64))
+    alone = _run(small_eta, cfg, burgers, two_mode_noise, 2)
+    # the flux-free run on the pair's grid (dt is explicit) and increments
+    free = _run(small_eta, cfg, None, two_mode_noise, 2)
     assert np.array_equal(u.values, alone.values)
     assert np.array_equal(v.values, free.values)
     assert np.array_equal(u.times, free.times)
@@ -747,12 +787,25 @@ def test_pair_sweep_allocates_no_per_step_block(two_mode_noise, burgers,
 # trajectory export
 
 
+def trajectory_from_csv(path) -> Trajectory:
+    """Inverse of Trajectory.to_csv (exact, thanks to repr round-trip)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if header[0] != "t" or not all(h == f"cell_{i}" for i, h
+                                       in enumerate(header[1:])):
+            raise ValueError(f"unrecognized trajectory header in {path}")
+        rows = [[float(tok) for tok in line.strip().split(",")]
+                for line in fh if line.strip()]
+    data = np.array(rows)
+    grid = TorusGrid(len(header) - 1)
+    return Trajectory(grid, data[:, 0], data[:, 1:])
+
+
 def test_trajectory_csv_roundtrip(small_eta, burgers, two_mode_noise,
                                   tmp_path):
-    from sclaw.grid import trajectory_from_csv
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                     cfl_fraction=0.9, save_stride=4)
-    traj = solve_scaled_spde(small_eta, cfg, burgers, two_mode_noise)
+    traj = _run(small_eta, cfg, burgers, two_mode_noise)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     header = path.read_text().splitlines()[0]
