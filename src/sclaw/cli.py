@@ -29,7 +29,8 @@ from . import __version__
 from .errors import ConfigError, NumericalFailure
 from .grid import TorusGrid, make_initial
 from .models import (FLUX_KINDS, PROFILE_KINDS, NoiseMode, NoiseModel,
-                     SimConfig, make_flux, validate_flux, validate_noise)
+                     SimConfig, check_state_bound, make_flux, validate_flux,
+                     validate_noise)
 from .mollifier import MollifierPair
 from .solvers import solve_coupled_pair, solve_coupled_pairs
 from .diagnostics import (bound_check_I, bound_check_J, error_term,
@@ -221,8 +222,10 @@ def build_noise(resolved: dict) -> NoiseModel:
     nz = resolved["model"]["noise"]
     modes = tuple(_cfgerr(f"model.noise.modes[{i}].", NoiseMode, **m)
                   for i, m in enumerate(nz["modes"]))
-    return _cfgerr("model.noise.", NoiseModel, modes,
-                   state_bound=nz["state_bound"])
+    noise = _cfgerr("model.noise.", NoiseModel, modes,
+                    state_bound=nz["state_bound"])
+    _cfgerr("model.noise.", check_state_bound, noise)
+    return noise
 
 
 def build_initial(resolved: dict, grid: TorusGrid):

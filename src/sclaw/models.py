@@ -395,48 +395,81 @@ class ValidationReport:
         return out
 
 
+class _Worst:
+    """Running worst lhs/rhs of a ratio check fed one lattice tile at a time.
+
+    Tiles arrive in the C order of the whole lattice.  A tile's worst
+    replaces the held one only when the held value is not nan and the
+    tile's is nan or strictly larger: that is how np.argmax ranks nan,
+    and it keeps the first occurrence on ties, so the result equals one
+    argmax over the whole lattice.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.worst = None
+        self.point = ()
+
+    def add(self, lhs, rhs, points) -> "_Worst":
+        """Fold in one tile; each of points broadcasts against it."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(lhs, rhs)
+        # where not rhs > 0 (nan included) the ratio reads inf if lhs > 0,
+        # else 0
+        off = np.broadcast_to(np.logical_not(rhs > 0), ratio.shape)
+        if off.any():
+            ratio[off] = np.where(np.broadcast_to(lhs, ratio.shape)[off] > 0,
+                                  np.inf, 0.0)
+        flat = int(np.argmax(ratio))
+        worst = float(ratio.flat[flat])
+        held = self.worst
+        if held is None or (not math.isnan(held)
+                            and (math.isnan(worst) or worst > held)):
+            idx = np.unravel_index(flat, ratio.shape)
+            self.worst = worst
+            self.point = tuple(float(np.broadcast_to(p, ratio.shape)[idx])
+                               for p in points)
+        return self
+
+    def result(self) -> CheckResult:
+        """Passes when lhs <= rhs everywhere; a relative slack of 1e-12
+        absorbs roundoff where the inequality is attained with equality."""
+        return CheckResult(self.name, self.worst <= 1.0 + 1e-12, self.worst,
+                           self.point)
+
+
 def _ratio_check(name: str, lhs: np.ndarray, rhs: np.ndarray,
                  points: list[np.ndarray]) -> CheckResult:
-    """Worst lhs/rhs over a lattice; passes when lhs <= rhs everywhere.
+    """Worst lhs/rhs over a whole lattice in one tile."""
+    return _Worst(name).add(lhs, rhs, points).result()
 
-    A relative slack of 1e-12 absorbs roundoff at points where the
-    inequality is attained with equality.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(lhs, rhs)
-    # where not rhs > 0 (nan included) the ratio reads inf if lhs > 0, else 0
-    off = np.broadcast_to(np.logical_not(rhs > 0), ratio.shape)
-    if off.any():
-        ratio[off] = np.where(np.broadcast_to(lhs, ratio.shape)[off] > 0,
-                              np.inf, 0.0)
-    flat = int(np.argmax(ratio))
-    worst = float(ratio.flat[flat])
-    idx = np.unravel_index(flat, ratio.shape)
-    point = tuple(float(np.broadcast_to(p, ratio.shape)[idx]) for p in points)
-    return CheckResult(name, worst <= 1.0 + 1e-12, worst, point)
+
+# zeta rows per tile of validate_flux's lattice: 64 x 1024 points
+_FLUX_TILE = 64
 
 
 def validate_flux(flux: FluxModel, r_val: float = 10.0,
                   lattice_n: int = 1024) -> ValidationReport:
     """Check the declared growth and local-Lipschitz certificates of a
-    on the lattice xi, zeta in [-r_val, r_val]."""
+    on the lattice xi, zeta in [-r_val, r_val], the 2-D one in tiles of
+    _FLUX_TILE zeta rows."""
     if r_val <= 0 or lattice_n < 2:
         raise ValueError("need r_val > 0 and lattice_n >= 2")
     xi = np.linspace(-r_val, r_val, lattice_n)
-    checks = [
-        _ratio_check("speed_growth", np.abs(flux.a(xi)),
-                     flux.growth_envelope(xi), [xi]),
-    ]
-    zeta = xi[:, None]
-    diff = np.abs(flux.a(xi)[None, :] - flux.a(zeta))
-    env = flux.lipschitz_envelope(xi[None, :], zeta) * np.abs(xi[None, :] - zeta)
-    mask = np.abs(xi[None, :] - zeta) > 0
-    checks.append(_ratio_check(
-        "speed_local_lipschitz",
-        np.where(mask, diff, 0.0), np.where(mask, env, 1.0),
-        [np.broadcast_to(xi[None, :], env.shape),
-         np.broadcast_to(zeta, env.shape)]))
-    return ValidationReport(f"flux[{flux.kind}]", tuple(checks))
+    a_xi = flux.a(xi)
+    growth = _ratio_check("speed_growth", np.abs(a_xi),
+                          flux.growth_envelope(xi), [xi])
+    lipschitz = _Worst("speed_local_lipschitz")
+    for lo in range(0, lattice_n, _FLUX_TILE):
+        zeta = xi[lo:lo + _FLUX_TILE, None]
+        gap = np.abs(xi - zeta)
+        mask = gap > 0
+        diff = np.abs(a_xi - a_xi[lo:lo + _FLUX_TILE, None])
+        env = flux.lipschitz_envelope(xi, zeta) * gap
+        lipschitz.add(np.where(mask, diff, 0.0), np.where(mask, env, 1.0),
+                      [xi, zeta])
+    return ValidationReport(f"flux[{flux.kind}]",
+                            (growth, lipschitz.result()))
 
 
 def _pow2_floor(x: float) -> float:
@@ -449,17 +482,43 @@ def _rescaled(noise: NoiseModel, modes, scale: float) -> NoiseModel:
                       noise.state_bound)
 
 
-def validate_noise(noise: NoiseModel, r_val: float = 10.0,
+def _common_scale(noise: NoiseModel) -> float:
+    """The power of two of the largest sigma."""
+    return _pow2_floor(max((abs(m.sigma) for m in noise.modes), default=0.0))
+
+
+def check_state_bound(noise: NoiseModel) -> None:
+    """Raise ValueError naming state_bound when it alone makes D1, or the
+    squared sides of validate_noise's lattice (at most D0 * (1 + b^2) and
+    D1 * (1 + 4 b^2) of the rescaled model, b = state_bound), overflow:
+    all are finite at the smallest positive bound but not at b."""
+    finite = []
+    for model in (replace(noise, state_bound=math.ulp(0.0)), noise):
+        b = model.state_bound
+        common = _rescaled(model, model.modes, _common_scale(model))
+        with np.errstate(over="ignore"):
+            finite.append(all(map(math.isfinite, (
+                model.D1, common.D0 * (1.0 + b * b),
+                common.D1 * (1.0 + 4.0 * b * b)))))
+    if finite == [True, False]:
+        raise ValueError(f"state_bound {noise.state_bound!r} overflows D1 "
+                         "or the squares of the certificate lattice")
+
+
+def validate_noise(noise: NoiseModel,
                    lattice_n: int = 1024) -> ValidationReport:
-    """Check per-mode growth/Lipschitz and the aggregate D0/D1 bounds.
+    """Check per-mode growth/Lipschitz and the aggregate D0/D1 bounds for
+    states |u| <= noise.state_bound.
 
     1-D state lattices use lattice_n points; the four-variable Lipschitz
     inequalities use a coarser product sub-lattice (25 points per space
     axis, 51 per state axis), which is the testable surrogate for the
-    continuum statement.
+    continuum statement.  That lattice is evaluated in 25 tiles, one x1
+    value each, so no array holds more than 25 * 51 * 51 points.
     """
-    if r_val <= 0 or lattice_n < 2:
-        raise ValueError("need r_val > 0 and lattice_n >= 2")
+    if lattice_n < 2:
+        raise ValueError("need lattice_n >= 2")
+    r_val = noise.state_bound
     u = np.linspace(-r_val, r_val, lattice_n)
     x = np.linspace(0.0, 1.0, 65, endpoint=False)
     # Every inequality is homogeneous in sigma, so each is checked with
@@ -467,10 +526,8 @@ def validate_noise(noise: NoiseModel, r_val: float = 10.0,
     # the normal range, while subnormal sigmas can no longer round the
     # two sides apart.  Per-mode checks use the mode's own scale, the
     # aggregate ones the scale of the largest sigma.
-    common_scale = _pow2_floor(max((abs(m.sigma) for m in noise.modes),
-                                   default=0.0))
+    common_scale = _common_scale(noise)
     common = _rescaled(noise, noise.modes, common_scale)
-    checks: list[CheckResult] = []
 
     xs = np.linspace(0.0, 1.0, 25, endpoint=False)
     us = np.linspace(-r_val, r_val, 51)
@@ -478,39 +535,45 @@ def validate_noise(noise: NoiseModel, r_val: float = 10.0,
     x2 = xs[None, :, None, None]
     u1 = us[None, None, :, None]
     u2 = us[None, None, None, :]
-    dx_axis = np.abs(x1 - x2)
     du_axis = np.abs(u1 - u2)
-    sum_sq = np.zeros(np.broadcast_shapes(x1.shape, x2.shape, u1.shape, u2.shape))
+    du_sq = du_axis ** 2
 
+    growth, lipschitz, parts = [], [], []
     for k, mode in enumerate(noise.modes):
         scale = _pow2_floor(abs(mode.sigma))
         unit = _rescaled(noise, (mode,), scale)
         c0k = unit.mode_growth_consts()[0]
-        c1k = unit.mode_lipschitz_consts()[0]
         gk = np.abs(unit.g(0, x[:, None], u[None, :]))
-        checks.append(_ratio_check(
+        growth.append(_ratio_check(
             f"mode{k}_growth", gk, c0k * (1.0 + np.abs(u[None, :])),
-            [np.broadcast_to(x[:, None], gk.shape),
-             np.broadcast_to(u[None, :], gk.shape)]))
-        dg = np.abs(unit.g(0, x1, u1) - unit.g(0, x2, u2))
-        checks.append(_ratio_check(
-            f"mode{k}_lipschitz", dg, c1k * (dx_axis + du_axis + 0.0),
-            [np.broadcast_to(x1, dg.shape), np.broadcast_to(x2, dg.shape),
-             np.broadcast_to(u1, dg.shape), np.broadcast_to(u2, dg.shape)]))
-        dg = dg * (scale / common_scale)
-        sum_sq = sum_sq + dg * dg
+            [x[:, None], u[None, :]]))
+        lipschitz.append(_Worst(f"mode{k}_lipschitz"))
+        # g at (x1, u1) and at (x2, u2): small factors of every tile
+        parts.append((unit.g(0, x1, u1), unit.g(0, x2, u2),
+                      unit.mode_lipschitz_consts()[0], scale / common_scale))
 
+    sum_sq_lipschitz = _Worst("sum_sq_lipschitz")
+    for i in range(xs.size):
+        x1i = x1[i:i + 1]
+        dx_axis = np.abs(x1i - x2)
+        sep = dx_axis + du_axis + 0.0
+        points = [x1i, x2, u1, u2]
+        sum_sq = np.zeros(sep.shape)
+        for check, (g1, g2, c1k, rel) in zip(lipschitz, parts):
+            dg = np.abs(g1[i:i + 1] - g2)
+            check.add(dg, c1k * sep, points)
+            dg *= rel
+            sum_sq += dg * dg
+        sum_sq_lipschitz.add(sum_sq, common.D1 * (dx_axis ** 2 + du_sq),
+                             points)
+
+    checks = [c for g, w in zip(growth, lipschitz) for c in (g, w.result())]
     gsq = common.g_sq_sum(x[:, None], u[None, :])
     checks.append(_ratio_check(
         "sum_sq_growth", gsq, common.D0 * (1.0 + u[None, :] ** 2),
-        [np.broadcast_to(x[:, None], gsq.shape),
-         np.broadcast_to(u[None, :], gsq.shape)]))
+        [x[:, None], u[None, :]]))
     if noise.n_modes:
-        checks.append(_ratio_check(
-            "sum_sq_lipschitz", sum_sq,
-            common.D1 * (dx_axis ** 2 + du_axis ** 2),
-            [np.broadcast_to(x1, sum_sq.shape), np.broadcast_to(x2, sum_sq.shape),
-             np.broadcast_to(u1, sum_sq.shape), np.broadcast_to(u2, sum_sq.shape)]))
+        checks.append(sum_sq_lipschitz.result())
     c0 = noise.mode_growth_consts()
     c1 = noise.mode_lipschitz_consts()
     consts_ok = (abs(noise.D0 - 2.0 * float(np.sum(c0 * c0))) == 0.0

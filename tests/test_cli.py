@@ -127,6 +127,20 @@ def test_validate_happy_path(tmp_path, capsys):
     assert manifest["config"]["sim"]["cells"] == 32
 
 
+def test_validate_checks_the_declared_state_bound(tmp_path):
+    # C1 is certified for |u| <= state_bound only: a state lattice out to
+    # |u| = 10 read mode1_lipschitz 1.7064 at u = 10 and failed
+    doc = copy.deepcopy(BASE)
+    doc["model"]["noise"]["state_bound"] = 5
+    out = tmp_path / "out"
+    assert run(["validate", "--config", write_cfg(tmp_path, doc),
+                "--out", str(out), "--quiet"]) == EXIT_OK
+    text = (out / "validation.txt").read_text()
+    assert "PASS  mode0_growth  worst_ratio=0.833333  at (0, -5)" in text
+    assert ("PASS  mode1_lipschitz  worst_ratio=0.995402  "
+            "at (0.24, 0.28, 5, 5)") in text
+
+
 def test_validate_rejects_uncertified_flux(tmp_path, capsys):
     # cubic speed outgrows the quadratic envelope: certificate must fail
     doc = patched(BASE, model={})
@@ -364,7 +378,7 @@ SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,
 # command line, a built model or the command
 AFTER_LOAD = [("SCLAW_THREADS", "0"), ("SCLAW_THREADS", "abc"),
               ("--seed", "-1"), ("--seed", str(2 ** 64)), ("dt", 0.3),
-              ("amp", None), ("gamma", 0.02)]
+              ("amp", None), ("gamma", 0.02), ("noise.state_bound", 1e160)]
 
 
 def _no_compute(*_args, **_kwargs):
@@ -412,6 +426,7 @@ def _no_compute(*_args, **_kwargs):
     ("SCLAW_THREADS", "abc", "SCLAW_THREADS"),
     ("seed", 2 ** 64, "sim.seed"),         # one 64-bit word of the key
     ("--seed", str(2 ** 64), "sim.seed"),
+    ("noise.state_bound", 1e160, "model.noise.state_bound"),   # D1 overflows
 ])
 def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
                                                   monkeypatch, key, value,
@@ -453,11 +468,13 @@ def test_largest_seed_is_accepted(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["seed"] == top
 
 
-# the table accepts both values; 2^q0 or delta^(q0 + 1) of the transport
-# bound then overflows, which doubling checks before it steps a pair
+# the table accepts these values; 2^q0 or delta^(q0 + 1) of the transport
+# bound, or D1 of the smoothing-cost bound, then overflows, which doubling
+# checks before it steps a pair
 @pytest.mark.parametrize("section,key,value", [
     ("model.flux", "growth_power", 2000),
     ("mollifier", "delta", 1e200),
+    ("model.noise", "state_bound", 1e160),    # D1 of bound_check_J
 ])
 def test_doubling_bound_overflow_exits_2_before_compute(
         tmp_path, capsys, monkeypatch, section, key, value):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ from hypothesis import strategies as st
 
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (CheckResult, FluxModel, NoiseMode, NoiseModel,
-                          NoisePath, SimConfig, _ratio_check, additive_noise,
-                          block_increments, make_flux, validate_flux,
-                          validate_noise)
+                          NoisePath, SimConfig, _ratio_check, _Worst,
+                          additive_noise, block_increments, check_state_bound,
+                          make_flux, validate_flux, validate_noise)
 
-from oracles import coarsen
+from oracles import coarsen, validate_flux_untiled, validate_noise_untiled
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,203 @@ def test_ratio_check_matches_where_reference(lhs_axis):
             assert got.worst_point == ref.worst_point
             assert (np.float64(got.worst_ratio).view(np.uint64)
                     == np.float64(ref.worst_ratio).view(np.uint64))
+
+
+# tiles of (lhs, rhs) rows fed to _Worst, against one _ratio_check over
+# their concatenation; every tile is 3 columns wide
+_NAN, _INF = np.nan, np.inf
+_TILE_CASES = {
+    "ties across tiles": [
+        ([[0.5, 2.0, 1.0]], [[1.0, 1.0, 1.0]]),
+        ([[2.0, 2.0, 0.0], [1.0, 2.0, 2.0]], [[1.0, 1.0, 1.0]] * 2),
+        ([[4.0, 1.0, 4.0]], [[2.0, 1.0, 2.0]])],
+    "nan in a later tile": [
+        ([[3.0, 1.0, 0.0]], [[1.0, 1.0, 1.0]]),
+        ([[5.0, _NAN, 1.0]], [[1.0, 1.0, 1.0]]),
+        ([[7.0, _NAN, 9.0]], [[1.0, 1.0, _NAN]])],
+    "nan first, then larger finite": [
+        ([[0.5, _NAN, 0.5]], [[1.0, 1.0, 1.0]]),
+        ([[1e308, 2.0, 0.5]], [[1.0, 1.0, 1.0]]),
+        ([[_INF, 2.0, 0.5]], [[1.0, 1.0, 1.0]])],
+    "inf ratios": [
+        ([[2.0, 0.5, 0.0]], [[1.0, 1.0, 1.0]]),
+        ([[1.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]]),
+        ([[_INF, 1e308, 3.0]], [[1.0, 5e-324, -0.0]])],
+    "all below zero": [
+        ([[-_INF, -1.0, -2.0]], [[1.0, 1.0, 1.0]]),
+        ([[-1.0, -0.5, -_INF]], [[1.0, 2.0, 1.0]])],
+}
+
+
+def _assert_same_check(got, ref):
+    assert got.name == ref.name
+    assert got.passed == ref.passed
+    assert got.worst_point == ref.worst_point
+    assert (np.float64(got.worst_ratio).view(np.uint64)
+            == np.float64(ref.worst_ratio).view(np.uint64))
+
+
+def _tiles_against_one_check(tiles):
+    """_Worst fed tiles along the leading axis, and _ratio_check over
+    their concatenation, with the global (row, column) as the point."""
+    worst, row = _Worst("r"), 0
+    for lhs, rhs in tiles:
+        lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)
+        rows = np.arange(row, row + lhs.shape[0], dtype=float)[:, None]
+        with np.errstate(over="ignore"):
+            worst.add(lhs, rhs, [rows, np.arange(3.0)])
+        row += lhs.shape[0]
+    lhs = np.concatenate([np.array(t[0], dtype=float) for t in tiles])
+    rhs = np.concatenate([np.array(t[1], dtype=float) for t in tiles])
+    with np.errstate(over="ignore"):
+        ref = _ratio_check("r", lhs, rhs,
+                           [np.arange(float(row))[:, None], np.arange(3.0)])
+    _assert_same_check(worst.result(), ref)
+
+
+@pytest.mark.parametrize("case", list(_TILE_CASES))
+def test_worst_over_tiles_matches_one_ratio_check(case):
+    _tiles_against_one_check(_TILE_CASES[case])
+
+
+def test_worst_over_random_tilings_matches_one_ratio_check():
+    # lattices drawn from the special values of the where reference, cut
+    # into tiles at random rows
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        lhs = rng.choice(_RATIO_VALUES, size=(n, 3))
+        rhs = rng.choice(_RATIO_VALUES, size=(n, 3))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(
+            rng.integers(0, n)), replace=False)) if n > 1 else []
+        bounds = [0, *cuts, n]
+        _tiles_against_one_check([(lhs[a:b], rhs[a:b])
+                                  for a, b in zip(bounds, bounds[1:])])
+
+
+@dataclass(frozen=True)
+class _RampMode(NoiseMode):
+    """g = sigma * x * (alpha + beta * u): |phi| is largest at the last
+    x1 tile, so with a small state bound the worst Lipschitz ratio sits
+    there alone (the library's profiles are all symmetric in x -> 1 - x,
+    so their worst is always found again in an earlier tile)."""
+
+    slope: float = 1.0
+
+    def phi(self, x):
+        return np.asarray(x, dtype=float) * 1.0
+
+    @property
+    def profile_slope(self) -> float:
+        return self.slope
+
+
+_SHIPPED_MODES = (NoiseMode(sigma=0.4, alpha=0.0, beta=1.0),
+                  NoiseMode(sigma=0.25, profile="cos", wavenumber=1,
+                            alpha=1.0, beta=0.5))
+
+_REFERENCE_FLUXES = {
+    "burgers": make_flux("burgers"),
+    "zero": FluxModel(kind="zero", growth_power=2.0, growth_const=0.0),
+    "linear": make_flux("linear", speed=-1.5),
+    "cubic, failing": FluxModel(kind="polynomial", growth_power=2.0,
+                                growth_const=1.0,
+                                coeffs=(0.0, 0.0, 0.0, 0.0, 0.25)),
+    # worst at zeta = 9.98, in the last tile
+    "skew cubic, failing": FluxModel(kind="polynomial", growth_power=2.0,
+                                     growth_const=1.0,
+                                     coeffs=(0.0, 0.0, 0.0, 0.1, 0.25)),
+    "polynomial, q0 2.5": FluxModel(kind="polynomial", growth_power=2.5,
+                                    growth_const=3.0,
+                                    coeffs=(0.1, -1.0, 0.5, 0.02)),
+    "polynomial, q0 3.7": FluxModel(kind="polynomial", growth_power=3.7,
+                                    growth_const=0.5, coeffs=(0.0, 1.0, 0.5)),
+}
+
+_REFERENCE_NOISES = {
+    "shipped": NoiseModel(_SHIPPED_MODES),
+    "shipped, state bound 5": NoiseModel(_SHIPPED_MODES, state_bound=5.0),
+    "no modes": NoiseModel(()),
+    "subnormal sigma": NoiseModel((NoiseMode(sigma=5e-324, profile="cos",
+                                             wavenumber=2, alpha=0.0,
+                                             beta=1.0),)),
+    "three modes, a zero sigma": NoiseModel((
+        NoiseMode(sigma=1.0, profile="sin", wavenumber=3, alpha=1.0,
+                  beta=-2.0),
+        NoiseMode(sigma=0.0, profile="cos", wavenumber=2, alpha=0.5,
+                  beta=0.5),
+        NoiseMode(sigma=-2.0, alpha=1.0))),
+    "overflowing sigma, failing": NoiseModel((NoiseMode(
+        sigma=1e200, profile="cos", wavenumber=1, alpha=1.0, beta=0.5),)),
+    "worst in the last tile": NoiseModel((
+        _RampMode(sigma=0.7, alpha=0.0, beta=1.0), _SHIPPED_MODES[1]),
+        state_bound=0.05),
+    "slope understated, failing": NoiseModel((
+        _RampMode(sigma=0.7, alpha=1.0, beta=1.0, slope=0.5),),
+        state_bound=0.05),
+}
+
+
+def _assert_same_report(got, ref):
+    assert got.subject == ref.subject
+    assert [c.name for c in got.checks] == [c.name for c in ref.checks]
+    for g, r in zip(got.checks, ref.checks):
+        _assert_same_check(g, r)
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_FLUXES))
+def test_tiled_validate_flux_matches_untiled_reference(name):
+    flux = _REFERENCE_FLUXES[name]
+    for kw in ({}, {"r_val": 3.0}, {"lattice_n": 1000}, {"lattice_n": 2}):
+        _assert_same_report(validate_flux(flux, **kw),
+                            validate_flux_untiled(flux, **kw))
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_NOISES))
+def test_tiled_validate_noise_matches_untiled_reference(name):
+    noise = _REFERENCE_NOISES[name]
+    with np.errstate(over="ignore"):
+        got, ref = validate_noise(noise), validate_noise_untiled(noise)
+    _assert_same_report(got, ref)
+
+
+def test_reference_cases_cover_failures_and_the_last_tile():
+    flux = validate_flux(_REFERENCE_FLUXES["skew cubic, failing"])
+    assert not flux.passed
+    assert flux.checks[1].worst_point[1] >= 9.98 - 1e-9   # zeta, last tile
+    last = validate_noise(_REFERENCE_NOISES["worst in the last tile"])
+    assert last.checks[1].worst_point[0] == 0.96           # x1, last tile
+    for name in ("slope understated, failing", "overflowing sigma, failing"):
+        with np.errstate(over="ignore"):
+            assert not validate_noise(_REFERENCE_NOISES[name]).passed
+
+
+@pytest.mark.parametrize("validate,model", [
+    (validate_flux, make_flux("burgers")),
+    (validate_noise, NoiseModel(_SHIPPED_MODES)),
+])
+def test_validators_trace_under_8_mb(validate, model):
+    # the whole lattices held 43 MB (flux) and 54 MB (noise)
+    validate(model)
+    tracemalloc.start()
+    try:
+        validate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_check_state_bound_names_only_its_own_overflow():
+    check_state_bound(NoiseModel(_SHIPPED_MODES, state_bound=1e76))
+    for bound in (1e77, 1e160, 1.7e308):
+        with pytest.raises(ValueError, match="state_bound"):
+            check_state_bound(NoiseModel(_SHIPPED_MODES, state_bound=bound))
+    # D1 is infinite at any state bound: not the state bound's overflow
+    with np.errstate(over="ignore"):
+        check_state_bound(NoiseModel((NoiseMode(
+            sigma=1e200, profile="cos", alpha=1.0, beta=0.5),),
+            state_bound=1e100))
 
 
 # ---------------------------------------------------------------------------
