@@ -29,12 +29,12 @@ from . import __version__
 from .errors import ConfigError, NumericalFailure
 from .grid import TorusGrid, make_initial
 from .models import (FLUX_KINDS, PROFILE_KINDS, NoiseMode, NoiseModel,
-                     SimConfig, check_state_bound, make_flux, validate_flux,
-                     validate_noise)
+                     SimConfig, check_mode_constants, check_state_bound,
+                     make_flux, validate_flux, validate_noise)
 from .mollifier import MollifierPair
 from .solvers import solve_coupled_pair, solve_coupled_pairs
-from .diagnostics import (bound_check_I, bound_check_J, error_term,
-                          transport_constants, write_bound_reports)
+from .diagnostics import (bound_check_I, bound_check_J, bound_csv_lines,
+                          error_term, transport_constants)
 from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
                       moment_scan, scaling_check, worker_count)
 from .ratefn import OptConfig, constant_target, drift_target, rate_estimate
@@ -224,6 +224,7 @@ def build_noise(resolved: dict) -> NoiseModel:
                   for i, m in enumerate(nz["modes"]))
     noise = _cfgerr("model.noise.", NoiseModel, modes,
                     state_bound=nz["state_bound"])
+    _cfgerr("model.noise.", check_mode_constants, noise)
     _cfgerr("model.noise.", check_state_bound, noise)
     return noise
 
@@ -256,37 +257,25 @@ def build_mollifier(resolved: dict, grid: TorusGrid) -> MollifierPair:
 # artifacts
 
 
-def _ready(out_dir: Path | None) -> bool:
-    """Whether to write artifacts, making out_dir only once they exist."""
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir is not None
+def _write_lines(path: Path, lines) -> str:
+    """Write the lines, each ended by a newline, and return the sha256 of
+    the bytes written."""
+    data = ("\n".join(lines) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_manifest(out_dir: Path, resolved: dict, seed: int,
-                   files) -> Path:
+def write_manifest(out_dir: Path, resolved: dict, hashes: dict) -> None:
     """Manifest with the resolved config, effective seed, content hash of
-    every emitted file and the library versions.  No timestamps: a rerun
-    with the same config and seed reproduces it byte for byte."""
-    entries = [{"name": p.name, "sha256": _sha256(p)}
-               for p in sorted(files, key=lambda p: p.name)]
+    every emitted file (hashes maps its name to its sha256) and the
+    library versions.  No timestamps: a rerun with the same config and
+    seed reproduces it byte for byte."""
     manifest = {
         "config": resolved,
-        "seed": seed,
-        "files": entries,
+        "seed": resolved["sim"]["seed"],
+        "files": [{"name": name, "sha256": hashes[name]}
+                  for name in sorted(hashes)],
         "versions": {
             "numpy": np.__version__,
             "python": platform.python_version(),
@@ -294,60 +283,24 @@ def write_manifest(out_dir: Path, resolved: dict, seed: int,
             "sclaw": __version__,
         },
     }
-    path = out_dir / "manifest.json"
-    with open(path, "w", newline="") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    _write_lines(out_dir / "manifest.json",
+                 [json.dumps(manifest, sort_keys=True, indent=2)])
 
 
-def emit_plot_data(table, kind: str, out_dir) -> list[Path]:
-    """Write <kind>.csv plus <kind>.plot.txt, a plain-text descriptor
-    (axes, scale hints, series) for external plotting tools."""
-    out_dir = Path(out_dir)
-    if kind == "eps_log_p":
-        if not table.rows:
-            raise ValueError("cannot emit an empty eps_log_p table")
-        csv_lines = table.csv_lines()
-        desc = ["kind: eps_log_p",
-                "x: epsilon (log scale)",
-                "y: eps_log_p",
-                "series: eps_log_p"]
-    elif kind == "moment_scan":
-        if not table.rows:
-            raise ValueError("cannot emit an empty moment_scan table")
-        csv_lines = ["epsilon,p,u_moment,v_moment"]
-        csv_lines += [f"{r.epsilon!r},{r.p!r},{r.u_moment!r},{r.v_moment!r}"
-                      for r in table.rows]
-        seen = dict.fromkeys(r.p for r in table.rows)
-        desc = ["kind: moment_scan",
-                "x: epsilon (log scale)",
-                "y: running max moment, both pair members"]
-        desc += [f"series: p={p!r}" for p in seen]
-    elif kind == "error_ladder":
-        rows = list(table)
-        if not rows:
-            raise ValueError("cannot emit an empty error_ladder table")
-        csv_lines = ["gamma,delta,abs_error"]
-        csv_lines += [f"{g!r},{d!r},{v!r}" for g, d, v in rows]
-        desc = ["kind: error_ladder",
-                "x: gamma (log scale)",
-                "y: abs_error",
-                "series: abs_error"]
-    else:
-        raise ValueError(f"unknown plot kind: {kind}")
-    csv_path = out_dir / f"{kind}.csv"
-    txt_path = out_dir / f"{kind}.plot.txt"
-    _write_lines(csv_path, csv_lines)
-    _write_lines(txt_path, desc)
-    return [csv_path, txt_path]
+def _plot_files(kind: str, csv: list[str], x: str, y: str, series) -> dict:
+    """<kind>.csv plus <kind>.plot.txt, a plain-text descriptor (axes,
+    scale hints, series) for external plotting tools."""
+    desc = [f"kind: {kind}", f"x: {x}", f"y: {y}"]
+    return {f"{kind}.csv": csv,
+            f"{kind}.plot.txt": desc + [f"series: {s}" for s in series]}
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (exit code, written files, report lines)
+# subcommands: each takes the resolved config and whether the run writes
+# artifacts, and returns (exit code, {file name: lines}, report lines)
 
 
-def _cmd_validate(resolved, out_dir):
+def _cmd_validate(resolved, _writes):
     flux = build_flux(resolved)
     noise = build_noise(resolved)
     reports = {"model.flux": validate_flux(flux),
@@ -358,88 +311,66 @@ def _cmd_validate(resolved, out_dir):
     lines = []
     for rep in reports.values():
         lines += rep.lines()
-    files = []
-    if _ready(out_dir):
-        path = out_dir / "validation.txt"
-        _write_lines(path, lines)
-        files.append(path)
-    return EXIT_OK, files, lines
+    return EXIT_OK, {"validation.txt": lines}, lines
 
 
-def _cmd_simulate(resolved, out_dir):
+def _cmd_simulate(resolved, _writes):
     cfg, flux, noise, eta = build_run(resolved)
     u, v = solve_coupled_pair(eta, cfg, flux, noise)
     gap = float(np.abs(u.values[-1] - v.values[-1]).sum() * u.grid.dx)
     lines = [f"steps {len(u.times) - 1}",
              f"final_l1_gap {gap!r}"]
-    files = []
-    if _ready(out_dir):
-        for name, traj in (("u.csv", u), ("v.csv", v)):
-            path = out_dir / name
-            traj.to_csv(path)
-            files.append(path)
-    return EXIT_OK, files, lines
+    return EXIT_OK, {"u.csv": u.csv_lines(), "v.csv": v.csv_lines()}, lines
 
 
-def _cmd_tail(resolved, out_dir):
+def _cmd_tail(resolved, _writes):
     cfg, flux, noise, eta = build_run(resolved)
     iota = _require(resolved, "harness.iota")
     est = estimate_tail(eta, iota, resolved["harness"]["n_tail"], cfg, flux,
                         noise)
     lines = [f"n {est.n}", f"hits {est.hits}", f"p_hat {est.p_hat!r}",
              f"ci_lo {est.ci_lo!r}", f"ci_hi {est.ci_hi!r}"]
-    files = []
-    if _ready(out_dir):
-        path = out_dir / "tail.csv"
-        _write_lines(path, ["n,hits,p_hat,ci_lo,ci_hi",
-                            f"{est.n},{est.hits},{est.p_hat!r},"
-                            f"{est.ci_lo!r},{est.ci_hi!r}"])
-        files.append(path)
-    return EXIT_OK, files, lines
+    csv = ["n,hits,p_hat,ci_lo,ci_hi",
+           f"{est.n},{est.hits},{est.p_hat!r},{est.ci_lo!r},{est.ci_hi!r}"]
+    return EXIT_OK, {"tail.csv": csv}, lines
 
 
-def _cmd_scan(resolved, out_dir):
+def _cmd_scan(resolved, writes):
     cfg, flux, noise, eta = build_run(resolved)
     h = resolved["harness"]
     iota = _require(resolved, "harness.iota")
     ladder = _require(resolved, "harness.ladder")
     table = exp_equiv_scan(eta, ladder, iota, h["n_tail"], cfg, flux, noise)
-    lines = table.csv_lines()
-    lines.append("eps_log_p decreasing: "
-                 f"{str(table.eps_log_p_decreasing()).lower()}")
-    files = []
-    if _ready(out_dir):
-        path = out_dir / "scan.csv"
-        _write_lines(path, table.csv_lines())
-        files.append(path)
-        files += emit_plot_data(table, "eps_log_p", out_dir)
-        if h["moment_ladder"] is not None:
-            moments = moment_scan(eta, h["moment_ladder"], h["p_list"],
-                                  h["n_moment"], cfg, flux, noise)
-            files += emit_plot_data(moments, "moment_scan", out_dir)
+    csv = table.csv_lines()
+    lines = csv + ["eps_log_p decreasing: "
+                   f"{str(table.eps_log_p_decreasing()).lower()}"]
+    files = {"scan.csv": csv, **_plot_files(
+        "eps_log_p", csv, "epsilon (log scale)", "eps_log_p", ["eps_log_p"])}
+    # the moment scan only feeds an artifact
+    if writes and h["moment_ladder"] is not None:
+        moments = moment_scan(eta, h["moment_ladder"], h["p_list"],
+                              h["n_moment"], cfg, flux, noise)
+        files.update(_plot_files(
+            "moment_scan", moments.csv_lines(), "epsilon (log scale)",
+            "running max moment, both pair members",
+            [f"p={p!r}" for p in dict.fromkeys(r.p for r in moments.rows)]))
     return EXIT_OK, files, lines
 
 
-def _cmd_scaling(resolved, out_dir):
+def _cmd_scaling(resolved, _writes):
     cfg, flux, noise, eta = build_run(resolved)
     h = resolved["harness"]
     result = scaling_check(eta, cfg.epsilon, h["functionals"], h["n_scaling"],
                            cfg, flux, noise)
-    header = "functional,n,mode,ks_stat,p_value,max_abs_gap,pass"
-    rows = [f"{r.functional},{r.n},{r.mode},{r.ks_stat!r},{r.p_value!r},"
+    csv = ["functional,n,mode,ks_stat,p_value,max_abs_gap,pass"]
+    csv += [f"{r.functional},{r.n},{r.mode},{r.ks_stat!r},{r.p_value!r},"
             f"{r.max_abs_gap!r},{str(r.passed).lower()}"
             for r in result.rows]
-    lines = [header] + rows
-    lines.append(f"all passed: {str(result.passed).lower()}")
-    files = []
-    if _ready(out_dir):
-        path = out_dir / "scaling.csv"
-        _write_lines(path, [header] + rows)
-        files.append(path)
-    return EXIT_OK, files, lines
+    lines = csv + [f"all passed: {str(result.passed).lower()}"]
+    return EXIT_OK, {"scaling.csv": csv}, lines
 
 
-def _cmd_doubling(resolved, out_dir):
+def _cmd_doubling(resolved, _writes):
     cfg, flux, noise, eta = build_run(resolved)
     moll = build_mollifier(resolved, eta.grid)
     # the transport bound's constants, before any pair is stepped; q0
@@ -475,16 +406,15 @@ def _cmd_doubling(resolved, out_dir):
     lines = [f"certificates: {n_pass}/{len(reports)} pass"]
     lines += [f"error_ladder gamma={g!r} delta={d!r} abs_error={v!r}"
               for g, d, v in ladder]
-    files = []
-    if _ready(out_dir):
-        path = out_dir / "bounds.csv"
-        write_bound_reports(reports, path)
-        files.append(path)
-        files += emit_plot_data(ladder, "error_ladder", out_dir)
+    ladder_csv = ["gamma,delta,abs_error"]
+    ladder_csv += [f"{g!r},{d!r},{v!r}" for g, d, v in ladder]
+    files = {"bounds.csv": bound_csv_lines(reports), **_plot_files(
+        "error_ladder", ladder_csv, "gamma (log scale)", "abs_error",
+        ["abs_error"])}
     return EXIT_OK, files, lines
 
 
-def _cmd_rate(resolved, out_dir):
+def _cmd_rate(resolved, _writes):
     noise = build_noise(resolved)
     eta = build_initial(resolved, TorusGrid(resolved["sim"]["cells"]))
     rc = resolved["rate"]
@@ -496,16 +426,9 @@ def _cmd_rate(resolved, out_dir):
         "lambda_ladder", "tol_feas", "max_iters") if rc[key] is not None})
     result = rate_estimate(target, noise, eta=eta, bins=rc["bins"], opt=opt)
     lines = result.report_lines()
-    files = []
-    if _ready(out_dir):
-        path = out_dir / "rate.txt"
-        _write_lines(path, lines)
-        files.append(path)
-        path = out_dir / "rate_control.csv"
-        _write_lines(path, result.control_csv_lines())
-        files.append(path)
     code = EXIT_OK if result.feasible else EXIT_INFEASIBLE
-    return code, files, lines
+    return code, {"rate.txt": lines,
+                  "rate_control.csv": result.control_csv_lines()}, lines
 
 
 _DISPATCH = {
@@ -545,13 +468,19 @@ def run(argv=None) -> int:
     try:
         resolved = load_config(args.config, seed=args.seed)
         _cfgerr("", worker_count)
-        out_dir = None if args.out is None else Path(args.out)
-        code, files, lines = _DISPATCH[args.command](resolved, out_dir)
+        code, files, lines = _DISPATCH[args.command](resolved,
+                                                      args.out is not None)
+        # --out is made only once the command has returned, so a command
+        # that fails leaves nothing behind
+        if args.out is not None:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_manifest(out_dir, resolved, {
+                name: _write_lines(out_dir / name, body)
+                for name, body in files.items()})
         if not args.quiet:
             for line in lines:
                 print(line)
-        if out_dir is not None:
-            write_manifest(out_dir, resolved, resolved["sim"]["seed"], files)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -167,11 +167,8 @@ class BoundReport:
 BOUND_CSV_HEADER = "name,path,epsilon,gamma,delta,lhs,rhs,pass"
 
 
-def write_bound_reports(reports: list[BoundReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(BOUND_CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")
+def bound_csv_lines(reports: list[BoundReport]) -> list[str]:
+    return [BOUND_CSV_HEADER] + [r.csv_row() for r in reports]
 
 
 def _pair_arrays(pair: Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 Space is the unit torus [0, 1) split into M equal cells; a field is the
 vector of its cell averages.  Trajectories collect snapshots on a
-strictly increasing time grid and write them to CSV.
+strictly increasing time grid and make their CSV rows.
 """
 
 from __future__ import annotations
@@ -104,14 +104,11 @@ class Trajectory:
     def final(self) -> ScalarField:
         return self.field(len(self.times) - 1)
 
-    def to_csv(self, path) -> None:
-        """Write ``t,cell_0,...,cell_{M-1}``, floats in round-trip form."""
-        m = self.grid.cells
-        header = "t," + ",".join(f"cell_{i}" for i in range(m))
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.values):
-                fh.write(_fmt(t) + "," + ",".join(_fmt(x) for x in row) + "\n")
+    def csv_lines(self) -> list[str]:
+        """CSV rows ``t,cell_0,...,cell_{M-1}``, floats in round-trip form."""
+        header = "t," + ",".join(f"cell_{i}" for i in range(self.grid.cells))
+        return [header] + [_fmt(t) + "," + ",".join(_fmt(x) for x in row)
+                           for t, row in zip(self.times, self.values)]
 
 
 def make_initial(grid: TorusGrid, kind: str, **params) -> ScalarField:

@@ -127,11 +127,6 @@ class ScanRow:
     ci_lo: float
     ci_hi: float
     eps_log_p: float
-    # closing-schedule companions for cross-reference: the widths and
-    # exponent at which the pathwise certificates would be closed
-    gamma_schedule: float
-    delta_schedule: float
-    p_schedule: float
 
 
 @dataclass(frozen=True)
@@ -160,8 +155,7 @@ def exp_equiv_scan(eta: ScalarField, ladder, iota: float, n: int,
 
     Each row carries eps * log(p_hat) (the quantity that must fall for
     superexponential equivalence; literal -inf when no path exceeded
-    iota) plus the closing-schedule companions gamma = delta = sqrt(eps)
-    and p = 1/eps.
+    iota).
     """
     ladder = [float(e) for e in ladder]
     if not ladder or any(a <= b for a, b in zip(ladder, ladder[1:])):
@@ -175,8 +169,7 @@ def exp_equiv_scan(eta: ScalarField, ladder, iota: float, n: int,
         else:
             elp = eps * math.log(est.p_hat)
         rows.append(ScanRow(eps, iota, n, est.hits, est.p_hat, est.ci_lo,
-                            est.ci_hi, elp, math.sqrt(eps), math.sqrt(eps),
-                            1.0 / eps))
+                            est.ci_hi, elp))
     return ScanTable(iota, tuple(rows))
 
 
@@ -290,6 +283,11 @@ class MomentTable:
     def ladder_min(self, p: float) -> float:
         vals = [max(r.u_moment, r.v_moment) for r in self.rows if r.p == p]
         return min(vals) if vals else float("nan")
+
+    def csv_lines(self) -> list[str]:
+        return ["epsilon,p,u_moment,v_moment"] + [
+            f"{r.epsilon!r},{r.p!r},{r.u_moment!r},{r.v_moment!r}"
+            for r in self.rows]
 
 
 def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,

@@ -487,22 +487,46 @@ def _common_scale(noise: NoiseModel) -> float:
     return _pow2_floor(max((abs(m.sigma) for m in noise.modes), default=0.0))
 
 
-def check_state_bound(noise: NoiseModel) -> None:
-    """Raise ValueError naming state_bound when it alone makes D1, or the
-    squared sides of validate_noise's lattice (at most D0 * (1 + b^2) and
-    D1 * (1 + 4 b^2) of the rescaled model, b = state_bound), overflow:
-    all are finite at the smallest positive bound but not at b."""
-    finite = []
-    for model in (replace(noise, state_bound=math.ulp(0.0)), noise):
-        b = model.state_bound
-        common = _rescaled(model, model.modes, _common_scale(model))
+def _constants_finite(noise: NoiseModel, b: float = math.ulp(0.0)) -> bool:
+    """Whether D0, D1 and the squared sides of validate_noise's lattice
+    (at most D0 * (1 + b^2) and D1 * (1 + 4 b^2) of the rescaled model)
+    are finite at state bound b, by default the smallest positive one."""
+    model = replace(noise, state_bound=b)
+    common = _rescaled(model, model.modes, _common_scale(model))
+    try:
         with np.errstate(over="ignore"):
-            finite.append(all(map(math.isfinite, (
-                model.D1, common.D0 * (1.0 + b * b),
-                common.D1 * (1.0 + 4.0 * b * b)))))
-    if finite == [True, False]:
+            sides = (model.D0, model.D1, common.D0 * (1.0 + b * b),
+                     common.D1 * (1.0 + 4.0 * b * b))
+    except OverflowError:      # 2 pi * wavenumber past the float range
+        return False
+    return all(map(math.isfinite, sides))
+
+
+def check_state_bound(noise: NoiseModel) -> None:
+    """Raise ValueError naming state_bound when it alone makes the noise
+    constants overflow: they are finite at the smallest positive bound
+    but not at state_bound."""
+    if _constants_finite(noise) and not _constants_finite(
+            noise, noise.state_bound):
         raise ValueError(f"state_bound {noise.state_bound!r} overflows D1 "
                          "or the squares of the certificate lattice")
+
+
+def check_mode_constants(noise: NoiseModel) -> None:
+    """Raise ValueError naming a mode's key when the noise constants
+    overflow at any state bound: the first of sigma, wavenumber, alpha
+    and beta whose unit value makes its mode's constants finite."""
+    if _constants_finite(noise):
+        return
+    for i, mode in enumerate(noise.modes):
+        if _constants_finite(NoiseModel((mode,))):
+            continue
+        for key, unit in (("sigma", 1.0), ("wavenumber", 1), ("alpha", 1.0),
+                          ("beta", 0.0)):
+            if _constants_finite(NoiseModel((replace(mode, **{key: unit}),))):
+                raise ValueError(f"modes[{i}].{key} overflows the noise "
+                                 "constants")
+    raise ValueError("modes overflow the noise constants")
 
 
 def validate_noise(noise: NoiseModel,

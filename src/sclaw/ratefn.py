@@ -23,6 +23,13 @@ from .solvers import integrate_skeleton, uniform_times
 
 DIMENSION_CAP = 512
 
+FD_STEP = 1e-4        # central-difference step of the gradient
+ARMIJO = 1e-4         # sufficient-decrease fraction of the line search
+GRAD_TOL = 1e-8       # a gradient this small ends a penalty rung
+# the line search's steps: 1 halved while >= 1e-12, so 2^0 .. 2^-39
+BACKTRACKING_STEPS = np.ldexp(1.0, -np.arange(40))
+BACKTRACKING_STEPS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Control:
@@ -104,7 +111,7 @@ def skeleton_residual(h: Control, rho_target: Trajectory, noise: NoiseModel,
     return res
 
 
-def _fd_bundle(objectives, x: np.ndarray, fd_step: float
+def _fd_bundle(objectives, x: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One batched sweep of x and its coordinate perturbations.
 
@@ -114,18 +121,17 @@ def _fd_bundle(objectives, x: np.ndarray, fd_step: float
     """
     dim = x.size
     pts = np.tile(x, (2 * dim + 1, 1))
-    pts[:dim, :] += fd_step * np.eye(dim)
-    pts[dim:2 * dim, :] -= fd_step * np.eye(dim)
+    pts[:dim, :] += FD_STEP * np.eye(dim)
+    pts[dim:2 * dim, :] -= FD_STEP * np.eye(dim)
     vals, res = objectives(pts)
     if not np.all(np.isfinite(res)):
         raise NumericalFailure("non-finite state in skeleton integration")
-    gphi = (vals[:dim] - vals[dim:2 * dim]) / (2.0 * fd_step)
-    gres = (res[:dim] - res[dim:2 * dim]) / (2.0 * fd_step)
+    gphi = (vals[:dim] - vals[dim:2 * dim]) / (2.0 * FD_STEP)
+    gres = (res[:dim] - res[dim:2 * dim]) / (2.0 * FD_STEP)
     return gphi, gres, float(res[-1]), float(vals[-1])
 
 
 def inverse_dynamics_start(rho_target: Trajectory, noise: NoiseModel,
-                           eta: ScalarField | None = None,
                            bins: int = 16) -> Control:
     """Initial control from a bin-wise least-squares fit of the target's
     discrete time derivative through the forcing basis.
@@ -162,9 +168,8 @@ def inverse_dynamics_start(rho_target: Trajectory, noise: NoiseModel,
 
 
 def _line_search(objectives, x: np.ndarray, d: np.ndarray, phi: float,
-                 slope: float, steps: np.ndarray,
-                 armijo: float) -> tuple[float, float] | None:
-    """(s, objective at x + s * d) for the first step s of the ladder
+                 slope: float) -> tuple[float, float] | None:
+    """(s, objective at x + s * d) for the first of BACKTRACKING_STEPS
     that passes the acceptance rules, or None.
 
     Every lane x + s * d is integrated in one call; a lane that is not
@@ -173,10 +178,10 @@ def _line_search(objectives, x: np.ndarray, d: np.ndarray, phi: float,
     the L1 residual may allow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, _ = objectives(x + steps[:, None] * d)
+        vals, _ = objectives(x + BACKTRACKING_STEPS[:, None] * d)
     vals[~np.isfinite(vals)] = math.inf
-    for s, cand in zip(steps.tolist(), vals.tolist()):
-        if cand <= phi + armijo * s * slope or cand < phi - 1e-14:
+    for s, cand in zip(BACKTRACKING_STEPS.tolist(), vals.tolist()):
+        if cand <= phi + ARMIJO * s * slope or cand < phi - 1e-14:
             return s, cand
     return None
 
@@ -185,13 +190,7 @@ def _line_search(objectives, x: np.ndarray, d: np.ndarray, phi: float,
 class OptConfig:
     lambda_ladder: tuple = (10.0, 100.0, 1000.0, 10000.0)
     tol_feas: float = 1e-3
-    fd_step: float = 1e-4
     max_iters: int = 150
-    armijo: float = 1e-4
-    init_step: float = 1.0
-    shrink: float = 0.5
-    min_step: float = 1e-12
-    grad_tol: float = 1e-8
 
     def __post_init__(self):
         ladder = tuple(float(x) for x in self.lambda_ladder)
@@ -200,24 +199,10 @@ class OptConfig:
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("lambda_ladder must be strictly increasing")
         object.__setattr__(self, "lambda_ladder", ladder)
-        for name in ("tol_feas", "fd_step", "armijo", "init_step", "shrink",
-                     "min_step", "grad_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.tol_feas <= 0:
+            raise ValueError("tol_feas must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.shrink >= 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-
-
-def backtracking_steps(opt: OptConfig) -> np.ndarray:
-    """Line-search steps: init_step shrunk while >= min_step (40 default)."""
-    steps = []
-    s = opt.init_step
-    while s >= opt.min_step:
-        steps.append(s)
-        s *= opt.shrink
-    return np.array(steps)
 
 
 @dataclass(frozen=True)
@@ -273,7 +258,7 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
                              f"does not match ({n_modes}, {bins})")
         x = warm_start.values.flatten()
     else:
-        x = inverse_dynamics_start(rho_target, noise, eta, bins).values.flatten()
+        x = inverse_dynamics_start(rho_target, noise, bins).values.flatten()
 
     # The ladder is allowed to wander through infeasible territory (low
     # penalties actively reward trading feasibility for action), so the
@@ -289,7 +274,6 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
             if best_feas is None or act < best_feas[0]:
                 best_feas = (act, flat, res)
 
-    steps = backtracking_steps(opt)
     total_iters = 0
     for lam in opt.lambda_ladder:
         objectives = _objectives(lam, n_modes, bins, rho_target, noise, eta)
@@ -297,9 +281,9 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
         for _ in range(opt.max_iters):
             # phi at x is the bundle's own lane, bit for bit the value the
             # previous line search accepted
-            g, r, res_here, phi = _fd_bundle(objectives, x, opt.fd_step)
+            g, r, res_here, phi = _fd_bundle(objectives, x)
             track(x, res_here)
-            if math.sqrt(float(g @ g)) <= opt.grad_tol:
+            if math.sqrt(float(g @ g)) <= GRAD_TOL:
                 break
             # The objective is quadratic action plus lam * (scalar
             # residual)^2, so its stiffness is one rank-one term; scale
@@ -315,8 +299,7 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
             if slope >= 0.0:
                 d = -g
                 slope = -float(g @ g)
-            found = _line_search(objectives, x, d, phi, slope, steps,
-                                 opt.armijo)
+            found = _line_search(objectives, x, d, phi, slope)
             if found is None:
                 break
             s, trial_phi = found

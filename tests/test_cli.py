@@ -11,10 +11,9 @@ import pytest
 
 from sclaw import cli
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                       emit_plot_data, load_config, run)
+                       load_config, run)
 from sclaw.diagnostics import bound_check_I, bound_check_J
 from sclaw.errors import ConfigError
-from sclaw.harness import MomentRow, MomentTable, ScanTable
 from sclaw.solvers import solve_coupled_pair
 
 BASE = {
@@ -268,6 +267,23 @@ def test_scan_with_moment_ladder(tmp_path):
     assert "series: p=2.0" in desc
 
 
+def test_scan_failing_moment_scan_writes_nothing(tmp_path, capsys):
+    # the epsilon ladder steps within the CFL ceiling, the moment ladder's
+    # epsilon 1 does not: no file of the scan may be left behind
+    doc = patched(BASE, initial={"amp": 3.0},
+                  harness={"iota": 0.02, "n_tail": 24, "ladder": [0.5, 0.2],
+                           "moment_ladder": [1.0], "n_moment": 24})
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run(["scan", "--config", cfg, "--out", str(out)]) == \
+        EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: CFL violation")
+    assert not out.exists()
+    # without --out the moment scan, which only feeds an artifact, is skipped
+    assert run(["scan", "--config", cfg, "--quiet"]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # scaling and doubling
 
@@ -376,9 +392,12 @@ SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,
 
 # rows that load_config accepts: their checks need the environment, the
 # command line, a built model or the command
+HUGE_WAVENUMBER = [{"sigma": 0.25, "profile": "cos", "wavenumber": 10 ** 300}]
+HUGE_SIGMA = [{"sigma": 1e200}]
 AFTER_LOAD = [("SCLAW_THREADS", "0"), ("SCLAW_THREADS", "abc"),
               ("--seed", "-1"), ("--seed", str(2 ** 64)), ("dt", 0.3),
-              ("amp", None), ("gamma", 0.02), ("noise.state_bound", 1e160)]
+              ("amp", None), ("gamma", 0.02), ("noise.state_bound", 1e160),
+              ("noise.modes", HUGE_WAVENUMBER), ("noise.modes", HUGE_SIGMA)]
 
 
 def _no_compute(*_args, **_kwargs):
@@ -427,6 +446,9 @@ def _no_compute(*_args, **_kwargs):
     ("seed", 2 ** 64, "sim.seed"),         # one 64-bit word of the key
     ("--seed", str(2 ** 64), "sim.seed"),
     ("noise.state_bound", 1e160, "model.noise.state_bound"),   # D1 overflows
+    # a mode's own constants overflow at any state bound
+    ("noise.modes", HUGE_WAVENUMBER, "model.noise.modes[0].wavenumber"),
+    ("noise.modes", HUGE_SIGMA, "model.noise.modes[0].sigma"),
 ])
 def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
                                                   monkeypatch, key, value,
@@ -495,43 +517,48 @@ def test_doubling_bound_overflow_exits_2_before_compute(
 
 
 # ---------------------------------------------------------------------------
-# plot-data emission
-
-
-def test_emit_plot_data_rejects_empty_and_unknown(tmp_path):
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_data(ScanTable(0.05, ()), "eps_log_p", tmp_path)
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_data(MomentTable(()), "moment_scan", tmp_path)
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_data([], "error_ladder", tmp_path)
-    with pytest.raises(ValueError, match="unknown plot kind"):
-        emit_plot_data([], "histogram", tmp_path)
+# plot data
 
 
 def test_emit_moment_scan_series_lines(tmp_path):
-    rows = (MomentRow(1.0, 2.0, 1.1, 1.2), MomentRow(0.5, 2.0, 1.0, 1.1),
-            MomentRow(1.0, 4.0, 2.0, 2.1), MomentRow(0.5, 4.0, 1.9, 2.0))
-    files = emit_plot_data(MomentTable(rows), "moment_scan", tmp_path)
-    assert [f.name for f in files] == ["moment_scan.csv",
-                                      "moment_scan.plot.txt"]
-    csv = (tmp_path / "moment_scan.csv").read_text().splitlines()
+    doc = patched(BASE, harness={"iota": 0.02, "n_tail": 24,
+                                 "ladder": [0.5, 0.2],
+                                 "moment_ladder": [1.0, 0.5],
+                                 "n_moment": 24, "p_list": [2.0, 4.0]})
+    out = tmp_path / "out"
+    assert run(["scan", "--config", write_cfg(tmp_path, doc),
+                "--out", str(out), "--quiet"]) == EXIT_OK
+    names = {f["name"] for f in
+             json.loads((out / "manifest.json").read_text())["files"]}
+    assert {"moment_scan.csv", "moment_scan.plot.txt"} <= names
+    csv = (out / "moment_scan.csv").read_text().splitlines()
     assert csv[0] == "epsilon,p,u_moment,v_moment"
     assert len(csv) == 5
-    desc = (tmp_path / "moment_scan.plot.txt").read_text().splitlines()
+    assert [row.split(",")[:2] for row in csv[1:]] == [
+        ["1.0", "2.0"], ["1.0", "4.0"], ["0.5", "2.0"], ["0.5", "4.0"]]
+    desc = (out / "moment_scan.plot.txt").read_text().splitlines()
     assert desc.count("series: p=2.0") == 1
     assert desc.count("series: p=4.0") == 1
 
 
 def test_emit_error_ladder(tmp_path):
-    files = emit_plot_data([(0.1, 0.1, 0.03), (0.05, 0.05, 0.01)],
-                           "error_ladder", tmp_path)
-    csv = (tmp_path / "error_ladder.csv").read_text().splitlines()
-    assert csv == ["gamma,delta,abs_error", "0.1,0.1,0.03",
-                   "0.05,0.05,0.01"]
-    desc = (tmp_path / "error_ladder.plot.txt").read_text()
-    assert "x: gamma (log scale)" in desc
-    assert len(files) == 2
+    out = tmp_path / "out"
+    assert run(["doubling", "--config",
+                write_cfg(tmp_path, patched(BASE, harness={"n_pairs": 1})),
+                "--out", str(out), "--quiet"]) == EXIT_OK
+    names = {f["name"] for f in
+             json.loads((out / "manifest.json").read_text())["files"]}
+    assert names == {"bounds.csv", "error_ladder.csv", "error_ladder.plot.txt"}
+    csv = (out / "error_ladder.csv").read_text().splitlines()
+    # the default widths 0.1 halved once; gamma/4 is below dx = 1/32
+    assert csv[0] == "gamma,delta,abs_error"
+    assert [row.split(",")[:2] for row in csv[1:]] == [["0.1", "0.1"],
+                                                       ["0.05", "0.05"]]
+    for row in csv[1:]:
+        assert row == ",".join(repr(float(x)) for x in row.split(","))
+    desc = (out / "error_ladder.plot.txt").read_text()
+    assert desc == ("kind: error_ladder\nx: gamma (log scale)\n"
+                    "y: abs_error\nseries: abs_error\n")
 
 
 # ---------------------------------------------------------------------------

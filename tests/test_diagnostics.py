@@ -6,11 +6,11 @@ from scipy.integrate import quad
 
 from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
                                BoundReport, _wedges, bound_check_I,
-                               bound_check_J, bracket_identity,
-                               direct_brackets, doubling_functional,
-                               error_term, smoothing_defect,
-                               transport_constants, transport_term,
-                               write_bound_reports)
+                               bound_check_J, bound_csv_lines,
+                               bracket_identity, direct_brackets,
+                               doubling_functional, error_term,
+                               smoothing_defect, transport_constants,
+                               transport_term)
 from sclaw.grid import ScalarField, Trajectory, TorusGrid, make_initial
 from sclaw.models import NoiseMode, NoiseModel, SimConfig, make_flux
 from sclaw.mollifier import MollifierPair
@@ -238,12 +238,10 @@ def test_bound_report_pass_logic_and_csv():
                               "true"]
 
 
-def test_write_bound_reports(tmp_path):
+def test_write_bound_reports():
     reports = [BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1),
                BoundReport("I", 3.0, 2.0, 0.1, 0.1, 0.1, 1)]
-    out = tmp_path / "bounds.csv"
-    write_bound_reports(reports, out)
-    lines = out.read_text().splitlines()
+    lines = bound_csv_lines(reports)
     assert lines[0] == BOUND_CSV_HEADER
     assert len(lines) == 3
     assert lines[2].endswith("false")

@@ -185,9 +185,6 @@ def test_scan_single_rung_matches_direct_estimate(small_eta, small_cfg,
     row = table.rows[0]
     assert (row.hits, row.p_hat, row.ci_lo, row.ci_hi) == \
         (est.hits, est.p_hat, est.ci_lo, est.ci_hi)
-    assert row.gamma_schedule == math.sqrt(0.1)
-    assert row.delta_schedule == math.sqrt(0.1)
-    assert row.p_schedule == 10.0
     if row.hits > 0:
         assert row.eps_log_p == pytest.approx(0.1 * math.log(row.p_hat))
 
@@ -203,8 +200,7 @@ def test_scan_empty_tail_writes_minus_inf(small_eta, small_cfg,
 
 
 def _row(eps, hits, elp):
-    return ScanRow(eps, 0.05, 10, hits, hits / 10, 0.0, 1.0, elp,
-                   math.sqrt(eps), math.sqrt(eps), 1.0 / eps)
+    return ScanRow(eps, 0.05, 10, hits, hits / 10, 0.0, 1.0, elp)
 
 
 def test_scan_decrease_check_skips_empty_rows():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (CheckResult, FluxModel, NoiseMode, NoiseModel,
                           NoisePath, SimConfig, _ratio_check, _Worst,
-                          additive_noise, block_increments, check_state_bound,
-                          make_flux, validate_flux, validate_noise)
+                          additive_noise, block_increments,
+                          check_mode_constants, check_state_bound, make_flux,
+                          validate_flux, validate_noise)
 
 from oracles import coarsen, validate_flux_untiled, validate_noise_untiled
 
@@ -421,6 +423,31 @@ def test_check_state_bound_names_only_its_own_overflow():
         check_state_bound(NoiseModel((NoiseMode(
             sigma=1e200, profile="cos", alpha=1.0, beta=0.5),),
             state_bound=1e100))
+
+
+@pytest.mark.parametrize("mode,named", [
+    (NoiseMode(sigma=1e200, profile="cos", alpha=1.0, beta=0.5), "sigma"),
+    (NoiseMode(sigma=0.25, profile="cos", wavenumber=10 ** 300),
+     "wavenumber"),
+    # 2 pi * wavenumber is past the float range
+    (NoiseMode(sigma=0.25, profile="sin", wavenumber=10 ** 400),
+     "wavenumber"),
+    (NoiseMode(sigma=0.25, alpha=1e200), "alpha"),
+    (NoiseMode(sigma=0.25, profile="cos", alpha=0.0, beta=1e200), "beta"),
+])
+def test_check_mode_constants_names_the_overflowing_key(mode, named):
+    noise = NoiseModel((_SHIPPED_MODES[0], mode))
+    with pytest.raises(ValueError, match=re.escape(f"modes[1].{named} ")):
+        check_mode_constants(noise)
+
+
+def test_check_mode_constants_passes_finite_models():
+    check_mode_constants(NoiseModel(_SHIPPED_MODES, state_bound=1e160))
+    check_mode_constants(NoiseModel((
+        NoiseMode(sigma=0.25, profile="constant", wavenumber=10 ** 400),)))
+    # each mode's constants are finite, their sum is not
+    with pytest.raises(ValueError, match=r"^modes overflow"):
+        check_mode_constants(NoiseModel((NoiseMode(sigma=9e153),) * 2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ import pytest
 from sclaw.errors import ConfigError, NumericalFailure
 from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
 from sclaw.models import NoiseMode, NoiseModel, additive_noise
-from sclaw.ratefn import (Control, OptConfig, RateResult, _fd_bundle,
-                          _line_search, _objectives, action,
-                          backtracking_steps,
-                          constant_target, drift_target,
+from sclaw.ratefn import (ARMIJO, BACKTRACKING_STEPS, Control, OptConfig,
+                          RateResult, _fd_bundle, _line_search, _objectives,
+                          action, constant_target, drift_target,
                           inverse_dynamics_start, rate_estimate,
                           skeleton_residual, uniform_times)
 from sclaw.solvers import integrate_skeleton
@@ -155,11 +154,11 @@ def central_gradient(fn, x, step):
     return g
 
 
-def objective_gradient(h, lam, target, noise, fd_step=1e-4):
+def objective_gradient(h, lam, target, noise):
     """The optimizer's batched central-difference gradient at h."""
     objectives = _objectives(lam, h.n_modes, h.bins, target, noise,
                              target.field(0))
-    return _fd_bundle(objectives, h.values.flatten(), fd_step)[0]
+    return _fd_bundle(objectives, h.values.flatten())[0]
 
 
 def test_central_gradient_quadratic_exact():
@@ -186,18 +185,19 @@ def test_objective_gradient_matches_secant(flat8, unit_mode):
 # line search
 
 
-def _sequential_search(x, d, phi, slope, lam, opt, target, noise, shape):
-    """The backtracking loop one scalar objective at a time."""
-    s = opt.init_step
-    while s >= opt.min_step:
+def _sequential_search(x, d, phi, slope, lam, target, noise, shape):
+    """The backtracking loop one scalar objective at a time: steps from 1,
+    halved while >= 1e-12."""
+    s = 1.0
+    while s >= 1e-12:
         try:
             cand = penalty_objective(Control((x + s * d).reshape(shape)), lam,
                                      target, noise)
         except NumericalFailure:
             cand = math.inf
-        if cand <= phi + opt.armijo * s * slope or cand < phi - 1e-14:
+        if cand <= phi + ARMIJO * s * slope or cand < phi - 1e-14:
             return s, cand
-        s *= opt.shrink
+        s *= 0.5
     return None
 
 
@@ -206,7 +206,6 @@ def _search_case(noise, eta, slope_t, bins, x, lam, scale=1.0, ascent=False,
     """(sequential, batched) line searches from x along the scaled
     negative gradient (or, with ascent, along the gradient), with the
     directional slope overstated by a factor."""
-    opt = OptConfig()
     target = drift_target(eta, slope_t, 64)
     shape = (noise.n_modes, bins)
     h = Control(np.asarray(x, dtype=float).reshape(shape))
@@ -216,21 +215,22 @@ def _search_case(noise, eta, slope_t, bins, x, lam, scale=1.0, ascent=False,
     slope = -abs(float(g @ d)) * overstate
     xf = h.values.flatten()
     with np.errstate(all="ignore"):
-        ref = _sequential_search(xf, d, phi, slope, lam, opt, target, noise,
+        ref = _sequential_search(xf, d, phi, slope, lam, target, noise,
                                  shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = _line_search(_objectives(lam, *shape, target, noise, eta), xf,
-                           d, phi, slope, backtracking_steps(opt), opt.armijo)
+                           d, phi, slope)
     return ref, got
 
 
 def test_backtracking_ladder_default():
-    steps = backtracking_steps(OptConfig())
+    steps = BACKTRACKING_STEPS
     assert len(steps) == 40
     assert steps[0] == 1.0 and steps[-1] == 2.0 ** -39
+    assert np.all(steps[1:] == 0.5 * steps[:-1])
     with pytest.raises(ValueError):
-        OptConfig(shrink=1.0)
+        steps[0] = 2.0
 
 
 _FLAT8 = make_initial(TorusGrid(8), "constant", value=0.0)

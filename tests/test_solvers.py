@@ -787,29 +787,25 @@ def test_pair_sweep_allocates_no_per_step_block(two_mode_noise, burgers,
 # trajectory export
 
 
-def trajectory_from_csv(path) -> Trajectory:
-    """Inverse of Trajectory.to_csv (exact, thanks to repr round-trip)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or not all(h == f"cell_{i}" for i, h
-                                       in enumerate(header[1:])):
-            raise ValueError(f"unrecognized trajectory header in {path}")
-        rows = [[float(tok) for tok in line.strip().split(",")]
-                for line in fh if line.strip()]
-    data = np.array(rows)
+def trajectory_from_csv(lines) -> Trajectory:
+    """Inverse of Trajectory.csv_lines (exact, thanks to repr round-trip)."""
+    header = lines[0].split(",")
+    if header[0] != "t" or not all(h == f"cell_{i}" for i, h
+                                   in enumerate(header[1:])):
+        raise ValueError("unrecognized trajectory header")
+    data = np.array([[float(tok) for tok in line.split(",")]
+                     for line in lines[1:]])
     grid = TorusGrid(len(header) - 1)
     return Trajectory(grid, data[:, 0], data[:, 1:])
 
 
-def test_trajectory_csv_roundtrip(small_eta, burgers, two_mode_noise,
-                                  tmp_path):
+def test_trajectory_csv_roundtrip(small_eta, burgers, two_mode_noise):
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                     cfl_fraction=0.9, save_stride=4)
     traj = _run(small_eta, cfg, burgers, two_mode_noise)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t," + ",".join(f"cell_{i}" for i in range(32))
-    back = trajectory_from_csv(path)
+    lines = traj.csv_lines()
+    assert lines[0] == "t," + ",".join(f"cell_{i}" for i in range(32))
+    assert len(lines) == 1 + len(traj.times)
+    back = trajectory_from_csv(lines)
     assert np.array_equal(back.values, traj.values)
     assert np.array_equal(back.times, traj.times)

@@ -5,6 +5,9 @@ Every top-level function or class, and every public method, defined in
 outside its own body.  Names are matched as identifiers (a variable, an
 attribute or a call), not resolved to their owner; an import alone does
 not count as naming.  What the acceptance criteria name is exempt.
+
+Every field of a dataclass there must be read as an attribute by code
+in those files; the attribute name is matched, not its owner.
 """
 
 import ast
@@ -15,7 +18,8 @@ SOURCES = sorted((ROOT / "src" / "sclaw").glob("*.py")) + sorted(
     (ROOT / "scripts").glob("*.py"))
 
 # NoisePath and its generate are imported by the benchmark's tracer from
-# outside these files; both leave with ROADMAP item 4(b)
+# outside these files; both leave with ROADMAP item 4(b), and the class's
+# fields are exempt with it
 EXEMPT = {"NoisePath", "generate"}
 
 
@@ -63,6 +67,23 @@ def unnamed_definitions(sources):
     return out
 
 
+def unread_fields(sources):
+    """(file, line, "Class.field") of each dataclass field in sources that
+    no code there reads as an attribute."""
+    trees = [(path, ast.parse(path.read_text())) for path in sources]
+    reads = {n.attr for _, tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(path.name, item.lineno, f"{node.name}.{item.target.id}")
+            for path, tree in trees for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(
+                _named(d.func if isinstance(d, ast.Call) else d)
+                == "dataclass" for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and item.target.id not in reads]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert {p.name for p in SOURCES} >= {"cli.py", "solvers.py",
@@ -73,6 +94,24 @@ def test_no_surface_only_tests_call():
     exempt = EXEMPT | acceptance_names()
     dead = [d for d in unnamed_definitions(SOURCES) if d[2] not in exempt]
     assert dead == [], dead
+
+
+def test_no_dataclass_field_goes_unread():
+    dead = [d for d in unread_fields(SOURCES)
+            if d[2].split(".")[0] not in EXEMPT]
+    assert dead == [], dead
+
+
+def test_guard_flags_an_unread_field(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n    shown: float\n    stored: float\n"
+        "    kept: list = field(default_factory=list)\n\n\n"
+        "class Plain:\n    loose: int = 0\n\n\n"
+        "row = Row(1.0, 2.0)\nrow.stored = 3.0\nprint(row.shown, row.kept)\n")
+    assert [d[2] for d in unread_fields([mod])] == ["Row.stored"]
 
 
 def test_guard_flags_a_dead_helper(tmp_path):
