@@ -177,7 +177,9 @@ def load_config(path, seed: int | None = None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError and the integer digit limit are
+    # all ValueErrors; nesting too deep for the parser is a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     resolved = _resolve(raw, _SCHEMA)
     if seed is not None:

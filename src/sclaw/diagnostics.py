@@ -48,16 +48,14 @@ def _xi_grid(lo: float, hi: float, dxi: float) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * dxi
 
 
-def bracket_identity(u: ScalarField, v: ScalarField, dxi: float,
-                     xi_lo: float | None = None,
-                     xi_hi: float | None = None) -> tuple[float, float]:
+def bracket_identity(u: ScalarField, v: ScalarField,
+                     dxi: float) -> tuple[float, float]:
     """Midpoint xi-quadrature of the two kinetic products.
 
     Returns (plus, minus) approximating the integrals of
     1_{u > xi} * 1_{v <= xi} and 1_{v > xi} * 1_{u <= xi} over x and xi,
     which collapse to int (u - v)^+ dx and int (u - v)^- dx.  The xi
-    grid must cover both field ranges with a unit margin; by default it
-    is built to do so.
+    grid covers both field ranges with a unit margin.
     """
     if dxi <= 0:
         raise ValueError("dxi must be positive")
@@ -65,12 +63,6 @@ def bracket_identity(u: ScalarField, v: ScalarField, dxi: float,
         raise ValueError("fields must share a grid")
     lo = min(u.values.min(), v.values.min()) - 1.0
     hi = max(u.values.max(), v.values.max()) + 1.0
-    if xi_lo is not None or xi_hi is not None:
-        if xi_lo is None or xi_hi is None or xi_lo > lo or xi_hi < hi:
-            raise ValueError(
-                f"xi grid [{xi_lo}, {xi_hi}] does not cover the field ranges "
-                f"[{lo}, {hi}] (unit margin included)")
-        lo, hi = xi_lo, xi_hi
     xi = _xi_grid(lo, hi, dxi)
     dx = u.grid.dx
     # number of midpoints strictly below a value, exact on the sorted grid

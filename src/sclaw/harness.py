@@ -24,8 +24,7 @@ import numpy as np
 
 from .grid import ScalarField
 from .ks import ks_2samp
-from .models import (STREAM_BASE, STREAM_MAIN, STREAM_SCALED, FluxModel,
-                     NoiseModel, SimConfig)
+from .models import FluxModel, NoiseModel, SimConfig
 from .solvers import (base_small_time_endpoints, pair_l1_distances,
                       pair_moment_maxes, scaled_endpoints)
 
@@ -100,15 +99,14 @@ class MCEstimate:
 
 
 def estimate_tail(eta: ScalarField, iota: float, n: int, cfg: SimConfig,
-                  flux: FluxModel, noise: NoiseModel,
-                  stream: int = STREAM_MAIN) -> MCEstimate:
+                  flux: FluxModel, noise: NoiseModel) -> MCEstimate:
     """P(space-time L1 gap of the coupled pair exceeds iota), n paths."""
     if iota <= 0:
         raise ValueError("iota must be positive")
     if n < 1:
         raise ValueError("need at least one path")
     dists = map_blocks(
-        lambda idx: pair_l1_distances(eta, cfg, flux, noise, idx, stream), n)
+        lambda idx: pair_l1_distances(eta, cfg, flux, noise, idx), n)
     hits = int(np.count_nonzero(dists > iota))
     return MCEstimate.from_counts(hits, n)
 
@@ -149,8 +147,8 @@ class ScanTable:
 
 
 def exp_equiv_scan(eta: ScalarField, ladder, iota: float, n: int,
-                   cfg: SimConfig, flux: FluxModel, noise: NoiseModel,
-                   stream: int = STREAM_MAIN) -> ScanTable:
+                   cfg: SimConfig, flux: FluxModel,
+                   noise: NoiseModel) -> ScanTable:
     """Tail estimate per epsilon of a descending ladder.
 
     Each row carries eps * log(p_hat) (the quantity that must fall for
@@ -163,7 +161,7 @@ def exp_equiv_scan(eta: ScalarField, ladder, iota: float, n: int,
     rows = []
     for eps in ladder:
         est = estimate_tail(eta, iota, n, replace(cfg, epsilon=eps),
-                            flux, noise, stream)
+                            flux, noise)
         if est.hits == 0:
             elp = float("-inf")
         else:
@@ -239,10 +237,9 @@ def scaling_check(eta: ScalarField, epsilon: float, functionals, n: int,
     run_cfg = replace(cfg, epsilon=epsilon)
     ends_a = map_blocks(
         lambda idx: base_small_time_endpoints(eta, epsilon, run_cfg, flux,
-                                              noise, idx, STREAM_BASE), n)
+                                              noise, idx), n)
     ends_b = map_blocks(
-        lambda idx: scaled_endpoints(eta, run_cfg, flux, noise, idx,
-                                     STREAM_SCALED), n)
+        lambda idx: scaled_endpoints(eta, run_cfg, flux, noise, idx), n)
     dx = eta.grid.dx
     rows = []
     for name in functionals:
@@ -291,8 +288,7 @@ class MomentTable:
 
 
 def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,
-                flux: FluxModel, noise: NoiseModel,
-                stream: int = STREAM_MAIN) -> MomentTable:
+                flux: FluxModel, noise: NoiseModel) -> MomentTable:
     """Monte Carlo means of max_t ||.||_p^p for both members of the pair,
     per epsilon of the ladder; the across-ladder max/min ratio is the
     desk surrogate for moment uniformity in epsilon."""
@@ -307,7 +303,7 @@ def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,
         run_cfg = replace(cfg, epsilon=eps)
         moms = map_blocks(
             lambda idx: pair_moment_maxes(eta, run_cfg, flux, noise, idx,
-                                          p_list, stream), n)
+                                          p_list), n)
         for j, p in enumerate(p_list):
             rows.append(MomentRow(eps, p, fmean(moms[:, j, 0]),
                                   fmean(moms[:, j, 1])))

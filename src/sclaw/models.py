@@ -115,20 +115,14 @@ class FluxModel:
 
     # -- Engquist-Osher pieces ----------------------------------------------
 
-    def eo_flux(self, ul, ur, out=None, work=None):
+    def eo_flux(self, ul, ur, out, work):
         """Engquist-Osher two-point flux (a0 + A+(ul)) + A-(ur).
 
-        A+(ul) is formed in out and A-(ur) in work, each in closed form
-        for its kind; both buffers are allocated when not given.  Burgers
-        skips the a0 add: a0 = 0 and 0.5 * max(ul, 0)**2 is never -0.0,
-        so 0.0 + out is out bit for bit.  Returns out.
+        A+(ul) is formed in the buffer out and A-(ur) in the buffer work,
+        each in closed form for its kind.  Burgers skips the a0 add:
+        a0 = 0 and 0.5 * max(ul, 0)**2 is never -0.0, so 0.0 + out is out
+        bit for bit.  Returns out.
         """
-        ul = np.asarray(ul, dtype=float)
-        ur = np.asarray(ur, dtype=float)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(ul.shape, ur.shape))
-        if work is None:
-            work = np.empty_like(out)
         if self.kind == "zero":
             out.fill(0.0)
             work.fill(0.0)
@@ -360,7 +354,7 @@ class NoiseModel:
         return total
 
 
-def additive_noise(scale: float = 1.0) -> NoiseModel:
+def additive_noise(scale: float) -> NoiseModel:
     """Single constant mode g(x, u) = scale."""
     return NoiseModel(modes=(NoiseMode(sigma=scale, alpha=1.0, beta=0.0),))
 
@@ -529,21 +523,18 @@ def check_mode_constants(noise: NoiseModel) -> None:
     raise ValueError("modes overflow the noise constants")
 
 
-def validate_noise(noise: NoiseModel,
-                   lattice_n: int = 1024) -> ValidationReport:
+def validate_noise(noise: NoiseModel) -> ValidationReport:
     """Check per-mode growth/Lipschitz and the aggregate D0/D1 bounds for
     states |u| <= noise.state_bound.
 
-    1-D state lattices use lattice_n points; the four-variable Lipschitz
+    1-D state lattices use 1024 points; the four-variable Lipschitz
     inequalities use a coarser product sub-lattice (25 points per space
     axis, 51 per state axis), which is the testable surrogate for the
     continuum statement.  That lattice is evaluated in 25 tiles, one x1
     value each, so no array holds more than 25 * 51 * 51 points.
     """
-    if lattice_n < 2:
-        raise ValueError("need lattice_n >= 2")
     r_val = noise.state_bound
-    u = np.linspace(-r_val, r_val, lattice_n)
+    u = np.linspace(-r_val, r_val, 1024)
     x = np.linspace(0.0, 1.0, 65, endpoint=False)
     # Every inequality is homogeneous in sigma, so each is checked with
     # sigma divided by a power of two: exact, hence the same ratios in

@@ -120,9 +120,8 @@ class KernelTables:
     coeffs: np.ndarray = field(repr=False)  # (kmax + 1, 4, len(knots) - 1)
 
     @classmethod
-    def build(cls, n: int = TABLE_POINTS, kmax: int = BASE_MOMENTS
-              ) -> "KernelTables":
-        knots = np.linspace(-1.0, 1.0, n)
+    def build(cls, kmax: int = BASE_MOMENTS) -> "KernelTables":
+        knots = np.linspace(-1.0, 1.0, TABLE_POINTS)
         coeffs = [_spline_coeffs(knots, _gauss_cumulative(
             lambda s, k=k: s ** k * psi(s), knots)) for k in range(kmax + 1)]
         return cls(knots, np.stack(coeffs))

@@ -230,8 +230,7 @@ class RateResult:
 
 def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
                   eta: ScalarField | None = None, bins: int = 16,
-                  opt: OptConfig | None = None,
-                  warm_start: Control | None = None) -> RateResult:
+                  opt: OptConfig | None = None) -> RateResult:
     """Estimated minimal action over controls steering the skeleton to
     the target.
 
@@ -252,13 +251,7 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
                          f"control bins {bins}")
     if eta is None:
         eta = rho_target.field(0)
-    if warm_start is not None:
-        if warm_start.values.shape != (n_modes, bins):
-            raise ValueError(f"warm start shape {warm_start.values.shape} "
-                             f"does not match ({n_modes}, {bins})")
-        x = warm_start.values.flatten()
-    else:
-        x = inverse_dynamics_start(rho_target, noise, bins).values.flatten()
+    x = inverse_dynamics_start(rho_target, noise, bins).values.flatten()
 
     # The ladder is allowed to wander through infeasible territory (low
     # penalties actively reward trading feasibility for action), so the

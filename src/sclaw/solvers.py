@@ -27,30 +27,29 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .grid import ScalarField, Trajectory
-from .models import (STREAM_BASE, STREAM_MAIN, FluxModel, NoiseModel,
-                     SimConfig, block_increments)
+from .models import (STREAM_BASE, STREAM_MAIN, STREAM_SCALED, FluxModel,
+                     NoiseModel, SimConfig, block_increments)
 
 # widening of the running solution range when certifying the CFL condition
 RANGE_PAD = 1.0
 
 
-def resolve_time_grid(cfg: SimConfig, flux: FluxModel | None,
+def resolve_time_grid(cfg: SimConfig, flux: FluxModel,
                       eta: ScalarField) -> tuple[int, float]:
     """Fixed (n_steps, dt) for a run; shared by both members of a pair.
 
     Explicit cfg.dt wins.  Otherwise dt comes from the CFL fraction
-    applied to the initial range plus margin, capped at dx so that
-    flux-free runs still resolve the noise in time.
+    applied to the initial range plus margin, capped at dx so that a
+    run whose flux has no speed still resolves the noise in time.
     """
     if cfg.dt is not None:
         n = round(1.0 / cfg.dt)
         return n, 1.0 / n
     dx = dt = 1.0 / cfg.cells
-    if flux is not None:
-        lo, hi = eta.range_bounds()
-        sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
-        if cfg.epsilon * sup > 0.0:
-            dt = min(dt, cfg.cfl_fraction * dx / (cfg.epsilon * sup))
+    lo, hi = eta.range_bounds()
+    sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
+    if cfg.epsilon * sup > 0.0:
+        dt = min(dt, cfg.cfl_fraction * dx / (cfg.epsilon * sup))
     n = max(1, int(np.ceil(1.0 / dt - 1e-12)))
     return n, 1.0 / n
 
@@ -82,25 +81,26 @@ def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
 
 
 def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
-                  flux: FluxModel, scale: float, dt: float, nu_max: float,
-                  path_indices, step: int, scratch: np.ndarray) -> None:
+                  flux: FluxModel, scale: float, dt: float,
+                  cfl_fraction: float, path_indices, step: int,
+                  scratch: np.ndarray) -> None:
     """Engquist-Osher update of every row of u, in place; scratch holds
     three C-contiguous arrays shaped like u."""
     right, f, work = scratch
     if not (right.flags.c_contiguous and f.flags.c_contiguous):
         raise ValueError("flux substep scratch must be C-contiguous")
     sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
-    if scale * sup * dt / dx > nu_max:
+    if scale * sup * dt / dx > cfl_fraction:
         # the hull bound is conservative: certify per path before failing
         lows, highs = u.min(axis=1), u.max(axis=1)
         for r in range(u.shape[0]):
             rsup = flux.sup_abs_a(float(lows[r]) - RANGE_PAD,
                                   float(highs[r]) + RANGE_PAD)
             courant = scale * rsup * dt / dx
-            if courant > nu_max:
+            if courant > cfl_fraction:
                 raise NumericalFailure(
                     f"CFL violation: Courant number {courant:.6g} exceeds "
-                    f"the certified fraction {nu_max:.6g}",
+                    f"the certified fraction {cfl_fraction:.6g}",
                     path_indices[r], step)
     # flat shifts; each row's wrap column is then patched from the row
     right.reshape(-1)[:-1] = u.reshape(-1)[1:]
@@ -132,10 +132,10 @@ class _Observed:
     saved: np.ndarray | None = None   # (snapshots, members, paths, cells)
 
 
-def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
+def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
            noise: NoiseModel, amp: float, dt: float, inc: np.ndarray,
-           splitting: str, nu_max: float, path_indices, pair: bool = False,
-           p_list=(), stride: int = 0) -> _Observed:
+           splitting: str, cfl_fraction: float, path_indices,
+           pair: bool = False, p_list=(), stride: int = 0) -> _Observed:
     """Advance one block of paths from eta and report what was observed.
 
     Row r is path_indices[r], driven by inc[:, :, r] (step-major
@@ -166,8 +166,8 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
     def flux_step(s):
         nonlocal lo_hi
         lo, hi = lo_hi or _range(u, indices, s)
-        _flux_substep(u, lo, hi, dx, flux, flux_scale, h, nu_max, indices, s,
-                      scratch)
+        _flux_substep(u, lo, hi, dx, flux, flux_scale, h, cfl_fraction,
+                      indices, s, scratch)
         lo_hi = None
 
     def observe():
@@ -191,15 +191,14 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
                               m))
         out.saved[0] = members
     for s in range(n):
-        if flux is not None:
-            flux_step(s)
+        flux_step(s)
         if n_modes:
             np.einsum("kb,kc->bc", inc[s], p0, out=c0)
             np.einsum("kb,kc->bc", inc[s], p1, out=c1)
             for w in members:
                 _noise_substep(w, c0, c1, amp, tmp)
             lo_hi = _range(u, indices, s)
-        if flux is not None and strang:
+        if strang:
             flux_step(s)
         if pair:
             v = members[1]
@@ -220,17 +219,19 @@ def _sweep(eta: ScalarField, flux: FluxModel | None, flux_scale: float,
 
 
 def deterministic_step(field: ScalarField, flux: FluxModel, scale: float,
-                       dt: float, nu_max: float = 0.45) -> ScalarField:
-    """One conservative Engquist-Osher step of size dt."""
+                       dt: float) -> ScalarField:
+    """One conservative Engquist-Osher step of size dt, certified at the
+    default Courant fraction."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = field.values[None, :].copy()
     _flux_substep(u, *field.range_bounds(), field.grid.dx, flux, scale, dt,
-                  nu_max, [None], None, np.empty((3,) + u.shape))
+                  SimConfig.cfl_fraction, [None], None,
+                  np.empty((3,) + u.shape))
     return ScalarField(field.grid, u[0])
 
 
-def _scaled(cfg: SimConfig, flux: FluxModel | None,
+def _scaled(cfg: SimConfig, flux: FluxModel,
             eta: ScalarField) -> tuple[float, float, int, float]:
     """(flux scale, noise amplitude, n_steps, dt) of the rescaled dynamics."""
     n, dt = resolve_time_grid(cfg, flux, eta)
@@ -247,7 +248,7 @@ def _base(eta: ScalarField, epsilon: float, cfg: SimConfig,
     return 1.0, 1.0, n, epsilon * dt
 
 
-def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
+def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
            noise: NoiseModel, dynamics, path_indices, stream: int,
            **observers) -> _Observed:
     """_sweep of the given dynamics over a block of paths, each driven by
@@ -259,12 +260,12 @@ def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
                   cfg.cfl_fraction, path_indices, **observers)
 
 
-def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
-                  noise: NoiseModel, dynamics, path_indices, stream: int,
+def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
+                  noise: NoiseModel, dynamics, path_indices,
                   pair: bool = False) -> list[list[Trajectory]]:
-    """Recorded runs of a block of paths: per path [u] or, for a pair,
-    [u, v]."""
-    obs = _block(eta, cfg, flux, noise, dynamics, path_indices, stream,
+    """Recorded runs of a block of paths on the main stream: per path [u]
+    or, for a pair, [u, v]."""
+    obs = _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,
                  pair=pair, stride=cfg.save_stride)
     times = np.array(obs.marks, dtype=float) * dynamics[3]
     times[-1] = 1.0   # every recorded run ends at t = 1 exactly
@@ -274,8 +275,7 @@ def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel | None,
 
 
 def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                        noise: NoiseModel, path_indices,
-                        stream: int = STREAM_MAIN
+                        noise: NoiseModel, path_indices
                         ) -> list[tuple[Trajectory, Trajectory]]:
     """(transport run, flux-free run) for each path index, recorded in
     one block.
@@ -286,54 +286,50 @@ def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     of the scaled flux.  Rows do not depend on the height of the block.
     """
     return [tuple(runs) for runs in _trajectories(
-        eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices, stream,
+        eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices,
         pair=True)]
 
 
 def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                       noise: NoiseModel, path_index: int = 0,
-                       stream: int = STREAM_MAIN
-                       ) -> tuple[Trajectory, Trajectory]:
-    """The coupled pair of one path: a block of one of solve_coupled_pairs."""
-    return solve_coupled_pairs(eta, cfg, flux, noise, [path_index], stream)[0]
+                       noise: NoiseModel) -> tuple[Trajectory, Trajectory]:
+    """The coupled pair of path 0: a block of one of solve_coupled_pairs."""
+    return solve_coupled_pairs(eta, cfg, flux, noise, [0])[0]
 
 
 def pair_l1_distances(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                      noise: NoiseModel, path_indices,
-                      stream: int = STREAM_MAIN) -> np.ndarray:
+                      noise: NoiseModel, path_indices) -> np.ndarray:
     """Space-time L1 gaps of coupled pairs for a block of path indices.
 
     The running trapezoidal integral of ||u - v||_L1, accumulated on the
     fly, so large Monte Carlo sweeps avoid building trajectories.
     """
     return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                  path_indices, stream, pair=True).gap
+                  path_indices, STREAM_MAIN, pair=True).gap
 
 
 def pair_moment_maxes(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                      noise: NoiseModel, path_indices, p_list,
-                      stream: int = STREAM_MAIN) -> np.ndarray:
+                      noise: NoiseModel, path_indices, p_list) -> np.ndarray:
     """max_t dx * sum |.|^p for both pair members, (paths, len(p_list), 2)."""
     return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                  path_indices, stream, pair=True,
+                  path_indices, STREAM_MAIN, pair=True,
                   p_list=[float(p) for p in p_list]).moms
 
 
 def scaled_endpoints(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                     noise: NoiseModel, path_indices,
-                     stream: int = STREAM_MAIN) -> np.ndarray:
-    """Final states of the rescaled dynamics for a block of paths, (paths, cells)."""
+                     noise: NoiseModel, path_indices) -> np.ndarray:
+    """Final states of the rescaled dynamics for a block of paths, (paths,
+    cells), on their own stream."""
     return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                  path_indices, stream).ends
+                  path_indices, STREAM_SCALED).ends
 
 
 def base_small_time_endpoints(eta: ScalarField, epsilon: float,
                               cfg: SimConfig, flux: FluxModel,
-                              noise: NoiseModel, path_indices,
-                              stream: int = STREAM_BASE) -> np.ndarray:
-    """Endpoints of the unscaled dynamics at horizon epsilon, (paths, cells)."""
+                              noise: NoiseModel, path_indices) -> np.ndarray:
+    """Endpoints of the unscaled dynamics at horizon epsilon, (paths,
+    cells), on their own stream."""
     return _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux),
-                  path_indices, stream).ends
+                  path_indices, STREAM_BASE).ends
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        load_config, run)
 from sclaw.diagnostics import bound_check_I, bound_check_J
 from sclaw.errors import ConfigError
-from sclaw.solvers import solve_coupled_pair
+from sclaw.solvers import solve_coupled_pairs
 
 BASE = {
     "model": {"noise": {"modes": [
@@ -339,7 +339,7 @@ def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
     cfg, flux, noise, eta = cli.build_run(resolved)
     moll = cli.build_mollifier(resolved, eta.grid)
     for i in (0, 63, 64, 66):
-        pair = solve_coupled_pair(eta, cfg, flux, noise, path_index=i)
+        pair = solve_coupled_pairs(eta, cfg, flux, noise, [i])[0]
         want = [*bound_check_J(pair, moll, cfg.epsilon, noise, path_index=i),
                 bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)]
         assert rows[1 + 3 * i:4 + 3 * i] == [r.csv_row() for r in want], i
@@ -405,7 +405,7 @@ def _no_compute(*_args, **_kwargs):
 
 
 # key is a path below the section of the named key, or an environment
-# variable, or a command-line flag
+# variable, or a command-line flag, or "file" for the file's bytes
 @pytest.mark.parametrize("key,value,named", [
     ("bins", 0, "rate.bins"),
     ("n_steps", 0, "rate.n_steps"),
@@ -449,6 +449,13 @@ def _no_compute(*_args, **_kwargs):
     # a mode's own constants overflow at any state bound
     ("noise.modes", HUGE_WAVENUMBER, "model.noise.modes[0].wavenumber"),
     ("noise.modes", HUGE_SIGMA, "model.noise.modes[0].sigma"),
+    # the whole file: json.load fails, and the message names the file
+    pytest.param("file", b'{"sim": {"seed": ' + b"1" * 5001 + b"}}",
+                 "cfg.json", id="file-5001_digit_integer-cfg.json"),
+    pytest.param("file", b'{"initial": {"kind": "caf\xe9"}}', "cfg.json",
+                 id="file-latin1-cfg.json"),
+    pytest.param("file", b"[" * 200_000, "cfg.json",
+                 id="file-200000_brackets-cfg.json"),
 ])
 def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
                                                   monkeypatch, key, value,
@@ -461,13 +468,15 @@ def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
         monkeypatch.setenv(key, value)
     elif key == "--seed":
         flags = [key, value]
-    else:
+    elif key != "file":
         node = doc
         *parents, leaf = f"{section}.{key}".split(".")
         for part in parents:
             node = node.setdefault(part, {})
         node[leaf] = value
     path = write_cfg(tmp_path, doc)
+    if key == "file":
+        Path(path).write_bytes(value)
     if (key, value) not in AFTER_LOAD:
         with pytest.raises(ConfigError, match=re.escape(named)):
             load_config(path)

@@ -85,9 +85,7 @@ def test_bracket_argument_validation():
         bracket_identity(u, u, 0.0)
     with pytest.raises(ValueError):
         bracket_identity(u, v, 1e-3)
-    with pytest.raises(ValueError):
-        bracket_identity(u, u, 1e-3, xi_lo=-0.5, xi_hi=0.5)  # no margin
-    plus, minus = bracket_identity(u, u, 1e-3, xi_lo=-2.0, xi_hi=2.0)
+    plus, minus = bracket_identity(u, u, 1e-3)
     assert plus == 0.0 and minus == 0.0
 
 

@@ -360,25 +360,10 @@ def test_rate_unreachable_target_signals_infeasible(flat8):
     assert res.residual == pytest.approx(0.35, abs=1e-6)
 
 
-def test_rate_refinement_does_not_increase(flat8, unit_mode):
-    target = drift_target(flat8, 0.7, 32)
-    coarse = rate_estimate(target, unit_mode, bins=4)
-    fine = rate_estimate(target, unit_mode, bins=8,
-                         warm_start=refine_control(coarse.h_opt))
-    assert fine.feasible
-    assert fine.i_hat <= coarse.i_hat + 1e-12
-
-
 def test_rate_dimension_cap(flat8):
     with pytest.raises(ConfigError):
         rate_estimate(constant_target(flat8, 600), additive_noise(1.0),
                       bins=600)
-
-
-def test_rate_warm_start_shape_check(flat8, unit_mode):
-    with pytest.raises(ValueError):
-        rate_estimate(constant_target(flat8, 32), unit_mode, bins=4,
-                      warm_start=Control(np.zeros((1, 8))))
 
 
 def test_rate_rejects_indivisible_bins(flat8, unit_mode):

@@ -16,13 +16,14 @@ from sclaw.harness import _BATCH
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, block_increments,
                           make_flux)
-from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN, _base,
-                           _block, _flux_substep, _scaled, _sweep,
-                           _trajectories, base_small_time_endpoints,
-                           deterministic_step, integrate_skeleton, lp_moment,
-                           pair_l1_distances, pair_moment_maxes,
-                           scaled_endpoints, solve_coupled_pair,
-                           solve_coupled_pairs, uniform_times)
+from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN,
+                           STREAM_SCALED, _base, _block, _flux_substep,
+                           _scaled, _sweep, _trajectories,
+                           base_small_time_endpoints, deterministic_step,
+                           integrate_skeleton, lp_moment, pair_l1_distances,
+                           pair_moment_maxes, scaled_endpoints,
+                           solve_coupled_pair, solve_coupled_pairs,
+                           uniform_times)
 
 from oracles import coarsen
 
@@ -30,9 +31,20 @@ rng = np.random.default_rng(42)
 
 
 def _run(eta, cfg, flux, noise, i=0):
-    """The recorded rescaled run of path i; without flux when flux is None."""
-    return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta), [i],
-                         STREAM_MAIN)[0][0]
+    """The recorded rescaled run of path i."""
+    return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+                         [i])[0][0]
+
+
+def _pair(eta, cfg, flux, noise, i):
+    """The coupled pair of path i, as a block of one."""
+    return solve_coupled_pairs(eta, cfg, flux, noise, [i])[0]
+
+
+def _eo(flux, ul, ur):
+    """eo_flux into freshly allocated buffers."""
+    out = np.empty(np.broadcast_shapes(np.shape(ul), np.shape(ur)))
+    return flux.eo_flux(ul, ur, out, np.empty_like(out))
 
 
 def _base_end(eta, epsilon, cfg, flux, noise, i=0, stream=STREAM_BASE):
@@ -43,10 +55,10 @@ def _base_end(eta, epsilon, cfg, flux, noise, i=0, stream=STREAM_BASE):
 
 def _noise_step(eta, noise, amp, db):
     """One Euler-Maruyama noise step from eta of every column of db,
-    shaped (K, rows): a flux-free _sweep block of one step."""
+    shaped (K, rows): a zero-flux _sweep block of one step."""
     inc = np.asarray(db, dtype=float)[None]
-    return _sweep(eta, None, 1.0, noise, amp, 1.0, inc, "lie", 0.9,
-                  range(inc.shape[2])).ends
+    return _sweep(eta, make_flux("zero"), 1.0, noise, amp, 1.0, inc, "lie",
+                  0.9, range(inc.shape[2])).ends
 
 
 # ---------------------------------------------------------------------------
@@ -56,20 +68,20 @@ def _noise_step(eta, noise, amp, db):
 def test_eo_consistency_burgers():
     flux = make_flux("burgers")
     for c in (-1.3, 0.0, 0.4, 2.0):
-        assert flux.eo_flux(c, c) == pytest.approx(0.5 * c * c, abs=1e-15)
+        assert _eo(flux, c, c) == pytest.approx(0.5 * c * c, abs=1e-15)
 
 
 def test_eo_transonic_rarefaction_value():
     # both half-integrals contribute through the sonic point
     flux = make_flux("burgers")
-    assert flux.eo_flux(1.0, -1.0) == 1.0
+    assert _eo(flux, 1.0, -1.0) == 1.0
 
 
 def test_eo_linear_upwind():
     flux = make_flux("linear", speed=2.0)
-    assert flux.eo_flux(0.7, -5.0) == pytest.approx(1.4)
+    assert _eo(flux, 0.7, -5.0) == pytest.approx(1.4)
     back = make_flux("linear", speed=-2.0)
-    assert back.eo_flux(0.7, -5.0) == pytest.approx(10.0)
+    assert _eo(back, 0.7, -5.0) == pytest.approx(10.0)
 
 
 def apos(flux, u):
@@ -138,7 +150,7 @@ def test_eo_flux_buffers_match_reference_bitwise(kind):
         ref = float(flux.A(0.0)) + apos(flux, ul) + aneg(flux, ur)
         out, work = np.full((2,) + ul.shape, np.nan)
         assert flux.eo_flux(ul, ur, out, work) is out
-        fresh = flux.eo_flux(ul, ur)
+        fresh = _eo(flux, ul, ur)
     assert np.array_equal(_bits(out), _bits(ref))
     assert np.array_equal(_bits(fresh), _bits(ref))
 
@@ -203,7 +215,7 @@ def test_cfl_violation_names_courant_number():
     grid = TorusGrid(16)
     f = ScalarField(grid, np.full(16, 3.0))
     with pytest.raises(NumericalFailure, match="Courant"):
-        deterministic_step(f, make_flux("burgers"), 1.0, 0.1, nu_max=0.45)
+        deterministic_step(f, make_flux("burgers"), 1.0, 0.1)
 
 
 def test_shock_speed_coarse():
@@ -238,7 +250,7 @@ def test_l1_contraction_sample():
 
 def _roll_eo_step(u, flux, scale, dt, dx):
     """The EO step by np.roll, in the substep's operation order."""
-    f = flux.eo_flux(u, np.roll(u, -1, axis=1))
+    f = _eo(flux, u, np.roll(u, -1, axis=1))
     div = f - np.roll(f, 1, axis=1)
     div *= scale * (dt / dx)
     return u - div
@@ -327,11 +339,17 @@ def test_noise_substep_mean_zero():
 # full paths
 
 
-def test_flux_zero_matches_flux_free_bitwise(small_eta, two_mode_noise):
-    cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64)
-    a = _run(small_eta, cfg, make_flux("zero"), two_mode_noise)
-    b = _run(small_eta, cfg, None, two_mode_noise)
-    assert np.array_equal(a.values, b.values)
+def test_flux_zero_matches_flux_free_bitwise(small_eta, burgers,
+                                             two_mode_noise):
+    # a pair's second member skips the flux substep; a zero-flux run on
+    # the same grid and increments must reproduce it bit for bit
+    for splitting in ("lie", "strang"):
+        cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
+                        splitting=splitting)
+        _, free = _pair(small_eta, cfg, burgers, two_mode_noise, 0)
+        zero = _run(small_eta, cfg, make_flux("zero"), two_mode_noise)
+        assert np.array_equal(_bits(free.values), _bits(zero.values))
+        assert np.array_equal(_bits(free.times), _bits(zero.times))
 
 
 def test_trajectory_determinism(small_eta, two_mode_noise, burgers):
@@ -347,13 +365,13 @@ def test_trajectory_determinism(small_eta, two_mode_noise, burgers):
 def test_zero_noise_flux_free_is_frozen(small_eta):
     dead = NoiseModel(())
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64)
-    traj = _run(small_eta, cfg, None, dead)
+    traj = _run(small_eta, cfg, make_flux("zero"), dead)
     assert np.allclose(traj.values, small_eta.values[None, :], atol=0.0)
 
 
 def test_flux_free_additive_integrates_exactly(small_eta):
     cfg = SimConfig(epsilon=0.25, cells=32, seed=8, dt=1.0 / 64)
-    traj = _run(small_eta, cfg, None, additive_noise(1.0))
+    traj = _run(small_eta, cfg, make_flux("zero"), additive_noise(1.0))
     inc = block_increments(8, STREAM_MAIN, [0], 64, 1, 1.0 / 64)
     brownian = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
     expect = small_eta.values[None, :] + 0.5 * brownian[:, None]
@@ -655,8 +673,7 @@ def test_batched_moments_match_scalar(small_eta, burgers, two_mode_noise):
     batched = pair_moment_maxes(small_eta, cfg, burgers, two_mode_noise, idx,
                                 p_list)
     for r, i in enumerate(idx):
-        u, v = solve_coupled_pair(small_eta, cfg, burgers, two_mode_noise,
-                                  int(i))
+        u, v = _pair(small_eta, cfg, burgers, two_mode_noise, int(i))
         for c, p in enumerate(p_list):
             assert batched[r, c, 0] == lp_moment(u, p)
             assert batched[r, c, 1] == lp_moment(v, p)
@@ -667,9 +684,12 @@ def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
                     cfl_fraction=0.9)
     idx = np.arange(4)
     ends = scaled_endpoints(small_eta, cfg, burgers, two_mode_noise, idx)
+    dynamics = _scaled(cfg, burgers, small_eta)
     for r, i in enumerate(idx):
-        traj = _run(small_eta, cfg, burgers, two_mode_noise, int(i))
-        assert np.array_equal(ends[r], traj.values[-1])
+        # the recorded run of path i on the scaled stream
+        rec = _block(small_eta, cfg, burgers, two_mode_noise, dynamics,
+                     [int(i)], STREAM_SCALED, stride=1)
+        assert np.array_equal(ends[r], rec.saved[-1, 0, 0])
     base = base_small_time_endpoints(small_eta, 0.2, cfg, burgers,
                                      two_mode_noise, idx)
     for r, i in enumerate(idx):
@@ -681,10 +701,10 @@ def test_coupled_pair_members_match_single_runs(small_eta, burgers,
                                                 two_mode_noise):
     cfg = SimConfig(epsilon=0.2, cells=32, seed=21, dt=1.0 / 64,
                     cfl_fraction=0.9, save_stride=4)
-    u, v = solve_coupled_pair(small_eta, cfg, burgers, two_mode_noise, 2)
+    u, v = _pair(small_eta, cfg, burgers, two_mode_noise, 2)
     alone = _run(small_eta, cfg, burgers, two_mode_noise, 2)
-    # the flux-free run on the pair's grid (dt is explicit) and increments
-    free = _run(small_eta, cfg, None, two_mode_noise, 2)
+    # the zero-flux run on the pair's grid (dt is explicit) and increments
+    free = _run(small_eta, cfg, make_flux("zero"), two_mode_noise, 2)
     assert np.array_equal(u.values, alone.values)
     assert np.array_equal(v.values, free.values)
     assert np.array_equal(u.times, free.times)
@@ -702,7 +722,7 @@ def test_pair_block_rows_match_single_pairs(two_mode_noise, burgers,
     block = solve_coupled_pairs(eta, cfg, burgers, two_mode_noise, indices)
     assert len(block) == len(indices)
     for i, pair in zip(indices, block):
-        alone = solve_coupled_pair(eta, cfg, burgers, two_mode_noise, i)
+        alone = _pair(eta, cfg, burgers, two_mode_noise, i)
         for got, want in zip(pair, alone):
             assert got.values.shape == want.values.shape
             assert np.array_equal(got.values.view(np.uint64),

@@ -8,6 +8,14 @@ not count as naming.  What the acceptance criteria name is exempt.
 
 Every field of a dataclass there must be read as an attribute by code
 in those files; the attribute name is matched, not its owner.
+
+Every optional parameter of a function or method there must be set, by
+position or by keyword, by some call in those files or in the
+acceptance tests, whose calls are the shipped guarantees.  Calls are
+matched by the called name, as above.  A call that passes *args or
+**kwargs, and a function passed as a value (``make_flux`` handed to
+``_cfgerr``), set every parameter; an argument that repeats the default,
+or forwards an unset optional parameter of the caller, sets nothing.
 """
 
 import ast
@@ -21,6 +29,12 @@ SOURCES = sorted((ROOT / "src" / "sclaw").glob("*.py")) + sorted(
 # outside these files; both leave with ROADMAP item 4(b), and the class's
 # fields are exempt with it
 EXEMPT = {"NoisePath", "generate"}
+
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# the tiled-versus-untiled reference tests need these lattices to reach
+# a partial tile, which the shipped one does not have
+EXEMPT_PARAMETERS = {"validate_flux.r_val", "validate_flux.lattice_n"}
 
 
 def _named(node):
@@ -84,6 +98,85 @@ def unread_fields(sources):
             and item.target.id not in reads]
 
 
+def _functions(tree):
+    """(called name, definition, leading parameters a call does not
+    pass) of each top-level function and each method; a constructor is
+    called by its class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(_named(d) == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    yield name, item, 0 if static else 1
+
+
+def _arguments(call, fn, skip):
+    """{parameter: argument node} of a call to fn, or None when the call
+    passes *args or **kwargs."""
+    if (any(isinstance(x, ast.Starred) for x in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return None
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args][skip:]
+    return {**dict(zip(positional, call.args)),
+            **{k.arg: k.value for k in call.keywords}}
+
+
+def unset_parameters(sources, callers=()):
+    """(file, line, "function.parameter") of each optional parameter of
+    a function in sources that no call in sources or callers sets.
+
+    An argument that repeats the default, or forwards an unset optional
+    parameter of the function the call lies in, does not set it.
+    """
+    trees = [(path, ast.parse(path.read_text())) for path in sources]
+    nodes = [n for tree in [t for _, t in trees]
+             + [ast.parse(p.read_text()) for p in callers]
+             for n in ast.walk(tree)]
+    calls = [n for n in nodes if isinstance(n, ast.Call)]
+    called = {id(c.func) for c in calls}
+    values = {_named(n) for n in nodes
+              if isinstance(n, (ast.Name, ast.Attribute))
+              and isinstance(n.ctx, ast.Load) and id(n) not in called}
+    functions = [(path, *f) for path, tree in trees for f in _functions(tree)]
+    home = {id(n): fn for _, _, fn, _ in functions for n in ast.walk(fn)}
+    defaults = {}
+    for _, name, fn, _ in functions:
+        a = fn.args
+        params = a.posonlyargs + a.args
+        pairs = list(zip(params[len(params) - len(a.defaults):], a.defaults))
+        pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+        if name not in values:
+            defaults.update({(id(fn), p.arg): ast.dump(d) for p, d in pairs})
+    unset = set(defaults)
+
+    def sets(arg, key, call):
+        """Whether arg, passed for the parameter key by call, sets it."""
+        forwarded = (id(home.get(id(call))), getattr(arg, "id", None))
+        return ast.dump(arg) != defaults[key] and not (
+            isinstance(arg, ast.Name) and forwarded in unset)
+
+    changed = True
+    while changed:
+        changed = False
+        for _, name, fn, skip in functions:
+            for c in (c for c in calls if _named(c.func) == name):
+                args = _arguments(c, fn, skip)
+                for key in [k for k in unset if k[0] == id(fn)]:
+                    if args is None or (key[1] in args
+                                        and sets(args[key[1]], key, c)):
+                        unset.discard(key)
+                        changed = True
+    return sorted((path.name, fn.lineno, f"{fn.name}.{p}")
+                  for path, _, fn, _ in functions
+                  for i, p in unset if i == id(fn))
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert {p.name for p in SOURCES} >= {"cli.py", "solvers.py",
@@ -100,6 +193,32 @@ def test_no_dataclass_field_goes_unread():
     dead = [d for d in unread_fields(SOURCES)
             if d[2].split(".")[0] not in EXEMPT]
     assert dead == [], dead
+
+
+def test_no_optional_parameter_goes_unset():
+    dead = [d for d in unset_parameters(SOURCES, [ACCEPTANCE])
+            if d[2] not in EXEMPT_PARAMETERS]
+    assert dead == [], dead
+
+
+def test_guard_flags_an_unset_parameter(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
+        "def g(x=0):\n    return x\n\n\n"
+        "def h(y=0):\n    return y\n\n\n"
+        "def k(z=0):\n    return f(0, z)\n\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1):\n        self.size = size\n\n"
+        "    def grow(self, by=1, times=1):\n        return by\n\n\n"
+        "f(0, 1, e=6)\ng(*[1])\nprint(h)\nk()\nBox().grow(2)\n")
+    # b = 1 repeats the default, and k forwards its own unset z
+    assert [d[2] for d in unset_parameters([mod])] == [
+        "f.b", "f.c", "f.d", "k.z", "__init__.size", "grow.times"]
+    caller = tmp_path / "caller.py"
+    caller.write_text("k(5)\nBox(2)\nf(0, 1, 5, d=7)\n")
+    assert [d[2] for d in unset_parameters([mod], [caller])] == [
+        "grow.times"]
 
 
 def test_guard_flags_an_unread_field(tmp_path):
