@@ -171,7 +171,7 @@ def _pair_arrays(pair: Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
-                  noise: NoiseModel, path_index: int = 0
+                  noise: NoiseModel, path_index: int
                   ) -> tuple[BoundReport, BoundReport]:
     """Evaluate both smoothing-cost certificates along a coupled pair.
 
@@ -303,7 +303,7 @@ def transport_constants(q0: float, delta: float) -> tuple[float, float]:
 
 
 def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
-                  flux: FluxModel, path_index: int = 0) -> BoundReport:
+                  flux: FluxModel, path_index: int) -> BoundReport:
     """Certificate for the transport term via the growth envelope of a:
 
         |I| <= (2 eps N Cq / gamma) * (1 + delta^(q0+1))

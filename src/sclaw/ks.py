@@ -14,8 +14,9 @@ Wang (2003), the Pomeranz recursion (1974) and the Pelz-Good expansion
 Developers) operation for operation, including its long-double
 rescaling constants, so the statistic and p-value equal scipy's bit for
 bit; only the CDF side of each branch is kept, and the survival
-function is formed from it as scipy does.  Importing it costs
-``scipy.special`` instead of ``scipy.stats``.
+function is formed from it as scipy does.  Importing it loads no
+scipy subpackage: ``scipy.special.smirnov`` is imported on the first
+call that needs it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import smirnov
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
@@ -42,6 +42,12 @@ _STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
                     -1.9175269175269175269e-3, 8.4175084175084175084e-4,
                     -5.952380952380952381e-4, 7.9365079365079365079e-4,
                     -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def smirnov(n, x):
+    """scipy.special.smirnov, imported on first use (x >= 1/2, or Miller)."""
+    from scipy.special import smirnov
+    return smirnov(n, x)
 
 
 class KSResult(NamedTuple):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.random import Generator, Philox
 
 FLUX_KINDS = ("zero", "linear", "burgers", "polynomial")
 PROFILE_KINDS = ("constant", "cos", "sin")
@@ -656,8 +657,8 @@ def block_increments(seed: int, stream: int, path_indices, n_steps: int,
     z = np.empty(out.shape[:2])
     # a list of Python ints above 2**63 would reach Philox through float64
     key = np.array([seed, stream], dtype=np.uint64)
-    bits = np.random.Philox(key=key)
-    gen = np.random.Generator(bits)
+    bits = Philox(key=key)
+    gen = Generator(bits)
     fresh = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64),

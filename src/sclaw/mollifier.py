@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 TABLE_POINTS = 4096
 # P_0..P_2: X, Xi and the transport wedges of a speed of degree <= 1
@@ -75,35 +74,66 @@ def _gauss_cumulative(f, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(pieces)])
 
 
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve the tridiagonal system (sub-, main, superdiagonal dl, d, du;
+    n >= 2 rows; float lists, overwritten) for one right-hand side b.
+
+    LAPACK dgtsv, the routine scipy.linalg.solve_banded calls for (1, 1),
+    ported operation for operation: its bits on any LAPACK build.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):     # no interchange
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:                           # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:               # dl[i] becomes the second superdiagonal
+                dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[-1] = b[-1] / d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def _spline_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-interval power-form coefficients of the not-a-knot cubic spline
     through (x, y), at least 4 knots.
 
     The knot slopes solve CubicSpline's tridiagonal system, set up the
-    same way and passed to the same LAPACK solve, and the coefficients
-    are formed as CubicHermiteSpline forms them, so they equal
-    CubicSpline(x, y).c bit for bit.
+    same way and solved by the port of the LAPACK routine its banded
+    solve calls, and the coefficients are formed as CubicHermiteSpline
+    forms them, so they equal CubicSpline(x, y).c bit for bit.
     """
     n = len(x)
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    ab = np.zeros((3, n))               # banded: upper, diagonal, lower
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
+    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
     rhs = np.empty(n)
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     d = x[2] - x[0]                     # not-a-knot at the left end
-    ab[1, 0] = dx[1]
-    ab[0, 1] = d
+    diag[0] = dx[1]
+    upper[0] = d
     rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]                   # and at the right end
-    ab[1, -1] = dx[-2]
-    ab[-1, -2] = d
+    diag[-1] = dx[-2]
+    lower[-1] = d
     rhs[-1] = (dx[-1] ** 2 * slope[-2]
                + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), ab, rhs.reshape(n, 1),
-                     check_finite=False).reshape(n)
+    s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
+                       rhs.tolist()))
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
@@ -120,7 +150,7 @@ class KernelTables:
     coeffs: np.ndarray = field(repr=False)  # (kmax + 1, 4, len(knots) - 1)
 
     @classmethod
-    def build(cls, kmax: int = BASE_MOMENTS) -> "KernelTables":
+    def build(cls, kmax: int) -> "KernelTables":
         knots = np.linspace(-1.0, 1.0, TABLE_POINTS)
         coeffs = [_spline_coeffs(knots, _gauss_cumulative(
             lambda s, k=k: s ** k * psi(s), knots)) for k in range(kmax + 1)]

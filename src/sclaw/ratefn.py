@@ -132,7 +132,7 @@ def _fd_bundle(objectives, x: np.ndarray
 
 
 def inverse_dynamics_start(rho_target: Trajectory, noise: NoiseModel,
-                           bins: int = 16) -> Control:
+                           bins: int) -> Control:
     """Initial control from a bin-wise least-squares fit of the target's
     discrete time derivative through the forcing basis.
 
@@ -228,8 +228,8 @@ class RateResult:
         return out
 
 
-def rate_estimate(rho_target: Trajectory, noise: NoiseModel,
-                  eta: ScalarField | None = None, bins: int = 16,
+def rate_estimate(rho_target: Trajectory, noise: NoiseModel, bins: int,
+                  eta: ScalarField | None = None,
                   opt: OptConfig | None = None) -> RateResult:
     """Estimated minimal action over controls steering the skeleton to
     the target.

@@ -262,7 +262,7 @@ def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
 
 def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                   noise: NoiseModel, dynamics, path_indices,
-                  pair: bool = False) -> list[list[Trajectory]]:
+                  pair: bool) -> list[list[Trajectory]]:
     """Recorded runs of a block of paths on the main stream: per path [u]
     or, for a pair, [u, v]."""
     obs = _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,

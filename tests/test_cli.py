@@ -602,16 +602,33 @@ def test_manifest_config_reproduces_outputs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_cli_import_loads_no_stats_integrate_or_interpolate():
-    # the CLI's cold start pays for numpy, scipy.special and scipy.linalg
-    # only; the heavier scipy subpackages are test oracles
+def test_cli_cold_start_loads_no_scipy_subpackage(tmp_path):
+    # importing the CLI loads numpy and bare scipy only; validate,
+    # doubling, tail and rate at the benchmark's sizes still need neither
+    # scipy.special (smirnov, loaded on first use) nor scipy.linalg
+    configs = Path(cli.__file__).resolve().parents[2] / "configs"
+    burgers = json.loads((configs / "burgers2mode.json").read_text())
+    burgers["harness"].update(n_tail=640, n_scaling=256, n_moment=128,
+                              n_pairs=6)
+    rate = json.loads((configs / "rate_additive.json").read_text())
+    rate["rate"]["max_iters"] = 50
+    runs = [[command, "--config", write_cfg(tmp_path, burgers, "b.json"),
+             "--out", str(tmp_path / command), "--quiet"]
+            for command in ("validate", "doubling", "tail")]
+    runs.append(["rate", "--config", write_cfg(tmp_path, rate, "r.json"),
+                 "--out", str(tmp_path / "rate"), "--quiet"])
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, sclaw.cli; print(sorted(m for m in ("
-            "'scipy.stats', 'scipy.integrate', 'scipy.interpolate') "
-            "if m in sys.modules))")
+    code = (
+        "import sys, sclaw.cli\n"
+        "def loaded(names):\n"
+        "    print(sorted(m for m in names if m in sys.modules))\n"
+        "loaded(('scipy.special', 'scipy.linalg', 'scipy.stats',\n"
+        "        'scipy.integrate', 'scipy.interpolate', 'scipy.sparse'))\n"
+        f"print([sclaw.cli.run(argv) for argv in {runs!r}])\n"
+        "loaded(('scipy.special', 'scipy.linalg'))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", str([EXIT_OK] * 4), "[]", ""]

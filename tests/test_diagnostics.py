@@ -248,7 +248,8 @@ def test_write_bound_reports():
 def test_smoothing_cost_certificates_hold(coupled, pair_noise):
     pair, cfg = coupled
     moll = MollifierPair(0.1, 0.1)
-    r1, r2 = bound_check_J(pair, moll, cfg.epsilon, pair_noise)
+    r1, r2 = bound_check_J(pair, moll, cfg.epsilon, pair_noise,
+                           path_index=0)
     assert r1.passed and r2.passed
     assert 0.0 <= r1.lhs and 0.0 <= r2.lhs
     assert r1.rhs == pytest.approx(
@@ -258,7 +259,8 @@ def test_smoothing_cost_certificates_hold(coupled, pair_noise):
 def test_transport_certificate_holds(coupled):
     pair, cfg = coupled
     moll = MollifierPair(0.1, 0.1)
-    rep = bound_check_I(pair, moll, cfg.epsilon, make_flux("burgers"))
+    rep = bound_check_I(pair, moll, cfg.epsilon, make_flux("burgers"),
+                        path_index=0)
     assert rep.passed
     assert rep.name == "I"
 
@@ -267,8 +269,8 @@ def test_transport_rhs_linear_in_epsilon(coupled):
     pair, _ = coupled
     moll = MollifierPair(0.1, 0.1)
     flux = make_flux("burgers")
-    r1 = bound_check_I(pair, moll, 0.05, flux)
-    r2 = bound_check_I(pair, moll, 0.10, flux)
+    r1 = bound_check_I(pair, moll, 0.05, flux, path_index=0)
+    r2 = bound_check_I(pair, moll, 0.10, flux, path_index=0)
     assert r2.rhs == 2.0 * r1.rhs
     assert r2.lhs == pytest.approx(2.0 * r1.lhs, rel=1e-12)
 

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
+from sclaw import mollifier
 from sclaw.grid import TorusGrid
-from sclaw.mollifier import (TABLE_POINTS, MollifierPair, _gauss_cumulative,
+from sclaw.mollifier import (BASE_MOMENTS, TABLE_POINTS, KernelTables,
+                             MollifierPair, _gauss_cumulative, _gtsv,
                              bump_norm, bump_raw, kernel_tables, psi,
                              psi_sup)
 
@@ -172,6 +175,59 @@ def test_table_lookup_matches_cubic_spline_bitwise():
 
 # ---------------------------------------------------------------------------
 # width pair
+
+
+def _banded(dl, d, du):
+    """solve_banded's (1, 1) layout of a tridiagonal matrix."""
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return ab
+
+
+def _gtsv_against_lapack(dl, d, du, b):
+    """(port, solve_banded) bits of one tridiagonal solve."""
+    want = solve_banded((1, 1), _banded(dl, d, du), b)
+    got = np.array(_gtsv(*(np.asarray(v).tolist() for v in (dl, d, du, b))))
+    return got.view(np.uint64), want.view(np.uint64)
+
+
+def test_tridiagonal_solve_matches_lapack_on_the_table_systems(monkeypatch):
+    # every system the tables solve: TABLE_POINTS knots, moments 0..2
+    systems = []
+    monkeypatch.setattr(mollifier, "_gtsv", lambda *a: systems.append(
+        [np.array(v) for v in a]) or _gtsv(*a))
+    KernelTables.build(BASE_MOMENTS)
+    assert len(systems) == BASE_MOMENTS + 1
+    for dl, d, du, b in systems:
+        assert len(d) == TABLE_POINTS
+        got, want = _gtsv_against_lapack(dl, d, du, b)
+        assert np.array_equal(got, want)
+
+
+def test_tridiagonal_solve_matches_lapack_with_pivoting():
+    # normal entries make |dl| > |d| on about half the rows, so both the
+    # plain and the interchanging elimination step run
+    g = np.random.default_rng(3)
+    swaps = 0
+    for _ in range(300):
+        n = int(g.integers(2, 40))
+        dl, d, du, b = (g.normal(size=k) for k in (n - 1, n, n - 1, n))
+        swaps += int(np.sum(np.abs(dl) > np.abs(d[:-1])))
+        got, want = _gtsv_against_lapack(dl, d, du, b)
+        assert np.array_equal(got, want)
+    assert swaps > 1000
+
+
+@pytest.mark.parametrize("dl, d, du", [
+    ([0.0], [0.0, 1.0], [1.0]),                     # the first pivot
+    ([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0]),      # one eliminated to 0
+    ([1.0], [1.0, 1.0], [1.0]),                     # the last pivot
+])
+def test_tridiagonal_solve_raises_on_a_zero_pivot(dl, d, du):
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), _banded(dl, d, du), np.ones(len(d)))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _gtsv(dl, d, du, [1.0] * len(d))
 
 
 def test_width_validation():

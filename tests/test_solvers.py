@@ -33,7 +33,7 @@ rng = np.random.default_rng(42)
 def _run(eta, cfg, flux, noise, i=0):
     """The recorded rescaled run of path i."""
     return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                         [i])[0][0]
+                         [i], pair=False)[0][0]
 
 
 def _pair(eta, cfg, flux, noise, i):

@@ -16,6 +16,10 @@ matched by the called name, as above.  A call that passes *args or
 **kwargs, and a function passed as a value (``make_flux`` handed to
 ``_cfgerr``), set every parameter; an argument that repeats the default,
 or forwards an unset optional parameter of the caller, sets nothing.
+
+And the default of every optional parameter there, unless it is None,
+must be used by some call in those files: a parameter that every call
+sets is a required one.
 """
 
 import ast
@@ -114,6 +118,25 @@ def _functions(tree):
                     yield name, item, 0 if static else 1
 
 
+def _optional(fn):
+    """(parameter, default) of each optional parameter of fn."""
+    a = fn.args
+    params = a.posonlyargs + a.args
+    pairs = list(zip(params[len(params) - len(a.defaults):], a.defaults))
+    return pairs + [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+
+
+def _calls_and_values(nodes):
+    """The calls among nodes, and the names they use as values rather
+    than call."""
+    calls = [n for n in nodes if isinstance(n, ast.Call)]
+    called = {id(c.func) for c in calls}
+    return calls, {_named(n) for n in nodes
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load) and id(n) not in called}
+
+
 def _arguments(call, fn, skip):
     """{parameter: argument node} of a call to fn, or None when the call
     passes *args or **kwargs."""
@@ -137,22 +160,14 @@ def unset_parameters(sources, callers=()):
     nodes = [n for tree in [t for _, t in trees]
              + [ast.parse(p.read_text()) for p in callers]
              for n in ast.walk(tree)]
-    calls = [n for n in nodes if isinstance(n, ast.Call)]
-    called = {id(c.func) for c in calls}
-    values = {_named(n) for n in nodes
-              if isinstance(n, (ast.Name, ast.Attribute))
-              and isinstance(n.ctx, ast.Load) and id(n) not in called}
+    calls, values = _calls_and_values(nodes)
     functions = [(path, *f) for path, tree in trees for f in _functions(tree)]
     home = {id(n): fn for _, _, fn, _ in functions for n in ast.walk(fn)}
     defaults = {}
     for _, name, fn, _ in functions:
-        a = fn.args
-        params = a.posonlyargs + a.args
-        pairs = list(zip(params[len(params) - len(a.defaults):], a.defaults))
-        pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                  if d is not None]
         if name not in values:
-            defaults.update({(id(fn), p.arg): ast.dump(d) for p, d in pairs})
+            defaults.update({(id(fn), p.arg): ast.dump(d)
+                             for p, d in _optional(fn)})
     unset = set(defaults)
 
     def sets(arg, key, call):
@@ -177,6 +192,37 @@ def unset_parameters(sources, callers=()):
                   for i, p in unset if i == id(fn))
 
 
+def unused_defaults(sources):
+    """(file, line, "function.parameter") of each optional parameter of
+    a function in sources whose default no call there uses.
+
+    A call uses the default when it leaves the parameter out, repeats
+    the default, or passes *args or **kwargs; a function passed as a
+    value may use every default.  A default of None is not checked: it
+    stands for "not given", and a call can forward None at run time
+    (an unset --seed reaches load_config), which the syntax does not
+    show.
+    """
+    trees = [(path, ast.parse(path.read_text())) for path in sources]
+    calls, values = _calls_and_values(
+        [n for _, tree in trees for n in ast.walk(tree)])
+    out = []
+    for path, tree in trees:
+        for name, fn, skip in _functions(tree):
+            pairs = [(p, d) for p, d in _optional(fn)
+                     if not (isinstance(d, ast.Constant) and d.value is None)]
+            if not pairs or name in values:
+                continue
+            passed = [_arguments(c, fn, skip) for c in calls
+                      if _named(c.func) == name]
+            out += [(path.name, fn.lineno, f"{fn.name}.{p.arg}")
+                    for p, d in pairs
+                    if not any(args is None or p.arg not in args
+                               or ast.dump(args[p.arg]) == ast.dump(d)
+                               for args in passed)]
+    return sorted(out)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert {p.name for p in SOURCES} >= {"cli.py", "solvers.py",
@@ -199,6 +245,28 @@ def test_no_optional_parameter_goes_unset():
     dead = [d for d in unset_parameters(SOURCES, [ACCEPTANCE])
             if d[2] not in EXEMPT_PARAMETERS]
     assert dead == [], dead
+
+
+def test_no_default_goes_unused():
+    dead = unused_defaults(SOURCES)
+    assert dead == [], dead
+
+
+def test_guard_flags_an_unused_default(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4, n=None):\n    return a\n\n\n"
+        "def g(x=0, y=1):\n    return x\n\n\n"
+        "def h(y=0):\n    return y\n\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1):\n        self.size = size\n\n"
+        "    def grow(self, by=1, times=1):\n        return by\n\n\n"
+        "f(0, 5, 2, d=6, e=7, n=8)\nf(0, 6, e=4, d=9)\ng(*[1])\n"
+        "print(h)\nBox(2)\nBox().grow(2, times=3)\n")
+    # c = 2 and e = 4 repeat the defaults, Box() leaves size out, and
+    # n's None is not checked
+    assert [d[2] for d in unused_defaults([mod])] == [
+        "f.b", "f.d", "grow.by", "grow.times"]
 
 
 def test_guard_flags_an_unset_parameter(tmp_path):
