@@ -12,11 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form (repr of a Python float)."""
-    return repr(float(x))
-
-
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform grid on the unit torus: M cells of width dx = 1/M."""
@@ -107,8 +102,9 @@ class Trajectory:
     def csv_lines(self) -> list[str]:
         """CSV rows ``t,cell_0,...,cell_{M-1}``, floats in round-trip form."""
         header = "t," + ",".join(f"cell_{i}" for i in range(self.grid.cells))
-        return [header] + [_fmt(t) + "," + ",".join(_fmt(x) for x in row)
-                           for t, row in zip(self.times, self.values)]
+        return [header] + [repr(t) + "," + ",".join(map(repr, row))
+                           for t, row in zip(self.times.tolist(),
+                                             self.values.tolist())]
 
 
 def make_initial(grid: TorusGrid, kind: str, **params) -> ScalarField:

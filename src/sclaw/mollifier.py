@@ -39,12 +39,10 @@ def bump_raw(w):
     """Unnormalized bump exp(-1/(1-w^2)) on |w| < 1, zero outside."""
     w = np.asarray(w, dtype=float)
     inside = np.abs(w) < 1.0
-    out = np.zeros_like(w)
     ws = np.where(inside, w, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.exp(-1.0 / (1.0 - ws * ws))
-    out[inside] = vals[inside]
-    return out
+    return np.where(inside, vals, 0.0)
 
 
 def bump_norm() -> float:
@@ -162,16 +160,21 @@ class KernelTables:
         The interval comes from the uniform spacing, corrected once each
         way against the knots, and each cubic is summed in the order
         CubicSpline uses, so the values equal its evaluation bit for bit.
+        Every table read is a flat take on the raveled index, far cheaper
+        than a fancy index of the same shape as rc.
         """
         knots = self.knots
         last = len(knots) - 2
-        i = np.minimum(((rc + 1.0) * (last + 1) / 2.0).astype(np.intp), last)
-        i -= rc < knots[i]
-        i += (rc >= knots[i + 1]) & (i < last)
-        t = rc - knots[i]
+        shape = np.shape(rc)
+        r = np.ravel(rc)
+        i = np.minimum(((r + 1.0) * (last + 1) / 2.0).astype(np.intp), last)
+        i -= r < knots.take(i)
+        i += (r >= knots.take(i + 1)) & (i < last)
+        t = r - knots.take(i)
         t2 = t * t
         t3 = t2 * t
-        return [c[3][i] + c[2][i] * t + c[1][i] * t2 + c[0][i] * t3
+        return [(c[3].take(i) + c[2].take(i) * t + c[1].take(i) * t2
+                 + c[0].take(i) * t3).reshape(shape)
                 for c in self.coeffs[:kmax + 1]]
 
     def Xi(self, r):

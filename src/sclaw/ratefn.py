@@ -97,13 +97,11 @@ def _objectives(lam: float, n_modes: int, bins: int, rho_target: Trajectory,
 
 
 def skeleton_residual(h: Control, rho_target: Trajectory, noise: NoiseModel,
-                      eta: ScalarField | None = None) -> float:
+                      eta: ScalarField) -> float:
     """L1-in-time, L1-in-space distance between the driven skeleton and
-    the target.  The skeleton starts from eta (default: the target's
-    initial snapshot) and integrates on the target's own time grid."""
+    the target.  The skeleton starts from eta and integrates on the
+    target's own time grid."""
     n_steps = _check_time_grid(rho_target)
-    if eta is None:
-        eta = rho_target.field(0)
     res = float(integrate_skeleton(eta, h.values[None], noise, n_steps,
                                    target=rho_target.values)[0])
     if not math.isfinite(res):
@@ -229,8 +227,7 @@ class RateResult:
 
 
 def rate_estimate(rho_target: Trajectory, noise: NoiseModel, bins: int,
-                  eta: ScalarField | None = None,
-                  opt: OptConfig | None = None) -> RateResult:
+                  eta: ScalarField, opt: OptConfig) -> RateResult:
     """Estimated minimal action over controls steering the skeleton to
     the target.
 
@@ -240,7 +237,6 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel, bins: int,
     is feasible the result carries i_hat = inf with the smallest residual
     found, never a float overflow.
     """
-    opt = opt if opt is not None else OptConfig()
     n_modes = noise.n_modes
     if n_modes * bins > DIMENSION_CAP:
         raise ConfigError(f"control dimension {n_modes}x{bins} exceeds "
@@ -249,8 +245,6 @@ def rate_estimate(rho_target: Trajectory, noise: NoiseModel, bins: int,
     if bins < 1 or n_steps % bins:
         raise ValueError(f"target steps {n_steps} must be a multiple of "
                          f"control bins {bins}")
-    if eta is None:
-        eta = rho_target.field(0)
     x = inverse_dynamics_start(rho_target, noise, bins).values.flatten()
 
     # The ladder is allowed to wander through infeasible territory (low

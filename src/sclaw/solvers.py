@@ -343,7 +343,7 @@ def base_small_time_endpoints(eta: ScalarField, epsilon: float,
 # height of its stack.
 
 
-# snapshots per tile when a target is observed: the buffer holds one tile
+# snapshots per tile: the buffer holds one tile
 SKELETON_TILE = 64
 
 
@@ -355,26 +355,27 @@ def uniform_times(n_steps: int) -> np.ndarray:
 
 def _skeleton_steps(rows: np.ndarray, amp: np.ndarray, shift: np.ndarray,
                     first: int, n_steps: int) -> None:
-    """Step rows[0] into rows[1:], starting at step `first`."""
+    """Step rows[0] into rows[1:], starting at step `first`.  The row,
+    amp and shift views are made once per call: at the shipped sizes a
+    slice costs about as much as the arithmetic of a step."""
     bins = len(amp)
-    for j in range(len(rows) - 1):
-        b = ((first + j) * bins) // n_steps
-        np.multiply(rows[j], amp[b], out=rows[j + 1])
-        np.add(rows[j + 1], shift[b], out=rows[j + 1])
+    amp, shift, views = list(amp), list(shift), list(rows)
+    for j, (u, nxt) in enumerate(zip(views, views[1:]), first):
+        b = (j * bins) // n_steps
+        np.multiply(u, amp[b], nxt)
+        np.add(nxt, shift[b], nxt)
 
 
 def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
-                       n_steps: int,
-                       target: np.ndarray | None = None) -> np.ndarray:
+                       n_steps: int, target: np.ndarray) -> np.ndarray:
     """RK4 skeleton du/dt = sum_k g_k(x, u) h_k(t) on [0, 1] for a stack
     h of piecewise-constant controls shaped (C, K, B), all from eta.
 
-    Without target, returns every snapshot, (n_steps + 1, C, cells).
-    With target ((n_steps + 1, cells) values on the same uniform time
-    grid), returns the trapezoidal L1-in-time, L1-in-space distance of
-    each skeleton to it, shaped (C,), observed per tile of SKELETON_TILE
-    steps.  Nothing is checked for finiteness here: a control that
-    overflows yields inf or nan.
+    Returns the trapezoidal L1-in-time, L1-in-space distance of each
+    skeleton to target ((n_steps + 1, cells) values on the same uniform
+    time grid), shaped (C,), observed per tile of SKELETON_TILE steps.
+    Nothing is checked for finiteness here: a control that overflows
+    yields inf or nan.
     """
     if h.ndim != 3 or h.shape[1] != noise.n_modes:
         raise ValueError(f"control stack shape {h.shape} does not match "
@@ -391,11 +392,6 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
     amp = 1.0 + z * poly
     shift = dt * q[:, :, :m] * poly
-    if target is None:
-        rows = np.empty((n_steps + 1, len(h), m))
-        rows[0] = eta.values
-        _skeleton_steps(rows, amp, shift, 0, n_steps)
-        return rows
     gaps = np.empty((len(h), n_steps + 1))
     buf = np.empty((min(n_steps, SKELETON_TILE) + 1, len(h), m))
     buf[0] = eta.values

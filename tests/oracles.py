@@ -5,9 +5,10 @@ doubling functional through the closed Xi reduction; most oracles here
 go back to the definitions with adaptive quadrature instead (slow, small
 grids only).  kernel_cdf reads the kernel CDF from the tables, and
 coarsen aggregates a noise path onto a coarser time grid.
-validate_flux_untiled and validate_noise_untiled evaluate each
-certificate lattice as one array, as the validators did before they
-went through it in tiles.
+skeleton_per_step integrates the skeleton without tiles, and is the
+only integrator that keeps every snapshot.  validate_flux_untiled and
+validate_noise_untiled evaluate each certificate lattice as one array,
+as the validators did before they went through it in tiles.
 """
 
 import math
@@ -165,3 +166,43 @@ def validate_noise_untiled(noise, lattice_n: int = 1024):
     checks.append(CheckResult("aggregate_consts", consts_ok,
                               0.0 if consts_ok else np.inf, ()))
     return ValidationReport(f"noise[{noise.n_modes} modes]", tuple(checks))
+
+
+def skeleton_per_step(eta, h, noise, n_steps, target=None):
+    """The RK4 skeleton one step at a time on one state array, observed
+    after every step: every snapshot, (n_steps + 1, C, cells), or with
+    target the distance integrate_skeleton returns."""
+    bins = h.shape[2]
+    m = eta.grid.cells
+    dt = 1.0 / n_steps
+    p0, p1 = noise.affine_parts(eta.grid.centers)
+    q = np.einsum("ckb,kx->bcx", h, np.concatenate([p0, p1], axis=1))
+    z = dt * q[:, :, m:]
+    poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
+    amp = 1.0 + z * poly
+    shift = dt * q[:, :, :m] * poly
+    u = np.tile(eta.values, (len(h), 1))
+    if target is None:
+        saved = np.empty((n_steps + 1,) + u.shape)
+
+        def observe(s):
+            saved[s] = u
+    else:
+        gaps = np.empty((len(h), n_steps + 1))
+        tmp = np.empty_like(u)
+
+        def observe(s):
+            np.subtract(u, target[s], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.add.reduce(tmp, axis=1, out=gaps[:, s])
+    observe(0)
+    for s in range(n_steps):
+        b = (s * bins) // n_steps
+        u *= amp[b]
+        u += shift[b]
+        observe(s + 1)
+    if target is None:
+        return saved
+    weights = np.full(n_steps + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
+    return eta.grid.dx * (gaps * weights).sum(axis=1)

@@ -26,8 +26,8 @@ from sclaw.harness import (exp_equiv_scan, map_paths, moment_scan,
 from sclaw.models import (NoiseMode, NoiseModel, SimConfig, additive_noise,
                           make_flux)
 from sclaw.mollifier import MollifierPair
-from sclaw.ratefn import (Control, action, drift_target, rate_estimate,
-                          skeleton_residual)
+from sclaw.ratefn import (Control, OptConfig, action, drift_target,
+                          rate_estimate, skeleton_residual)
 from sclaw.solvers import deterministic_step, solve_coupled_pairs
 
 from oracles import doubling_bruteforce
@@ -208,7 +208,7 @@ def test_criterion_09_rate_function_oracle():
     eta = make_initial(TorusGrid(8), "constant", value=0.0)
     noise = NoiseModel((NoiseMode(sigma=1.0, alpha=1.0, beta=0.0),))
     target = drift_target(eta, 0.7, 64)
-    result = rate_estimate(target, noise, bins=16)
+    result = rate_estimate(target, noise, bins=16, eta=eta, opt=OptConfig())
     assert result.feasible
     assert abs(result.i_hat - 0.245) <= 1e-3
 
@@ -218,13 +218,13 @@ def test_criterion_09_rate_function_oracle():
     for k in range(2001):
         c = k * 1e-3
         h = Control(np.full((1, 1), c))
-        if skeleton_residual(h, target, noise) <= 1e-6:
+        if skeleton_residual(h, target, noise, eta) <= 1e-6:
             oracle = min(oracle, action(h))
     assert abs(oracle - 0.245) <= 1e-3
     assert abs(result.i_hat - oracle) <= 1e-3
 
     dead = NoiseModel((NoiseMode(sigma=0.0),))
-    hopeless = rate_estimate(target, dead, bins=16)
+    hopeless = rate_estimate(target, dead, bins=16, eta=eta, opt=OptConfig())
     assert not hopeless.feasible
     assert hopeless.i_hat == math.inf
     assert time.perf_counter() - start < 60.0

@@ -168,9 +168,18 @@ def test_table_lookup_matches_cubic_spline_bitwise():
     for got, want in ((kernel_cdf(r), x_ref(r)), (tables.Xi(r), xi_ref(r))):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     rc = np.clip(r, -1.0, 1.0)
-    p0, p1 = tables.primitives(rc, 1)
-    assert np.array_equal(p0.view(np.uint64), x_spline(rc).view(np.uint64))
-    assert np.array_equal(p1.view(np.uint64), s_spline(rc).view(np.uint64))
+    # P_2 carries the Burgers wedges, whose reads come in tiles shaped
+    # (snapshots, offsets, cells)
+    splines = (x_spline, s_spline, CubicSpline(knots, _gauss_cumulative(
+        lambda s: s ** 2 * psi(s), knots)))
+    tile = g.permutation(rc)[:8 * 12 * 64].reshape(8, 12, 64)
+    for arg in (rc, tile):
+        got = tables.primitives(arg, 2)
+        assert len(got) == 3
+        for p, spline in zip(got, splines):
+            assert p.shape == arg.shape
+            assert np.array_equal(p.view(np.uint64),
+                                  spline(arg).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from sclaw.ratefn import (ARMIJO, BACKTRACKING_STEPS, Control, OptConfig,
                           action, constant_target, drift_target,
                           inverse_dynamics_start, rate_estimate,
                           skeleton_residual, uniform_times)
-from sclaw.solvers import integrate_skeleton
+
+from oracles import skeleton_per_step
 
 
 def refine_control(h: Control) -> Control:
@@ -95,31 +96,32 @@ def test_drift_and_constant_targets(flat8):
 def test_residual_zero_when_target_is_reachable(flat8, unit_mode):
     target = drift_target(flat8, 0.7, 32)
     h = Control(np.full((1, 8), 0.7))
-    assert skeleton_residual(h, target, unit_mode) <= 1e-12
+    assert skeleton_residual(h, target, unit_mode, flat8) <= 1e-12
 
 
 def test_residual_hand_value(flat8, unit_mode):
     # unit drive against a frozen target: gap t integrates to 1/2
     target = constant_target(flat8, 32)
     h = Control(np.full((1, 8), 1.0))
-    assert skeleton_residual(h, target, unit_mode) == pytest.approx(
+    assert skeleton_residual(h, target, unit_mode, flat8) == pytest.approx(
         0.5, abs=1e-12)
 
 
 def test_residual_requires_divisible_bins(flat8, unit_mode):
     target = drift_target(flat8, 0.7, 10)
     with pytest.raises(ValueError):
-        skeleton_residual(Control(np.zeros((1, 3))), target, unit_mode)
+        skeleton_residual(Control(np.zeros((1, 3))), target, unit_mode,
+                          flat8)
 
 
 def test_residual_rejects_foreign_time_grid(flat8, unit_mode):
     target = drift_target(flat8, 0.7, 8)
     bent = Trajectory(flat8.grid, target.times ** 2, target.values)
     with pytest.raises(ValueError, match="time grid"):
-        skeleton_residual(Control(np.zeros((1, 4))), bent, unit_mode)
+        skeleton_residual(Control(np.zeros((1, 4))), bent, unit_mode, flat8)
 
 
-def penalty_objective(h, lam, rho_target, noise, eta=None):
+def penalty_objective(h, lam, rho_target, noise, eta):
     """action + lam * residual^2 of one control: the scalar reference
     for the optimizer's stacked objectives."""
     res = skeleton_residual(h, rho_target, noise, eta)
@@ -132,8 +134,8 @@ def penalty_objective(h, lam, rho_target, noise, eta=None):
 def test_penalty_objective_combines_action_and_residual(flat8, unit_mode):
     target = constant_target(flat8, 32)
     h = Control(np.full((1, 8), 1.0))
-    res = skeleton_residual(h, target, unit_mode)
-    phi = penalty_objective(h, 50.0, target, unit_mode)
+    res = skeleton_residual(h, target, unit_mode, flat8)
+    phi = penalty_objective(h, 50.0, target, unit_mode, flat8)
     assert phi == pytest.approx(action(h) + 50.0 * res * res, rel=1e-14)
 
 
@@ -175,7 +177,7 @@ def test_objective_gradient_matches_secant(flat8, unit_mode):
 
     def fn(flat):
         return penalty_objective(Control(flat.reshape(1, 4)), lam, target,
-                                 unit_mode)
+                                 unit_mode, flat8)
 
     ref = central_gradient(fn, h.values.flatten(), 1e-6)
     assert np.allclose(g, ref, rtol=1e-5, atol=1e-7)
@@ -185,14 +187,14 @@ def test_objective_gradient_matches_secant(flat8, unit_mode):
 # line search
 
 
-def _sequential_search(x, d, phi, slope, lam, target, noise, shape):
+def _sequential_search(x, d, phi, slope, lam, target, noise, eta, shape):
     """The backtracking loop one scalar objective at a time: steps from 1,
     halved while >= 1e-12."""
     s = 1.0
     while s >= 1e-12:
         try:
             cand = penalty_objective(Control((x + s * d).reshape(shape)), lam,
-                                     target, noise)
+                                     target, noise, eta)
         except NumericalFailure:
             cand = math.inf
         if cand <= phi + ARMIJO * s * slope or cand < phi - 1e-14:
@@ -209,13 +211,13 @@ def _search_case(noise, eta, slope_t, bins, x, lam, scale=1.0, ascent=False,
     target = drift_target(eta, slope_t, 64)
     shape = (noise.n_modes, bins)
     h = Control(np.asarray(x, dtype=float).reshape(shape))
-    phi = penalty_objective(h, lam, target, noise)
+    phi = penalty_objective(h, lam, target, noise, eta)
     g = objective_gradient(h, lam, target, noise)
     d = (g if ascent else -g) * (scale / math.sqrt(float(g @ g)))
     slope = -abs(float(g @ d)) * overstate
     xf = h.values.flatten()
     with np.errstate(all="ignore"):
-        ref = _sequential_search(xf, d, phi, slope, lam, target, noise,
+        ref = _sequential_search(xf, d, phi, slope, lam, target, noise, eta,
                                  shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -284,7 +286,7 @@ def test_batched_line_search_skips_overflowing_lanes():
 
 def test_inverse_dynamics_recovers_additive_control(flat8, unit_mode):
     true = Control(np.array([[0.8, -0.3, 0.1, 0.6]]))
-    target = Trajectory(flat8.grid, uniform_times(32), integrate_skeleton(
+    target = Trajectory(flat8.grid, uniform_times(32), skeleton_per_step(
         flat8, true.values[None], unit_mode, 32)[:, 0])
     start = inverse_dynamics_start(target, unit_mode, bins=4)
     assert np.allclose(start.values, true.values, atol=1e-12)
@@ -338,14 +340,16 @@ def test_rate_result_report_format():
 
 
 def test_rate_constant_target_is_free(flat8, unit_mode):
-    res = rate_estimate(constant_target(flat8, 32), unit_mode, bins=4)
+    res = rate_estimate(constant_target(flat8, 32), unit_mode, bins=4,
+                        eta=flat8, opt=OptConfig())
     assert res.feasible
     assert res.i_hat == 0.0
     assert res.residual <= 1e-12
 
 
 def test_rate_drift_target_quadratic_cost(flat8, unit_mode):
-    res = rate_estimate(drift_target(flat8, 0.7, 32), unit_mode, bins=4)
+    res = rate_estimate(drift_target(flat8, 0.7, 32), unit_mode, bins=4,
+                        eta=flat8, opt=OptConfig())
     assert res.feasible
     assert res.i_hat == pytest.approx(0.5 * 0.49, abs=1e-3)
     assert res.residual <= 1e-3
@@ -353,7 +357,8 @@ def test_rate_drift_target_quadratic_cost(flat8, unit_mode):
 
 def test_rate_unreachable_target_signals_infeasible(flat8):
     dead = NoiseModel((NoiseMode(sigma=0.0),))
-    res = rate_estimate(drift_target(flat8, 0.7, 32), dead, bins=4)
+    res = rate_estimate(drift_target(flat8, 0.7, 32), dead, bins=4,
+                        eta=flat8, opt=OptConfig())
     assert not res.feasible
     assert res.i_hat == math.inf
     assert math.isfinite(res.residual)
@@ -363,9 +368,10 @@ def test_rate_unreachable_target_signals_infeasible(flat8):
 def test_rate_dimension_cap(flat8):
     with pytest.raises(ConfigError):
         rate_estimate(constant_target(flat8, 600), additive_noise(1.0),
-                      bins=600)
+                      bins=600, eta=flat8, opt=OptConfig())
 
 
 def test_rate_rejects_indivisible_bins(flat8, unit_mode):
     with pytest.raises(ValueError):
-        rate_estimate(constant_target(flat8, 30), unit_mode, bins=4)
+        rate_estimate(constant_target(flat8, 30), unit_mode, bins=4,
+                      eta=flat8, opt=OptConfig())
