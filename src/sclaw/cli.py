@@ -37,7 +37,8 @@ from .diagnostics import (bound_check_I, bound_check_J, bound_csv_lines,
                           error_term, transport_constants)
 from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
                       moment_scan, scaling_check, worker_count)
-from .ratefn import OptConfig, constant_target, drift_target, rate_estimate
+from .ratefn import (DIMENSION_CAP, OptConfig, constant_target, drift_target,
+                     rate_estimate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,6 +189,11 @@ def load_config(path, seed: int | None = None) -> dict:
     if rc["n_steps"] % rc["bins"]:
         raise ConfigError(f"rate.n_steps {rc['n_steps']} must be a multiple "
                           f"of rate.bins {rc['bins']}")
+    n_modes = len(resolved["model"]["noise"]["modes"])
+    if n_modes * rc["bins"] > DIMENSION_CAP:
+        raise ConfigError(f"rate.bins {rc['bins']} times {n_modes} noise "
+                          f"modes exceeds the control dimension cap "
+                          f"{DIMENSION_CAP}")
     return resolved
 
 

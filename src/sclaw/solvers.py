@@ -341,6 +341,14 @@ def base_small_time_endpoints(eta: ScalarField, epsilon: float,
 # z = dt * q1.  The per-bin coefficients are a fixed-order einsum over
 # the K modes, as in _sweep, so a control's rows do not depend on the
 # height of its stack.
+#
+# When every z of a stack is +0 or -0 (additive noise, beta = 0, with
+# finite controls), S and A round to exactly 1.0 and B to dt * q0, and
+# u * 1.0 is u to the bit.  The map is then the running sum u + B: the
+# tile's rows are filled with each step's B and summed in place, row
+# after row, with the same operands in the same order.  A nan in z (an
+# infinite control times a zero beta part) is not zero, so that stack
+# keeps the affine map.
 
 
 # snapshots per tile: the buffer holds one tile
@@ -353,13 +361,25 @@ def uniform_times(n_steps: int) -> np.ndarray:
     return times
 
 
-def _skeleton_steps(rows: np.ndarray, amp: np.ndarray, shift: np.ndarray,
-                    first: int, n_steps: int) -> None:
-    """Step rows[0] into rows[1:], starting at step `first`.  The row,
-    amp and shift views are made once per call: at the shipped sizes a
-    slice costs about as much as the arithmetic of a step."""
-    bins = len(amp)
-    amp, shift, views = list(amp), list(shift), list(rows)
+def _skeleton_steps(rows: np.ndarray, amp: np.ndarray | None,
+                    shift: np.ndarray, first: int, n_steps: int) -> None:
+    """Step rows[0] into rows[1:], starting at step `first`; amp None
+    means every amp is 1.0.  The row, amp and shift views are made once
+    per call: at the shipped sizes a slice costs about as much as the
+    arithmetic of a step."""
+    bins = len(shift)
+    views = list(rows)
+    if amp is None:
+        # each step's shift into its row (mode="raise" would buffer out;
+        # the bin index is in range), then the running sum row by row: a
+        # row add beats add.accumulate, which loops down each column
+        steps = np.arange(first, first + len(rows) - 1)
+        np.take(shift, (steps * bins) // n_steps, axis=0, out=rows[1:],
+                mode="clip")
+        for u, nxt in zip(views, views[1:]):
+            np.add(u, nxt, nxt)
+        return
+    amp, shift = list(amp), list(shift)
     for j, (u, nxt) in enumerate(zip(views, views[1:]), first):
         b = (j * bins) // n_steps
         np.multiply(u, amp[b], nxt)
@@ -376,6 +396,11 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     time grid), shaped (C,), observed per tile of SKELETON_TILE steps.
     Nothing is checked for finiteness here: a control that overflows
     yields inf or nan.
+
+    A stack whose every z = dt * q1 is +0 or -0 is stepped as a running
+    sum of dt * q0: there each RK4 factor is exactly 1.0, so its bits are
+    the affine map's.  Any other stack, one nan in z included, takes the
+    affine map.
     """
     if h.ndim != 3 or h.shape[1] != noise.n_modes:
         raise ValueError(f"control stack shape {h.shape} does not match "
@@ -389,9 +414,12 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     dt = 1.0 / n_steps
     q = np.einsum("ckb,kx->bcx", h, noise.stacked_parts(eta.grid))
     z = dt * q[:, :, m:]
-    poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
-    amp = 1.0 + z * poly
-    shift = dt * q[:, :, :m] * poly
+    if z.any():
+        poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))
+        amp = 1.0 + z * poly
+        shift = dt * q[:, :, :m] * poly
+    else:
+        amp, shift = None, dt * q[:, :, :m]
     gaps = np.empty((len(h), n_steps + 1))
     buf = np.empty((min(n_steps, SKELETON_TILE) + 1, len(h), m))
     buf[0] = eta.values

@@ -404,8 +404,9 @@ def _no_compute(*_args, **_kwargs):
     raise AssertionError("compute started before the configuration check")
 
 
-# key is a path below the section of the named key, or an environment
-# variable, or a command-line flag, or "file" for the file's bytes
+# key is a path below the section of the named key (or a tuple of them,
+# set to the tuple of values), or an environment variable, or a
+# command-line flag, or "file" for the file's bytes
 @pytest.mark.parametrize("key,value,named", [
     ("bins", 0, "rate.bins"),
     ("n_steps", 0, "rate.n_steps"),
@@ -456,6 +457,9 @@ def _no_compute(*_args, **_kwargs):
                  id="file-latin1-cfg.json"),
     pytest.param("file", b"[" * 200_000, "cfg.json",
                  id="file-200000_brackets-cfg.json"),
+    # 1 mode x 1024 bins is past the control dimension cap of 512
+    pytest.param(("n_steps", "bins"), (1024, 1024), "rate.bins",
+                 id="n_steps+bins-1024-rate.bins"),
 ])
 def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
                                                   monkeypatch, key, value,
@@ -469,11 +473,14 @@ def test_rate_config_errors_exit_2_before_compute(tmp_path, capsys,
     elif key == "--seed":
         flags = [key, value]
     elif key != "file":
-        node = doc
-        *parents, leaf = f"{section}.{key}".split(".")
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[leaf] = value
+        keys, values = (key, value) if isinstance(key, tuple) else \
+            ((key,), (value,))
+        for one, val in zip(keys, values):
+            node = doc
+            *parents, leaf = f"{section}.{one}".split(".")
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = val
     path = write_cfg(tmp_path, doc)
     if key == "file":
         Path(path).write_bytes(value)

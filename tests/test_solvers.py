@@ -13,6 +13,7 @@ from sclaw.errors import NumericalFailure
 from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
 from sclaw.cli import PAIR_BLOCK
 from sclaw.harness import _BATCH
+from sclaw import solvers
 from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           SimConfig, additive_noise, block_increments,
                           make_flux)
@@ -572,6 +573,47 @@ def test_skeleton_tiles_match_per_step_reference(kind, cells, lanes):
         assert not (overflows and finite[-1])
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# a zero control under multiplicative noise has every z = dt * q1 at +-0,
+# so it takes the running sum; one lane of infinite controls under
+# additive noise makes z nan (inf times a zero beta part), so the whole
+# stack keeps the affine map
+@pytest.mark.parametrize("lanes", [1, 40])
+@pytest.mark.parametrize("kind,control", [("multiplicative-2", "zero"),
+                                          ("additive-2", "inf")])
+def test_skeleton_running_sum_matches_per_step_reference(
+        monkeypatch, kind, control, lanes):
+    running_sum = control == "zero"
+    noise = NoiseModel(_SKELETON_NOISES[kind])
+    eta = make_initial(TorusGrid(9), "sine", mean=0.5, amp=0.5, mode=1)
+    bins = 16
+    gen = np.random.default_rng(lanes)
+    if control == "zero":
+        stack = np.zeros((lanes, noise.n_modes, bins))
+        stack[::2, 0] = -0.0
+    else:
+        stack = gen.normal(0.0, 0.7, (lanes, noise.n_modes, bins))
+        stack[-1, :, ::2] = np.inf
+        stack[-1, :, 1::2] = -np.inf
+    taken = []
+    steps = solvers._skeleton_steps
+
+    def spy(rows, amp, *args):
+        taken.append(amp is None)
+        steps(rows, amp, *args)
+
+    monkeypatch.setattr(solvers, "_skeleton_steps", spy)
+    for n_steps in (SKELETON_TILE, 2 * SKELETON_TILE + bins):
+        target = gen.normal(0.5, 0.4, (n_steps + 1, 9))
+        with np.errstate(all="ignore"):
+            got = integrate_skeleton(eta, stack, noise, n_steps,
+                                     target=target)
+            ref = skeleton_per_step(eta, stack, noise, n_steps, target)
+        finite = np.isfinite(ref)
+        assert finite[:-1].all() and finite[-1] == running_sum
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert taken == [running_sum] * 4
 
 
 # ---------------------------------------------------------------------------
