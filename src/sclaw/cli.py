@@ -385,6 +385,9 @@ def _cmd_doubling(resolved, _writes):
     # alone first (a unit delta cannot overflow), so a failure names its key
     _cfgerr("model.flux.", transport_constants, flux.growth_power, 1.0)
     _cfgerr("mollifier.", transport_constants, flux.growth_power, moll.delta)
+    # the transport bound I rests on the flux's declared certificate
+    if not validate_flux(flux).passed:
+        raise ConfigError("certificate failure in model.flux")
 
     n_pairs = resolved["harness"]["n_pairs"]
     reports = []

@@ -4,9 +4,10 @@ A flux model carries the scalar flux A, its derivative a = A', and the
 pieces of the Engquist-Osher numerical flux in closed form.  A noise
 model is a finite family of modes g_k(x, u) = sigma_k * phi_k(x) *
 (alpha_k + beta_k * u) with spatial profile phi_k constant, cos, or sin.
-Both carry declared growth/Lipschitz constants; ``validate_flux`` and
-``validate_noise`` check the corresponding inequalities on a sampling
-lattice and report the worst ratio and where it occurred.
+``validate_flux`` checks the flux's declared growth/Lipschitz
+inequalities on a sampling lattice and reports the worst ratio and where
+it occurred.  The noise constants are derived so that their inequalities
+hold by construction, and ``validate_noise`` states them.
 """
 
 from __future__ import annotations
@@ -272,7 +273,11 @@ class NoiseModel:
         C1_k = |sigma_k| * max(Lphi_k * (|alpha_k| + |beta_k| * state_bound),
                                |beta_k|)
 
-    and the aggregates D0 = 2 * sum C0_k^2, D1 = 2 * sum C1_k^2.  The
+    and the aggregates D0 = 2 * sum C0_k^2, D1 = 2 * sum C1_k^2.  They
+    give |g_k(x, u)| <= C0_k (1 + |u|), |g_k(x, u) - g_k(y, v)| <=
+    C1_k (|x - y| + |u - v|), G^2 <= D0 (1 + u^2) and sum_k |g_k(x, u) -
+    g_k(y, v)|^2 <= D1 (|x - y|^2 + |u - v|^2) from |phi| <= 1, Lip phi =
+    2 pi w, the triangle inequality and (a + b)^2 <= 2 (a^2 + b^2).  The
     x-Lipschitz part of C1 cannot be state-uniform when a varying
     profile multiplies a state-dependent factor, which is why the
     certificate is tied to a bounded state range.
@@ -344,16 +349,6 @@ class NoiseModel:
             parts = self._stacked.setdefault(grid.cells, parts)
         return parts
 
-    def g_sq_sum(self, x, u):
-        """G^2(x, u) = sum_k g_k(x, u)^2."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        total = np.zeros(np.broadcast(x, u).shape)
-        for k in range(self.n_modes):
-            gk = self.g(k, x, u)
-            total = total + gk * gk
-        return total
-
 
 def additive_noise(scale: float) -> NoiseModel:
     """Single constant mode g(x, u) = scale."""
@@ -366,6 +361,9 @@ def additive_noise(scale: float) -> NoiseModel:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A sampled check, with its worst lhs/rhs and where it occurred, or
+    a stated constant, with no point and worst_ratio holding the value."""
+
     name: str
     passed: bool
     worst_ratio: float
@@ -384,9 +382,12 @@ class ValidationReport:
     def lines(self) -> list[str]:
         out = [f"{self.subject}: {'PASS' if self.passed else 'FAIL'}"]
         for c in self.checks:
+            head = f"  {'PASS' if c.passed else 'FAIL'}  {c.name}"
+            if not c.worst_point:
+                out.append(f"{head}={c.worst_ratio!r}")
+                continue
             pt = ", ".join(f"{v:.6g}" for v in c.worst_point)
-            out.append(f"  {'PASS' if c.passed else 'FAIL'}  {c.name}  "
-                       f"worst_ratio={c.worst_ratio:.6g}  at ({pt})")
+            out.append(f"{head}  worst_ratio={c.worst_ratio:.6g}  at ({pt})")
         return out
 
 
@@ -472,9 +473,10 @@ def _pow2_floor(x: float) -> float:
     return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
 
 
-def _rescaled(noise: NoiseModel, modes, scale: float) -> NoiseModel:
-    return NoiseModel(tuple(replace(m, sigma=m.sigma / scale) for m in modes),
-                      noise.state_bound)
+def _rescaled(noise: NoiseModel, scale: float) -> NoiseModel:
+    """The model with every sigma divided by scale."""
+    return NoiseModel(tuple(replace(m, sigma=m.sigma / scale)
+                            for m in noise.modes), noise.state_bound)
 
 
 def _common_scale(noise: NoiseModel) -> float:
@@ -483,11 +485,12 @@ def _common_scale(noise: NoiseModel) -> float:
 
 
 def _constants_finite(noise: NoiseModel, b: float = math.ulp(0.0)) -> bool:
-    """Whether D0, D1 and the squared sides of validate_noise's lattice
-    (at most D0 * (1 + b^2) and D1 * (1 + 4 b^2) of the rescaled model)
-    are finite at state bound b, by default the smallest positive one."""
+    """Whether D0, D1 and the certificates' right-hand sides at |u| = b,
+    D0 (1 + b^2) and D1 (1 + 4 b^2) of the model rescaled by its largest
+    sigma, are finite at state bound b, by default the smallest positive
+    one."""
     model = replace(noise, state_bound=b)
-    common = _rescaled(model, model.modes, _common_scale(model))
+    common = _rescaled(model, _common_scale(model))
     try:
         with np.errstate(over="ignore"):
             sides = (model.D0, model.D1, common.D0 * (1.0 + b * b),
@@ -504,7 +507,8 @@ def check_state_bound(noise: NoiseModel) -> None:
     if _constants_finite(noise) and not _constants_finite(
             noise, noise.state_bound):
         raise ValueError(f"state_bound {noise.state_bound!r} overflows D1 "
-                         "or the squares of the certificate lattice")
+                         "or the certificates' right-hand sides at |u| = b "
+                         "= state_bound, D0 (1 + b^2) and D1 (1 + 4 b^2)")
 
 
 def check_mode_constants(noise: NoiseModel) -> None:
@@ -525,78 +529,21 @@ def check_mode_constants(noise: NoiseModel) -> None:
 
 
 def validate_noise(noise: NoiseModel) -> ValidationReport:
-    """Check per-mode growth/Lipschitz and the aggregate D0/D1 bounds for
-    states |u| <= noise.state_bound.
+    """State the noise constants and the state bound they hold on.
 
-    1-D state lattices use 1024 points; the four-variable Lipschitz
-    inequalities use a coarser product sub-lattice (25 points per space
-    axis, 51 per state axis), which is the testable surrogate for the
-    continuum statement.  That lattice is evaluated in 25 tiles, one x1
-    value each, so no array holds more than 25 * 51 * 51 points.
+    Every certificate inequality follows from the constants' formulas
+    (see NoiseModel), so nothing is sampled: a stated constant fails
+    only when it is not finite.
     """
-    r_val = noise.state_bound
-    u = np.linspace(-r_val, r_val, 1024)
-    x = np.linspace(0.0, 1.0, 65, endpoint=False)
-    # Every inequality is homogeneous in sigma, so each is checked with
-    # sigma divided by a power of two: exact, hence the same ratios in
-    # the normal range, while subnormal sigmas can no longer round the
-    # two sides apart.  Per-mode checks use the mode's own scale, the
-    # aggregate ones the scale of the largest sigma.
-    common_scale = _common_scale(noise)
-    common = _rescaled(noise, noise.modes, common_scale)
-
-    xs = np.linspace(0.0, 1.0, 25, endpoint=False)
-    us = np.linspace(-r_val, r_val, 51)
-    x1 = xs[:, None, None, None]
-    x2 = xs[None, :, None, None]
-    u1 = us[None, None, :, None]
-    u2 = us[None, None, None, :]
-    du_axis = np.abs(u1 - u2)
-    du_sq = du_axis ** 2
-
-    growth, lipschitz, parts = [], [], []
-    for k, mode in enumerate(noise.modes):
-        scale = _pow2_floor(abs(mode.sigma))
-        unit = _rescaled(noise, (mode,), scale)
-        c0k = unit.mode_growth_consts()[0]
-        gk = np.abs(unit.g(0, x[:, None], u[None, :]))
-        growth.append(_ratio_check(
-            f"mode{k}_growth", gk, c0k * (1.0 + np.abs(u[None, :])),
-            [x[:, None], u[None, :]]))
-        lipschitz.append(_Worst(f"mode{k}_lipschitz"))
-        # g at (x1, u1) and at (x2, u2): small factors of every tile
-        parts.append((unit.g(0, x1, u1), unit.g(0, x2, u2),
-                      unit.mode_lipschitz_consts()[0], scale / common_scale))
-
-    sum_sq_lipschitz = _Worst("sum_sq_lipschitz")
-    for i in range(xs.size):
-        x1i = x1[i:i + 1]
-        dx_axis = np.abs(x1i - x2)
-        sep = dx_axis + du_axis + 0.0
-        points = [x1i, x2, u1, u2]
-        sum_sq = np.zeros(sep.shape)
-        for check, (g1, g2, c1k, rel) in zip(lipschitz, parts):
-            dg = np.abs(g1[i:i + 1] - g2)
-            check.add(dg, c1k * sep, points)
-            dg *= rel
-            sum_sq += dg * dg
-        sum_sq_lipschitz.add(sum_sq, common.D1 * (dx_axis ** 2 + du_sq),
-                             points)
-
-    checks = [c for g, w in zip(growth, lipschitz) for c in (g, w.result())]
-    gsq = common.g_sq_sum(x[:, None], u[None, :])
-    checks.append(_ratio_check(
-        "sum_sq_growth", gsq, common.D0 * (1.0 + u[None, :] ** 2),
-        [x[:, None], u[None, :]]))
-    if noise.n_modes:
-        checks.append(sum_sq_lipschitz.result())
-    c0 = noise.mode_growth_consts()
-    c1 = noise.mode_lipschitz_consts()
-    consts_ok = (abs(noise.D0 - 2.0 * float(np.sum(c0 * c0))) == 0.0
-                 and abs(noise.D1 - 2.0 * float(np.sum(c1 * c1))) == 0.0)
-    checks.append(CheckResult("aggregate_consts", consts_ok,
-                              0.0 if consts_ok else np.inf, ()))
-    return ValidationReport(f"noise[{noise.n_modes} modes]", tuple(checks))
+    with np.errstate(over="ignore"):
+        stated = [("state_bound", noise.state_bound)]
+        for k, (c0, c1) in enumerate(zip(noise.mode_growth_consts(),
+                                         noise.mode_lipschitz_consts())):
+            stated += [(f"mode{k}_C0", c0), (f"mode{k}_C1", c1)]
+        stated += [("D0", noise.D0), ("D1", noise.D1)]
+    return ValidationReport(f"noise[{noise.n_modes} modes]", tuple(
+        CheckResult(name, math.isfinite(v), float(v), ())
+        for name, v in stated))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ go back to the definitions with adaptive quadrature instead (slow, small
 grids only).  kernel_cdf reads the kernel CDF from the tables, and
 coarsen aggregates a noise path onto a coarser time grid.
 skeleton_per_step integrates the skeleton without tiles, and is the
-only integrator that keeps every snapshot.  validate_flux_untiled and
-validate_noise_untiled evaluate each certificate lattice as one array,
-as the validators did before they went through it in tiles.
+only integrator that keeps every snapshot.  validate_flux_untiled
+evaluates the flux certificate lattice as one array, as validate_flux
+did before it went through it in tiles.
 """
 
 import math
@@ -16,8 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
-from sclaw.models import (CheckResult, NoisePath, ValidationReport,
-                          _pow2_floor, _ratio_check, _rescaled)
+from sclaw.models import NoisePath, ValidationReport, _ratio_check
 from sclaw.mollifier import bump_norm, kernel_tables
 
 
@@ -105,67 +104,6 @@ def validate_flux_untiled(flux, r_val: float = 10.0,
         [np.broadcast_to(xi[None, :], env.shape),
          np.broadcast_to(zeta, env.shape)]))
     return ValidationReport(f"flux[{flux.kind}]", tuple(checks))
-
-
-def validate_noise_untiled(noise, lattice_n: int = 1024):
-    """validate_noise over the whole four-variable lattice at once."""
-    r_val = noise.state_bound
-    u = np.linspace(-r_val, r_val, lattice_n)
-    x = np.linspace(0.0, 1.0, 65, endpoint=False)
-    common_scale = _pow2_floor(max((abs(m.sigma) for m in noise.modes),
-                                   default=0.0))
-    common = _rescaled(noise, noise.modes, common_scale)
-    checks = []
-
-    xs = np.linspace(0.0, 1.0, 25, endpoint=False)
-    us = np.linspace(-r_val, r_val, 51)
-    x1 = xs[:, None, None, None]
-    x2 = xs[None, :, None, None]
-    u1 = us[None, None, :, None]
-    u2 = us[None, None, None, :]
-    dx_axis = np.abs(x1 - x2)
-    du_axis = np.abs(u1 - u2)
-    sum_sq = np.zeros(np.broadcast_shapes(x1.shape, x2.shape, u1.shape,
-                                          u2.shape))
-
-    for k, mode in enumerate(noise.modes):
-        scale = _pow2_floor(abs(mode.sigma))
-        unit = _rescaled(noise, (mode,), scale)
-        c0k = unit.mode_growth_consts()[0]
-        c1k = unit.mode_lipschitz_consts()[0]
-        gk = np.abs(unit.g(0, x[:, None], u[None, :]))
-        checks.append(_ratio_check(
-            f"mode{k}_growth", gk, c0k * (1.0 + np.abs(u[None, :])),
-            [np.broadcast_to(x[:, None], gk.shape),
-             np.broadcast_to(u[None, :], gk.shape)]))
-        dg = np.abs(unit.g(0, x1, u1) - unit.g(0, x2, u2))
-        checks.append(_ratio_check(
-            f"mode{k}_lipschitz", dg, c1k * (dx_axis + du_axis + 0.0),
-            [np.broadcast_to(x1, dg.shape), np.broadcast_to(x2, dg.shape),
-             np.broadcast_to(u1, dg.shape), np.broadcast_to(u2, dg.shape)]))
-        dg = dg * (scale / common_scale)
-        sum_sq = sum_sq + dg * dg
-
-    gsq = common.g_sq_sum(x[:, None], u[None, :])
-    checks.append(_ratio_check(
-        "sum_sq_growth", gsq, common.D0 * (1.0 + u[None, :] ** 2),
-        [np.broadcast_to(x[:, None], gsq.shape),
-         np.broadcast_to(u[None, :], gsq.shape)]))
-    if noise.n_modes:
-        checks.append(_ratio_check(
-            "sum_sq_lipschitz", sum_sq,
-            common.D1 * (dx_axis ** 2 + du_axis ** 2),
-            [np.broadcast_to(x1, sum_sq.shape),
-             np.broadcast_to(x2, sum_sq.shape),
-             np.broadcast_to(u1, sum_sq.shape),
-             np.broadcast_to(u2, sum_sq.shape)]))
-    c0 = noise.mode_growth_consts()
-    c1 = noise.mode_lipschitz_consts()
-    consts_ok = (abs(noise.D0 - 2.0 * float(np.sum(c0 * c0))) == 0.0
-                 and abs(noise.D1 - 2.0 * float(np.sum(c1 * c1))) == 0.0)
-    checks.append(CheckResult("aggregate_consts", consts_ok,
-                              0.0 if consts_ok else np.inf, ()))
-    return ValidationReport(f"noise[{noise.n_modes} modes]", tuple(checks))
 
 
 def skeleton_per_step(eta, h, noise, n_steps, target=None):

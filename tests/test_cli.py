@@ -127,17 +127,17 @@ def test_validate_happy_path(tmp_path, capsys):
 
 
 def test_validate_checks_the_declared_state_bound(tmp_path):
-    # C1 is certified for |u| <= state_bound only: a state lattice out to
-    # |u| = 10 read mode1_lipschitz 1.7064 at u = 10 and failed
+    # C1 is certified for |u| <= state_bound only, so validate states it
+    # at the declared bound: mode1's x-part is 0.25 * 2 pi (1 + 0.5 * 5)
     doc = copy.deepcopy(BASE)
     doc["model"]["noise"]["state_bound"] = 5
     out = tmp_path / "out"
     assert run(["validate", "--config", write_cfg(tmp_path, doc),
                 "--out", str(out), "--quiet"]) == EXIT_OK
-    text = (out / "validation.txt").read_text()
-    assert "PASS  mode0_growth  worst_ratio=0.833333  at (0, -5)" in text
-    assert ("PASS  mode1_lipschitz  worst_ratio=0.995402  "
-            "at (0.24, 0.28, 5, 5)") in text
+    lines = (out / "validation.txt").read_text().splitlines()
+    assert "  PASS  state_bound=5.0" in lines
+    assert "  PASS  mode0_C1=0.4" in lines
+    assert f"  PASS  mode1_C1={0.25 * (2 * math.pi * (1 + 0.5 * 5))!r}" in lines
 
 
 def test_validate_rejects_uncertified_flux(tmp_path, capsys):
@@ -316,6 +316,19 @@ def test_doubling_command(tmp_path, capsys):
     assert ladder[0] == "gamma,delta,abs_error"
     # 32-cell grid: the gamma/4 rung dives below dx and is dropped
     assert len(ladder) == 3
+
+
+def test_doubling_rejects_uncertified_flux(tmp_path, capsys, monkeypatch):
+    # the transport bound I rests on the declared N: |a(xi)| = |xi| breaks
+    # N (1 + xi^2) at N = 0.02, so no pair may be stepped
+    doc = patched(BASE, harness={"n_pairs": 2})
+    doc["model"]["flux"] = {"kind": "burgers", "growth_const": 0.02}
+    monkeypatch.setattr(cli, "solve_coupled_pairs", _no_compute)
+    out = tmp_path / "out"
+    assert run(["doubling", "--config", write_cfg(tmp_path, doc),
+                "--out", str(out)]) == EXIT_CONFIG
+    assert "certificate failure in model.flux" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
