@@ -11,7 +11,10 @@ checkout:
     python scripts/compare_artifacts.py HEAD~1
 
 It names each file whose bytes differ (or that only one side wrote) and
-each exit code that differs, and exits 1 if there is any; else 0.
+each exit code that differs, and exits 1 if there is any; else 0.  It
+also prints a table of each run's peak RSS and minor page faults on both
+sides, read from os.wait4 (the whole child: interpreter start-up and
+imports included).
 """
 
 import io
@@ -39,21 +42,39 @@ def export(rev: str, dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-def run_all(tree: pathlib.Path, out: pathlib.Path) -> dict:
-    """{run label: exit code} of every shipped command run from tree,
-    each writing into out / <label>."""
-    codes = {}
+def run_all(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict, dict]:
+    """({run label: exit code}, {run label: (peak RSS in MB, minor page
+    faults)}) of every shipped command run from tree, each writing into
+    out / <label>."""
+    codes, usage = {}, {}
     for command, config in RUNS:
         for threads in THREADS:
             label = f"{command}-{config.removesuffix('.json')}-{threads}w"
             env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                        SCLAW_THREADS=threads)
-            codes[label] = subprocess.run(
+            proc = subprocess.Popen(
                 [sys.executable, "-m", "sclaw.cli", command, "--config",
                  str(tree / "configs" / config), "--out", str(out / label),
-                 "--quiet"], env=env, cwd=out, capture_output=True).returncode
+                 "--quiet"], env=env, cwd=out, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            _, status, rusage = os.wait4(proc.pid, 0)
+            proc.returncode = codes[label] = os.waitstatus_to_exitcode(status)
+            usage[label] = (rusage.ru_maxrss / 1024.0, rusage.ru_minflt)
             print(f"{tree.name}: {label} exited {codes[label]}", flush=True)
-    return codes
+    return codes, usage
+
+
+def usage_table(base_usage: dict, work_usage: dict) -> list[str]:
+    """Peak RSS and minor faults of each run, revision against working
+    tree."""
+    out = [f"{'run':<32} {'peak RSS MB':>23} {'minor faults':>21}",
+           f"{'':<32} {'revision':>11} {'working':>11} {'revision':>10} "
+           f"{'working':>10}"]
+    for label, (rss, faults) in base_usage.items():
+        w_rss, w_faults = work_usage[label]
+        out.append(f"{label:<32} {rss:>11.1f} {w_rss:>11.1f} {faults:>10} "
+                   f"{w_faults:>10}")
+    return out
 
 
 def differences(base: pathlib.Path, work: pathlib.Path, base_codes: dict,
@@ -89,10 +110,11 @@ def main() -> int:
         base, work = scratch / "base", scratch / "work"
         base.mkdir()
         work.mkdir()
-        base_codes, work_codes = run_all(base_tree, base), run_all(ROOT, work)
+        base_codes, base_usage = run_all(base_tree, base)
+        work_codes, work_usage = run_all(ROOT, work)
         n_files = sum(1 for p in work.rglob("*") if p.is_file())
         diffs = differences(base, work, base_codes, work_codes)
-    for line in diffs:
+    for line in usage_table(base_usage, work_usage) + diffs:
         print(line)
     print(f"{len(diffs)} differences over {len(work_codes)} runs and "
           f"{n_files} files")

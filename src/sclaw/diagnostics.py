@@ -28,15 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, Trajectory
-from .mollifier import MollifierPair, kernel_tables, psi_sup
-from .models import FluxModel, NoiseModel
+from .mollifier import (PRIMITIVE_ROWS, MollifierPair, kernel_tables,
+                        psi_sup)
+from .models import FluxModel, NoiseModel, horner
 from .solvers import lp_moment
 
 Pair = tuple[Trajectory, Trajectory]
 
-# snapshots per tile of the transport wedges: a tile's (snapshots, offsets,
-# cells) temporaries stay in cache instead of streaming through it
-TRANSPORT_TILE = 32
+# snapshots per tile of the transport wedges.  Each work row of a call
+# holds one (snapshots, offsets, cells) tile, 96 KB on the shipped grid,
+# and the rows are allocated once per call: glibc serves a fresh array
+# above 128 KB from mmap, which faults in each of its pages on every use.
+# Tiles of 32 snapshots measured no faster per snapshot, and raised
+# doubling's peak RSS by 1 MB.
+TRANSPORT_TILE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,13 @@ def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
     return r1, r2
 
 
-def _wedges(a, b, flux: FluxModel, delta: float) -> np.ndarray:
+def wedge_rows(flux: FluxModel) -> int:
+    """Work rows _wedges takes for this flux: r, P_0..P_kmax and the
+    primitives' scratch, kmax = len(flux.speed_coeffs)."""
+    return len(flux.speed_coeffs) + 2 + PRIMITIVE_ROWS
+
+
+def _wedges(a, b, flux: FluxModel, delta: float, work) -> np.ndarray:
     """W+(a,b) + W-(a,b): the speed-weighted kinetic wedges
 
         W+(a,b) = int_{xi < a} a(xi) X_delta(xi - b) dxi
@@ -231,25 +242,50 @@ def _wedges(a, b, flux: FluxModel, delta: float) -> np.ndarray:
 
     since M_j(r) = int_{-1}^{r} s^j X(s) ds = (r^(j+1) X(r) - P_(j+1)(r))/(j+1)
     by parts, with P_k the tabulated moment primitives of psi.
+
+    a broadcasts against b.  Every array shaped like b lives in a row of
+    work, wedge_rows(flux) C-contiguous float rows of at least b.size + 2,
+    and the result is one of them.
     """
-    q = np.asarray(flux.speed_coeffs)
+    q = flux.speed_coeffs
     kmax = len(q)
     tab = kernel_tables(kmax)
-    lo, hi = b - delta, b + delta
-    tails = ((flux.A(np.maximum(a, hi)) - flux.A(hi))
-             + (flux.A(lo) - flux.A(np.minimum(a, lo))))
-    r = np.clip((a - b) / delta, -1.0, 1.0)
-    prims = tab.primitives(r, kmax)
-    ends = tab.primitives(np.ones(1), kmax)
-    lead = r * (2.0 * prims[0] - 1.0)        # r^(j+1) (2 X(r) - 1)
-    band = 0.0
+    work = work[:, :b.size + 2]
+    r, *rows = (w[:b.size].reshape(b.shape) for w in work)
+    prims = rows[:kmax + 1]
+    np.clip(np.divide(np.subtract(a, b, out=r), delta, out=r), -1.0, 1.0,
+            out=r)
+    tab.primitives(r, kmax, out=work[1:kmax + 2, :b.size],
+                   work=work[kmax + 2:])
+    ends = tab.right_ends
+    # the primitives' scratch is spent; r^(j+1) (2 X(r) - 1) starts at j = 0
+    lead, band, w0, w1, w2 = rows[kmax + 1:kmax + 6]
+    np.multiply(np.subtract(np.multiply(2.0, prims[0], out=lead), 1.0,
+                            out=lead), r, out=lead)
+    band.fill(0.0)
+    p_j = prims[0]
     for j in range(kmax):
-        p_j = delta ** j * np.polynomial.polynomial.polyval(b, q)
-        band = band + p_j * ((lead - 2.0 * prims[j + 1] + ends[j + 1])
-                             / (j + 1))
-        q = np.polynomial.polynomial.polyder(q) / (j + 1)
-        lead = lead * r
-    return delta * band + tails
+        np.multiply(delta ** j, horner(b, q, p_j), out=p_j)
+        term = prims[j + 1]
+        np.subtract(lead, np.multiply(2.0, term, out=term), out=term)
+        term += ends[j + 1]
+        term /= j + 1
+        band += np.multiply(p_j, term, out=term)
+        # polyder(q) / (j + 1), operation for operation
+        q = [(m + 1) * c / (j + 1) for m, c in enumerate(q[1:])]
+        lead *= r
+    # the flat tails, (A(max(a, hi)) - A(hi)) + (A(lo) - A(min(a, lo)))
+    hi_lo, tails = lead, prims[0]
+    np.add(b, delta, out=hi_lo)
+    flux.A(np.maximum(a, hi_lo, out=w0), out=tails)
+    tails -= flux.A(hi_lo, out=w0)
+    np.subtract(b, delta, out=hi_lo)
+    flux.A(hi_lo, out=w1)
+    w1 -= flux.A(np.minimum(a, hi_lo, out=w0), out=w2)
+    tails += w1
+    band *= delta
+    band += tails
+    return band
 
 
 def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
@@ -267,7 +303,8 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
 
     P_k the tabulated kernel moment primitives (derived at _wedges).
     Every offset with a nonzero gradient weight is evaluated in one call
-    per tile of TRANSPORT_TILE snapshots.
+    per tile of TRANSPORT_TILE snapshots, in work rows allocated once
+    per call.
     """
     uvals, vvals, times = _pair_arrays(pair)
     grid = pair[0].grid
@@ -277,12 +314,21 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
     shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
     u, v = uvals[:-1], vvals[:-1]
     per_t = np.empty((len(u), len(shifted)))
+    tile = min(TRANSPORT_TILE, len(u)) * shifted.size
+    # rows start 320 bytes apart modulo 4 KB: rows whose starts share their
+    # low 12 address bits stall loads behind stores to the other row (4K
+    # aliasing), which made 16-snapshot tiles half again as slow
+    width = tile + 2 + (40 - tile - 2) % 512
+    work = np.empty((1 + wedge_rows(flux), width))
     for lo in range(0, len(u), TRANSPORT_TILE):
         hi = lo + TRANSPORT_TILE
         # (snapshots, offsets, cells) wedges; each sum runs over its own
         # contiguous cells, so the bits do not depend on the tile
-        per_t[lo:hi] = _wedges(u[lo:hi, None, :], v[lo:hi][:, shifted], flux,
-                               moll.delta).sum(axis=2)
+        b = work[0, :len(u[lo:hi]) * shifted.size].reshape(
+            (-1,) + shifted.shape)
+        np.take(v[lo:hi], shifted, axis=1, out=b, mode="wrap")
+        per_t[lo:hi] = _wedges(u[lo:hi, None, :], b, flux, moll.delta,
+                               work[1:]).sum(axis=2)
     total_t = np.zeros(len(times) - 1)
     for gwd, col in zip(gw[keep], per_t.T):
         total_t += gwd * col

@@ -76,16 +76,20 @@ class FluxModel:
 
     # -- basic evaluations --------------------------------------------------
 
-    def A(self, u):
-        """Flux function."""
+    def A(self, u, out=None):
+        """Flux function, formed in out (not u) when given."""
         u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty_like(u)
         if self.kind == "zero":
-            return np.zeros_like(u)
-        if self.kind == "linear":
-            return self.speed * u
-        if self.kind == "burgers":
-            return 0.5 * u * u
-        return np.polynomial.polynomial.polyval(u, self.coeffs)
+            out.fill(0.0)
+        elif self.kind == "linear":
+            np.multiply(self.speed, u, out=out)
+        elif self.kind == "burgers":
+            np.multiply(np.multiply(0.5, u, out=out), u, out=out)
+        else:
+            horner(u, self.coeffs, out)
+        return out
 
     def a(self, u):
         """Characteristic speed a = A'."""
@@ -110,10 +114,12 @@ class FluxModel:
         """Right-hand side of the growth certificate, N * (1 + |xi|^q0)."""
         return self.growth_const * (1.0 + np.abs(xi) ** self.growth_power)
 
-    def lipschitz_envelope(self, xi, zeta):
-        """Local Lipschitz envelope N * (1 + |xi|^(q0-1) + |zeta|^(q0-1))."""
+    def lipschitz_envelope(self, xi, zeta, out=None):
+        """Local Lipschitz envelope N * (1 + |xi|^(q0-1) + |zeta|^(q0-1)),
+        formed in out when given."""
         q = self.growth_power - 1.0
-        return self.growth_const * (1.0 + np.abs(xi) ** q + np.abs(zeta) ** q)
+        env = np.add(1.0 + np.abs(xi) ** q, np.abs(zeta) ** q, out=out)
+        return np.multiply(self.growth_const, env, out=env)
 
     # -- Engquist-Osher pieces ----------------------------------------------
 
@@ -221,6 +227,16 @@ class FluxModel:
         return out.reshape(np.shape(u))
 
 
+def horner(x, coeffs, out):
+    """np.polynomial.polynomial.polyval(x, coeffs) for ascending 1-D
+    coeffs, operation for operation, formed in out (not x)."""
+    c = np.asarray(coeffs, dtype=float)
+    np.add(c[-1], np.multiply(x, 0, out=out), out=out)
+    for ck in c[-2::-1]:
+        np.add(ck, np.multiply(out, x, out=out), out=out)
+    return out
+
+
 def make_flux(kind: str, *, growth_power: float = 2.0, growth_const: float = 1.0,
               speed: float = 0.0, coeffs=()) -> FluxModel:
     return FluxModel(kind=kind, growth_power=growth_power,
@@ -260,7 +276,10 @@ class NoiseMode:
         """Lipschitz constant of phi on the torus."""
         if self.profile == "constant":
             return 0.0
-        return 2.0 * np.pi * self.wavenumber
+        try:
+            return 2.0 * np.pi * self.wavenumber
+        except OverflowError:       # an int wavenumber past the float range
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -406,13 +425,17 @@ class _Worst:
         self.worst = None
         self.point = ()
 
-    def add(self, lhs, rhs, points) -> "_Worst":
-        """Fold in one tile; each of points broadcasts against it."""
+    def add(self, lhs, rhs, points, out=None) -> "_Worst":
+        """Fold in one tile; each of points broadcasts against it.  out,
+        a float and a bool array of the tile's shape, takes the tile's
+        ratios and mask in place of fresh arrays."""
+        ratio, off = (None, None) if out is None else out
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(lhs, rhs)
+            ratio = np.divide(lhs, rhs, out=ratio)
         # where not rhs > 0 (nan included) the ratio reads inf if lhs > 0,
         # else 0
-        off = np.broadcast_to(np.logical_not(rhs > 0), ratio.shape)
+        off = np.logical_not(np.greater(rhs, 0, out=off), out=off)
+        off = np.broadcast_to(off, ratio.shape)
         if off.any():
             ratio[off] = np.where(np.broadcast_to(lhs, ratio.shape)[off] > 0,
                                   np.inf, 0.0)
@@ -440,15 +463,18 @@ def _ratio_check(name: str, lhs: np.ndarray, rhs: np.ndarray,
     return _Worst(name).add(lhs, rhs, points).result()
 
 
-# zeta rows per tile of validate_flux's lattice: 64 x 1024 points
-_FLUX_TILE = 64
+# zeta rows per tile of validate_flux's lattice: 16 x 1024 points, so a
+# tile's float array is 128 KB
+_FLUX_TILE = 16
 
 
 def validate_flux(flux: FluxModel, r_val: float = 10.0,
                   lattice_n: int = 1024) -> ValidationReport:
     """Check the declared growth and local-Lipschitz certificates of a
     on the lattice xi, zeta in [-r_val, r_val], the 2-D one in tiles of
-    _FLUX_TILE zeta rows."""
+    _FLUX_TILE zeta rows.  The tiles' work arrays are allocated once per
+    call: a fresh tile-sized temporary per operation costs a page fault
+    per 4 KB whenever malloc hands it out from mmap."""
     if r_val <= 0 or lattice_n < 2:
         raise ValueError("need r_val > 0 and lattice_n >= 2")
     xi = np.linspace(-r_val, r_val, lattice_n)
@@ -456,14 +482,24 @@ def validate_flux(flux: FluxModel, r_val: float = 10.0,
     growth = _ratio_check("speed_growth", np.abs(a_xi),
                           flux.growth_envelope(xi), [xi])
     lipschitz = _Worst("speed_local_lipschitz")
+    rows = min(_FLUX_TILE, lattice_n)
+    work = np.empty((3, rows, lattice_n))
+    flags = np.empty((rows, lattice_n), dtype=bool)
     for lo in range(0, lattice_n, _FLUX_TILE):
         zeta = xi[lo:lo + _FLUX_TILE, None]
-        gap = np.abs(xi - zeta)
-        mask = gap > 0
-        diff = np.abs(a_xi - a_xi[lo:lo + _FLUX_TILE, None])
-        env = flux.lipschitz_envelope(xi, zeta) * gap
-        lipschitz.add(np.where(mask, diff, 0.0), np.where(mask, env, 1.0),
-                      [xi, zeta])
+        gap, diff, env = work[:, :len(zeta)]
+        off = flags[:len(zeta)]
+        np.abs(np.subtract(xi, zeta, out=gap), out=gap)
+        np.abs(np.subtract(a_xi, a_xi[lo:lo + _FLUX_TILE, None], out=diff),
+               out=diff)
+        flux.lipschitz_envelope(xi, zeta, out=env)
+        env *= gap
+        # where gap is not > 0 the check reads 0 / 1
+        np.logical_not(np.greater(gap, 0, out=off), out=off)
+        np.copyto(diff, 0.0, where=off)
+        np.copyto(env, 1.0, where=off)
+        # gap and off are spent: they take the tile's ratios and mask
+        lipschitz.add(diff, env, [xi, zeta], out=(gap, off))
     return ValidationReport(f"flux[{flux.kind}]",
                             (growth, lipschitz.result()))
 
@@ -491,12 +527,9 @@ def _constants_finite(noise: NoiseModel, b: float = math.ulp(0.0)) -> bool:
     one."""
     model = replace(noise, state_bound=b)
     common = _rescaled(model, _common_scale(model))
-    try:
-        with np.errstate(over="ignore"):
-            sides = (model.D0, model.D1, common.D0 * (1.0 + b * b),
-                     common.D1 * (1.0 + 4.0 * b * b))
-    except OverflowError:      # 2 pi * wavenumber past the float range
-        return False
+    with np.errstate(over="ignore"):
+        sides = (model.D0, model.D1, common.D0 * (1.0 + b * b),
+                 common.D1 * (1.0 + 4.0 * b * b))
     return all(map(math.isfinite, sides))
 
 

@@ -14,8 +14,10 @@ the primitives
 One stack of moment primitives P_k(r) = int_{-1}^{r} s^k psi(s) ds,
 k = 0..kmax, is tabulated once on 4096 uniform knots by per-interval
 Gauss quadrature and stored as the per-interval coefficients of a cubic
-spline through each.  Every read finds its interval by direct index on
-the uniform knots and sums that cubic exactly as CubicSpline does.
+spline through each.  A read at a point of the band |r| < 1 finds its
+interval by direct index on the uniform knots and sums that cubic
+exactly as CubicSpline does; a point off the band takes P_k(-1) or
+P_k(1), read the same way once.
 X = P_0, and Xi follows from the exact integration-by-parts identity
 Xi(r) = r*X(r) - P_1(r), so Xi(1) = 1 and Xi(r) = r for r >= 1 with no
 drift.  The higher moments carry the transport wedges in closed form.
@@ -24,13 +26,15 @@ drift.  The higher moments carry the transport wedges in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 TABLE_POINTS = 4096
 # P_0..P_2: X, Xi and the transport wedges of a speed of degree <= 1
 BASE_MOMENTS = 2
+# float rows of scratch that KernelTables.primitives takes
+PRIMITIVE_ROWS = 6
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -154,28 +158,83 @@ class KernelTables:
             lambda s, k=k: s ** k * psi(s), knots)) for k in range(kmax + 1)]
         return cls(knots, np.stack(coeffs))
 
-    def primitives(self, rc, kmax: int) -> list[np.ndarray]:
-        """[P_0(rc), ..., P_kmax(rc)] for rc already clipped to [-1, 1].
+    def primitives(self, rc, kmax: int, out=None, work=None) -> np.ndarray:
+        """P_0(rc), ..., P_kmax(rc) for rc already clipped to [-1, 1], as
+        the kmax + 1 rows of out.
 
-        The interval comes from the uniform spacing, corrected once each
-        way against the knots, and each cubic is summed in the order
-        CubicSpline uses, so the values equal its evaluation bit for bit.
-        Every table read is a flat take on the raveled index, far cheaper
-        than a fancy index of the same shape as rc.
+        Only band points, |rc| < 1, read the tables; every other point
+        takes P_k(-1) or P_k(1), read once per call.  A read finds the
+        interval from the uniform spacing, corrected once each way
+        against the knots, and sums its cubic in the order CubicSpline
+        uses, so every value equals CubicSpline's bit for bit.  out
+        (kmax + 1 C-contiguous arrays of rc's size) and work
+        (PRIMITIVE_ROWS C-contiguous float rows of at least rc.size + 2)
+        are allocated when not given; with both given a call allocates
+        nothing of rc's size.
         """
+        r = np.ravel(rc)
+        n = r.size
+        if out is None:
+            out = np.empty((kmax + 1,) + np.shape(rc))
+        if work is None:
+            work = np.empty((PRIMITIVE_ROWS, n + 2))
+        rows = out.reshape(kmax + 1, n)
+        flags = work[5].view(bool)
+        lo, hi, band, below, inside = (flags[j * (n + 2):][:n + 2]
+                                       for j in range(5))
+        lo, hi, band = lo[:n], hi[:n], band[:n]
+        np.less_equal(r, -1.0, out=lo)
+        np.greater_equal(r, 1.0, out=hi)
+        np.logical_not(np.logical_or(lo, hi, out=band), out=band)
+        # gather the band points into work[0]: each takes its rank among
+        # them, every other point the slot nb, which then holds -1 and the
+        # next 1, so that the cubics also give P_k(-1) and P_k(1)
+        rank = rows[0].view(np.intp)    # P_0's row until P_0 is written
+        np.copyto(rank, band)
+        np.cumsum(rank, out=rank)
+        nb = int(rank[-1]) if n else 0
+        rank -= 1
+        np.copyto(rank, nb, where=lo)
+        np.copyto(rank, nb, where=hi)
+        np.put(work[0], rank, r, mode="clip")
+        work[0, nb:nb + 2] = -1.0, 1.0
+        t, acc, g, h = (w[:nb + 2] for w in work[:4])
+        i = work[4].view(np.intp)[:nb + 2]
+        below, inside = below[:nb + 2], inside[:nb + 2]
         knots = self.knots
         last = len(knots) - 2
-        shape = np.shape(rc)
-        r = np.ravel(rc)
-        i = np.minimum(((r + 1.0) * (last + 1) / 2.0).astype(np.intp), last)
-        i -= r < knots.take(i)
-        i += (r >= knots.take(i + 1)) & (i < last)
-        t = r - knots.take(i)
-        t2 = t * t
-        t3 = t2 * t
-        return [(c[3].take(i) + c[2].take(i) * t + c[1].take(i) * t2
-                 + c[0].take(i) * t3).reshape(shape)
-                for c in self.coeffs[:kmax + 1]]
+        np.add(t, 1.0, out=g)
+        g *= last + 1
+        g /= 2.0
+        np.copyto(i, g, casting="unsafe")
+        np.minimum(i, last, out=i)
+        np.less(t, np.take(knots, i, out=g, mode="clip"), out=below)
+        np.subtract(i, 1, out=i, where=below)
+        np.greater_equal(t, np.take(knots[1:], i, out=g, mode="clip"),
+                         out=below)
+        np.logical_and(below, np.less(i, last, out=inside), out=below)
+        np.add(i, 1, out=i, where=below)
+        t -= np.take(knots, i, out=g, mode="clip")
+        for k, c in enumerate(self.coeffs[:kmax + 1]):
+            np.take(c[3], i, out=acc, mode="clip")
+            acc += np.multiply(np.take(c[2], i, out=g, mode="clip"), t,
+                               out=g)
+            np.multiply(t, t, out=h)
+            acc += np.multiply(np.take(c[1], i, out=g, mode="clip"), h,
+                               out=g)
+            h *= t
+            acc += np.multiply(np.take(c[0], i, out=g, mode="clip"), h,
+                               out=g)
+            row = rows[k]
+            np.place(row, band, acc[:nb])
+            np.copyto(row, acc[nb], where=lo)
+            np.copyto(row, acc[nb + 1], where=hi)
+        return out
+
+    @cached_property
+    def right_ends(self) -> np.ndarray:
+        """P_k(1) for every tabulated k, read once."""
+        return self.primitives(np.ones(1), len(self.coeffs) - 1)[:, 0]
 
     def Xi(self, r):
         """Second antiderivative of psi: 0 for r <= -1, r for r >= 1."""

@@ -67,7 +67,10 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel,
 # (paths, cells) buffer, which never reach BLAS.  A row's bits therefore
 # do not depend on the height of its block.  Every (paths, cells) buffer
 # a step writes is allocated once per block; a step allocates only
-# per-row vectors.
+# per-row vectors.  A recording run writes its snapshots path-major,
+# (paths, members, snapshots, cells), so that each run's snapshots are
+# one contiguous block: its Trajectory adopts that block, without a
+# copy, once the buffer is read-only.
 
 
 def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
@@ -129,7 +132,7 @@ class _Observed:
     gap: np.ndarray | None = None     # space-time L1 gaps of pairs (paths,)
     moms: np.ndarray | None = None    # (paths, len(p_list), members)
     marks: list[int] | None = None    # steps of the recorded snapshots
-    saved: np.ndarray | None = None   # (snapshots, members, paths, cells)
+    saved: np.ndarray | None = None   # (paths, members, snapshots, cells)
 
 
 def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
@@ -170,6 +173,11 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
                       indices, s, scratch)
         lo_hi = None
 
+    def record(step):
+        for i, w in enumerate(members):
+            out.saved[:, i, len(out.marks)] = w
+        out.marks.append(step)
+
     def observe():
         for i, w in enumerate(members):
             for j, p in enumerate(p_list):
@@ -185,11 +193,12 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
         out.moms = np.full((rows, len(p_list), len(members)), -np.inf)
         observe()
     if stride:
-        out.marks = [0]
-        # the start, every stride steps, and the end
-        out.saved = np.empty((1 + math.ceil(n / stride), len(members), rows,
+        out.marks = []
+        # the start, every stride steps, and the end; path-major, so that
+        # each run's snapshots are one contiguous block
+        out.saved = np.empty((rows, len(members), 1 + math.ceil(n / stride),
                               m))
-        out.saved[0] = members
+        record(0)
     for s in range(n):
         flux_step(s)
         if n_modes:
@@ -213,8 +222,7 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
         if p_list:
             observe()
         if stride and ((s + 1) % stride == 0 or s + 1 == n):
-            out.saved[len(out.marks)] = members
-            out.marks.append(s + 1)
+            record(s + 1)
     return out
 
 
@@ -269,9 +277,10 @@ def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                  pair=pair, stride=cfg.save_stride)
     times = np.array(obs.marks, dtype=float) * dynamics[3]
     times[-1] = 1.0   # every recorded run ends at t = 1 exactly
-    return [[Trajectory(eta.grid, times, obs.saved[:, i, r])
-             for i in range(obs.saved.shape[1])]
-            for r in range(obs.saved.shape[2])]
+    # read-only, so each Trajectory adopts its block instead of copying it
+    obs.saved.setflags(write=False)
+    return [[Trajectory(eta.grid, times, run) for run in runs]
+            for runs in obs.saved]
 
 
 def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,

@@ -448,6 +448,28 @@ def test_validators_trace_under_8_mb(validate, model):
     assert peak < 8e6
 
 
+def test_validate_flux_trace_under_1_5_mb():
+    # 64-row tiles of fresh temporaries traced 3.4 MB; 16-row tiles in
+    # work arrays allocated once per call hold three 128 KB floats
+    flux = make_flux("burgers")
+    validate_flux(flux)
+    tracemalloc.start()
+    try:
+        validate_flux(flux)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_validate_noise_fails_a_wavenumber_past_the_float_range():
+    # 2 pi * wavenumber cannot convert to a float: its slope reads inf
+    rep = validate_noise(NoiseModel((NoiseMode(0.25, "sin", 10 ** 400),)))
+    assert [c.name for c in rep.checks if not c.passed] == ["mode0_C1",
+                                                            "D1"]
+    assert not rep.passed
+
+
 def test_check_state_bound_names_only_its_own_overflow():
     check_state_bound(NoiseModel(_SHIPPED_MODES, state_bound=1e76))
     for bound in (1e77, 1e160, 1.7e308):

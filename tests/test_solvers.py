@@ -683,7 +683,7 @@ def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
         # the recorded run of path i on the scaled stream
         rec = _block(small_eta, cfg, burgers, two_mode_noise, dynamics,
                      [int(i)], STREAM_SCALED, stride=1)
-        assert np.array_equal(ends[r], rec.saved[-1, 0, 0])
+        assert np.array_equal(ends[r], rec.saved[0, 0, -1])
     base = base_small_time_endpoints(small_eta, 0.2, cfg, burgers,
                                      two_mode_noise, idx)
     for r, i in enumerate(idx):
@@ -795,6 +795,42 @@ def test_pair_sweep_allocates_no_per_step_block(two_mode_noise, burgers,
     finally:
         tracemalloc.stop()
     assert peak <= 8 * rows * cells * 8
+
+
+def test_coupled_pairs_hold_one_copy_of_their_snapshots(two_mode_noise,
+                                                        burgers):
+    # the shipped grid and step, 6 pairs: each run adopts its block of the
+    # snapshot buffer instead of copying it
+    eta = make_initial(TorusGrid(64), "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.1, cells=64, seed=2024, dt=1.0 / 256,
+                    cfl_fraction=0.9)
+    tracemalloc.start()
+    try:
+        pairs = solve_coupled_pairs(eta, cfg, burgers, two_mode_noise,
+                                    range(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    snapshots = sum(run.values.nbytes for pair in pairs for run in pair)
+    assert snapshots == 6 * 2 * 257 * 64 * 8
+    assert peak <= 1.1 * snapshots
+
+
+def test_trajectory_copies_what_another_holder_can_write():
+    grid, times = TorusGrid(4), np.array([0.0, 0.5, 1.0])
+    values = np.arange(12.0).reshape(3, 4)
+    traj = Trajectory(grid, times, values)
+    values[1, 2] = -7.0
+    assert traj.values[1, 2] == 6.0
+    assert not traj.values.flags.writeable
+    # a read-only view of a writeable array is copied as well
+    view = values.view()
+    view.setflags(write=False)
+    assert not np.shares_memory(Trajectory(grid, times, view).values, values)
+    # a block of a read-only buffer is adopted as it is
+    frozen = np.arange(24.0).reshape(2, 3, 4).copy()
+    frozen.setflags(write=False)
+    assert Trajectory(grid, times, frozen[1]).values.base is frozen
 
 
 # ---------------------------------------------------------------------------
