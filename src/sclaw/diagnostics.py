@@ -28,19 +28,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, Trajectory
-from .mollifier import (PRIMITIVE_ROWS, MollifierPair, kernel_tables,
+from .mollifier import (MollifierPair, PrimitiveReader, kernel_tables,
                         psi_sup)
 from .models import FluxModel, NoiseModel, horner
 from .solvers import lp_moment
 
 Pair = tuple[Trajectory, Trajectory]
 
-# snapshots per tile of the transport wedges.  Each work row of a call
+# snapshots per tile of the transport wedges.  Each work array of a call
 # holds one (snapshots, offsets, cells) tile, 96 KB on the shipped grid,
-# and the rows are allocated once per call: glibc serves a fresh array
-# above 128 KB from mmap, which faults in each of its pages on every use.
-# Tiles of 32 snapshots measured no faster per snapshot, and raised
-# doubling's peak RSS by 1 MB.
+# and is allocated once per call, the float ones in one block.  Fresh
+# tile-sized temporaries per operation took about 4 200 minor faults per
+# pair on the benchmark's grid, and three float blocks per call about
+# 190 on every call; one block takes about 200 on each of the first two
+# calls and none after them, once glibc has raised its mmap and trim
+# thresholds past the block it freed.  Tiles of 32 snapshots measured
+# no faster per snapshot, and raised doubling's peak RSS by 1 MB.
 TRANSPORT_TILE = 16
 
 
@@ -217,13 +220,21 @@ def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
     return r1, r2
 
 
-def wedge_rows(flux: FluxModel) -> int:
-    """Work rows _wedges takes for this flux: r, P_0..P_kmax and the
-    primitives' scratch, kmax = len(flux.speed_coeffs)."""
-    return len(flux.speed_coeffs) + 2 + PRIMITIVE_ROWS
+class _WedgeWork:
+    """The arrays of a transport tile of up to size points, allocated
+    once: the gathered b, _wedges' r, running lead and band sums, p_j and
+    term of each moment, and a reader of the kernel primitives, whose
+    one float block they share (see TRANSPORT_TILE)."""
+
+    def __init__(self, flux: FluxModel, size: int):
+        self.reader = PrimitiveReader(kernel_tables(len(flux.speed_coeffs)),
+                                      size, rows=6)
+        self.b, self.r, self.lead, self.band, self.p, self.term = \
+            self.reader.rows
 
 
-def _wedges(a, b, flux: FluxModel, delta: float, work) -> np.ndarray:
+def _wedges(a, b, flux: FluxModel, delta: float,
+            work: _WedgeWork) -> np.ndarray:
     """W+(a,b) + W-(a,b): the speed-weighted kinetic wedges
 
         W+(a,b) = int_{xi < a} a(xi) X_delta(xi - b) dxi
@@ -243,30 +254,26 @@ def _wedges(a, b, flux: FluxModel, delta: float, work) -> np.ndarray:
     since M_j(r) = int_{-1}^{r} s^j X(s) ds = (r^(j+1) X(r) - P_(j+1)(r))/(j+1)
     by parts, with P_k the tabulated moment primitives of psi.
 
-    a broadcasts against b.  Every array shaped like b lives in a row of
-    work, wedge_rows(flux) C-contiguous float rows of at least b.size + 2,
-    and the result is one of them.
+    a broadcasts against b.  Every array shaped like b lives in work, a
+    _WedgeWork of at least b.size points, and the result is its band sum.
     """
     q = flux.speed_coeffs
     kmax = len(q)
-    tab = kernel_tables(kmax)
-    work = work[:, :b.size + 2]
-    r, *rows = (w[:b.size].reshape(b.shape) for w in work)
-    prims = rows[:kmax + 1]
+    r, lead, band, p_j, term = (w[:b.size].reshape(b.shape) for w in (
+        work.r, work.lead, work.band, work.p, work.term))
     np.clip(np.divide(np.subtract(a, b, out=r), delta, out=r), -1.0, 1.0,
             out=r)
-    tab.primitives(r, kmax, out=work[1:kmax + 2, :b.size],
-                   work=work[kmax + 2:])
-    ends = tab.right_ends
-    # the primitives' scratch is spent; r^(j+1) (2 X(r) - 1) starts at j = 0
-    lead, band, w0, w1, w2 = rows[kmax + 1:kmax + 6]
-    np.multiply(np.subtract(np.multiply(2.0, prims[0], out=lead), 1.0,
+    reader = work.reader
+    reader.locate(r)
+    ends = kernel_tables(kmax).right_ends
+    # r^(j+1) (2 X(r) - 1), at j = 0
+    reader.moment(0, p_j)
+    np.multiply(np.subtract(np.multiply(2.0, p_j, out=lead), 1.0,
                             out=lead), r, out=lead)
     band.fill(0.0)
-    p_j = prims[0]
     for j in range(kmax):
         np.multiply(delta ** j, horner(b, q, p_j), out=p_j)
-        term = prims[j + 1]
+        reader.moment(j + 1, term)
         np.subtract(lead, np.multiply(2.0, term, out=term), out=term)
         term += ends[j + 1]
         term /= j + 1
@@ -274,14 +281,15 @@ def _wedges(a, b, flux: FluxModel, delta: float, work) -> np.ndarray:
         # polyder(q) / (j + 1), operation for operation
         q = [(m + 1) * c / (j + 1) for m, c in enumerate(q[1:])]
         lead *= r
-    # the flat tails, (A(max(a, hi)) - A(hi)) + (A(lo) - A(min(a, lo)))
-    hi_lo, tails = lead, prims[0]
+    # the flat tails, (A(max(a, hi)) - A(hi)) + (A(lo) - A(min(a, lo))),
+    # in the arrays the band sum is done with
+    hi_lo, tails, w0, w1 = lead, p_j, r, term
     np.add(b, delta, out=hi_lo)
     flux.A(np.maximum(a, hi_lo, out=w0), out=tails)
     tails -= flux.A(hi_lo, out=w0)
     np.subtract(b, delta, out=hi_lo)
     flux.A(hi_lo, out=w1)
-    w1 -= flux.A(np.minimum(a, hi_lo, out=w0), out=w2)
+    w1 -= flux.A(np.minimum(a, hi_lo, out=w0), out=hi_lo)
     tails += w1
     band *= delta
     band += tails
@@ -303,7 +311,7 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
 
     P_k the tabulated kernel moment primitives (derived at _wedges).
     Every offset with a nonzero gradient weight is evaluated in one call
-    per tile of TRANSPORT_TILE snapshots, in work rows allocated once
+    per tile of TRANSPORT_TILE snapshots, in work arrays allocated once
     per call.
     """
     uvals, vvals, times = _pair_arrays(pair)
@@ -315,20 +323,16 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
     u, v = uvals[:-1], vvals[:-1]
     per_t = np.empty((len(u), len(shifted)))
     tile = min(TRANSPORT_TILE, len(u)) * shifted.size
-    # rows start 320 bytes apart modulo 4 KB: rows whose starts share their
-    # low 12 address bits stall loads behind stores to the other row (4K
-    # aliasing), which made 16-snapshot tiles half again as slow
-    width = tile + 2 + (40 - tile - 2) % 512
-    work = np.empty((1 + wedge_rows(flux), width))
+    work = _WedgeWork(flux, tile)
     for lo in range(0, len(u), TRANSPORT_TILE):
         hi = lo + TRANSPORT_TILE
         # (snapshots, offsets, cells) wedges; each sum runs over its own
         # contiguous cells, so the bits do not depend on the tile
-        b = work[0, :len(u[lo:hi]) * shifted.size].reshape(
-            (-1,) + shifted.shape)
+        b = work.b[:len(u[lo:hi]) * shifted.size].reshape(
+            (len(u[lo:hi]),) + shifted.shape)
         np.take(v[lo:hi], shifted, axis=1, out=b, mode="wrap")
         per_t[lo:hi] = _wedges(u[lo:hi, None, :], b, flux, moll.delta,
-                               work[1:]).sum(axis=2)
+                               work).sum(axis=2)
     total_t = np.zeros(len(times) - 1)
     for gwd, col in zip(gw[keep], per_t.T):
         total_t += gwd * col

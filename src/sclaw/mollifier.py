@@ -33,8 +33,6 @@ import numpy as np
 TABLE_POINTS = 4096
 # P_0..P_2: X, Xi and the transport wedges of a speed of degree <= 1
 BASE_MOMENTS = 2
-# float rows of scratch that KernelTables.primitives takes
-PRIMITIVE_ROWS = 6
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -158,77 +156,14 @@ class KernelTables:
             lambda s, k=k: s ** k * psi(s), knots)) for k in range(kmax + 1)]
         return cls(knots, np.stack(coeffs))
 
-    def primitives(self, rc, kmax: int, out=None, work=None) -> np.ndarray:
+    def primitives(self, rc, kmax: int) -> np.ndarray:
         """P_0(rc), ..., P_kmax(rc) for rc already clipped to [-1, 1], as
-        the kmax + 1 rows of out.
-
-        Only band points, |rc| < 1, read the tables; every other point
-        takes P_k(-1) or P_k(1), read once per call.  A read finds the
-        interval from the uniform spacing, corrected once each way
-        against the knots, and sums its cubic in the order CubicSpline
-        uses, so every value equals CubicSpline's bit for bit.  out
-        (kmax + 1 C-contiguous arrays of rc's size) and work
-        (PRIMITIVE_ROWS C-contiguous float rows of at least rc.size + 2)
-        are allocated when not given; with both given a call allocates
-        nothing of rc's size.
-        """
-        r = np.ravel(rc)
-        n = r.size
-        if out is None:
-            out = np.empty((kmax + 1,) + np.shape(rc))
-        if work is None:
-            work = np.empty((PRIMITIVE_ROWS, n + 2))
-        rows = out.reshape(kmax + 1, n)
-        flags = work[5].view(bool)
-        lo, hi, band, below, inside = (flags[j * (n + 2):][:n + 2]
-                                       for j in range(5))
-        lo, hi, band = lo[:n], hi[:n], band[:n]
-        np.less_equal(r, -1.0, out=lo)
-        np.greater_equal(r, 1.0, out=hi)
-        np.logical_not(np.logical_or(lo, hi, out=band), out=band)
-        # gather the band points into work[0]: each takes its rank among
-        # them, every other point the slot nb, which then holds -1 and the
-        # next 1, so that the cubics also give P_k(-1) and P_k(1)
-        rank = rows[0].view(np.intp)    # P_0's row until P_0 is written
-        np.copyto(rank, band)
-        np.cumsum(rank, out=rank)
-        nb = int(rank[-1]) if n else 0
-        rank -= 1
-        np.copyto(rank, nb, where=lo)
-        np.copyto(rank, nb, where=hi)
-        np.put(work[0], rank, r, mode="clip")
-        work[0, nb:nb + 2] = -1.0, 1.0
-        t, acc, g, h = (w[:nb + 2] for w in work[:4])
-        i = work[4].view(np.intp)[:nb + 2]
-        below, inside = below[:nb + 2], inside[:nb + 2]
-        knots = self.knots
-        last = len(knots) - 2
-        np.add(t, 1.0, out=g)
-        g *= last + 1
-        g /= 2.0
-        np.copyto(i, g, casting="unsafe")
-        np.minimum(i, last, out=i)
-        np.less(t, np.take(knots, i, out=g, mode="clip"), out=below)
-        np.subtract(i, 1, out=i, where=below)
-        np.greater_equal(t, np.take(knots[1:], i, out=g, mode="clip"),
-                         out=below)
-        np.logical_and(below, np.less(i, last, out=inside), out=below)
-        np.add(i, 1, out=i, where=below)
-        t -= np.take(knots, i, out=g, mode="clip")
-        for k, c in enumerate(self.coeffs[:kmax + 1]):
-            np.take(c[3], i, out=acc, mode="clip")
-            acc += np.multiply(np.take(c[2], i, out=g, mode="clip"), t,
-                               out=g)
-            np.multiply(t, t, out=h)
-            acc += np.multiply(np.take(c[1], i, out=g, mode="clip"), h,
-                               out=g)
-            h *= t
-            acc += np.multiply(np.take(c[0], i, out=g, mode="clip"), h,
-                               out=g)
-            row = rows[k]
-            np.place(row, band, acc[:nb])
-            np.copyto(row, acc[nb], where=lo)
-            np.copyto(row, acc[nb + 1], where=hi)
+        the kmax + 1 rows of a new array."""
+        out = np.empty((kmax + 1,) + np.shape(rc))
+        reader = PrimitiveReader(self, np.size(rc))
+        reader.locate(rc)
+        for k, row in enumerate(out.reshape(kmax + 1, -1)):
+            reader.moment(k, row)
         return out
 
     @cached_property
@@ -243,6 +178,92 @@ class KernelTables:
         p0, p1 = self.primitives(rc, 1)
         core = np.maximum(rc * p0 - p1, 0.0)
         return np.where(r <= -1.0, 0.0, np.where(r >= 1.0, r, core))
+
+
+class PrimitiveReader:
+    """Reads the moment primitives at up to size points per locate, in
+    arrays allocated once.
+
+    locate(r) finds the points of the band |r| < 1 and the interval of
+    each; moment(k, out) then sums P_k's cubic at each band point in the
+    order CubicSpline uses, so every value equals CubicSpline's bit for
+    bit.  Only band points read the tables: every other point takes
+    P_k(-1) or P_k(1), read the same way once per moment.
+
+    rows float arrays of size points are the caller's, as self.rows; they
+    share one allocation with the reader's own floats.
+    """
+
+    def __init__(self, tables: KernelTables, size: int, rows: int = 0):
+        self.tables = tables
+        self.lo, self.hi, self.band = np.empty((3, size), dtype=bool)
+        # the band points, then -1 and 1, with their intervals
+        block = np.empty((4 + rows, size + 2))
+        self.t, self.acc, self.g, self.h = block[:4]
+        self.rows = block[4:, :size]
+        self.i = np.empty(size + 2, dtype=np.intp)
+        self.below, self.inside = np.empty((2, size + 2), dtype=bool)
+        self.n = self.nb = 0
+
+    def locate(self, r) -> None:
+        """Take the points of r (clipped to [-1, 1], at most size of
+        them) for the following moment calls."""
+        r = np.ravel(r)
+        n = self.n = r.size
+        lo, hi, band = self.lo[:n], self.hi[:n], self.band[:n]
+        np.less_equal(r, -1.0, out=lo)
+        np.greater_equal(r, 1.0, out=hi)
+        np.logical_not(np.logical_or(lo, hi, out=band), out=band)
+        # gather the band points into t: each takes its rank among them,
+        # every other point the slot nb, which then holds -1 and the next
+        # 1.  The ranks live in i until the intervals replace them
+        rank = self.i[:n]
+        np.copyto(rank, band)
+        np.cumsum(rank, out=rank)
+        nb = self.nb = int(rank[-1]) if n else 0
+        rank -= 1
+        np.copyto(rank, nb, where=lo)
+        np.copyto(rank, nb, where=hi)
+        np.put(self.t, rank, r, mode="clip")
+        self.t[nb:nb + 2] = -1.0, 1.0
+        # the interval from the uniform spacing, corrected once each way
+        # against the knots
+        t, g, i = self.t[:nb + 2], self.g[:nb + 2], self.i[:nb + 2]
+        below, inside = self.below[:nb + 2], self.inside[:nb + 2]
+        knots = self.tables.knots
+        last = len(knots) - 2
+        np.add(t, 1.0, out=g)
+        g *= last + 1
+        g /= 2.0
+        np.copyto(i, g, casting="unsafe")
+        np.minimum(i, last, out=i)
+        np.less(t, np.take(knots, i, out=g, mode="clip"), out=below)
+        np.subtract(i, 1, out=i, where=below)
+        np.greater_equal(t, np.take(knots[1:], i, out=g, mode="clip"),
+                         out=below)
+        np.logical_and(below, np.less(i, last, out=inside), out=below)
+        np.add(i, 1, out=i, where=below)
+        t -= np.take(knots, i, out=g, mode="clip")
+
+    def moment(self, k: int, out: np.ndarray) -> np.ndarray:
+        """P_k at the located points, into out (C-contiguous, one entry
+        per point)."""
+        nb = self.nb
+        t, acc, g, h = (w[:nb + 2] for w in (self.t, self.acc, self.g,
+                                             self.h))
+        i = self.i[:nb + 2]
+        c = self.tables.coeffs[k]
+        np.take(c[3], i, out=acc, mode="clip")
+        acc += np.multiply(np.take(c[2], i, out=g, mode="clip"), t, out=g)
+        np.multiply(t, t, out=h)
+        acc += np.multiply(np.take(c[1], i, out=g, mode="clip"), h, out=g)
+        h *= t
+        acc += np.multiply(np.take(c[0], i, out=g, mode="clip"), h, out=g)
+        row = out.reshape(self.n)
+        np.place(row, self.band[:self.n], acc[:nb])
+        np.copyto(row, acc[nb], where=self.lo[:self.n])
+        np.copyto(row, acc[nb + 1], where=self.hi[:self.n])
+        return out
 
 
 def kernel_tables(kmax: int = BASE_MOMENTS) -> KernelTables:

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
-                               BoundReport, _wedges, bound_check_I,
+                               BoundReport, _WedgeWork, _wedges,
+                               bound_check_I,
                                bound_check_J, bound_csv_lines,
                                bracket_identity, direct_brackets,
                                doubling_functional, error_term,
                                smoothing_defect, transport_constants,
-                               transport_term, wedge_rows)
+                               transport_term)
 from sclaw.grid import ScalarField, Trajectory, TorusGrid, make_initial
 from sclaw.models import NoiseMode, NoiseModel, SimConfig, make_flux
 from sclaw.mollifier import MollifierPair
@@ -340,12 +341,6 @@ def gl12_transport_term(pair, moll, epsilon, flux):
     return epsilon * float(np.dot(np.diff(pair[0].times), total_t)) * grid.dx
 
 
-def fresh_wedges(a, b, flux, delta):
-    """_wedges in work rows of its own."""
-    return _wedges(a, b, flux, delta,
-                   np.empty((wedge_rows(flux), b.size + 2)))
-
-
 def quad_wedges(a, b, flux, delta):
     """W+(a,b) + W-(a,b) from their definitions by adaptive quadrature,
     with the kernel CDF itself integrated adaptively (no tables)."""
@@ -395,8 +390,8 @@ def test_wedges_match_adaptive_quadrature(kind, regime, gap):
     delta = 0.1
     for b in (-0.85, 0.3, 1.4):
         a = b + gap
-        got = float(fresh_wedges(np.array([a]), np.array([b]), flux,
-                                  delta)[0])
+        got = float(_wedges(np.array([a]), np.array([b]), flux, delta,
+                            _WedgeWork(flux, 1))[0])
         want = quad_wedges(a, b, flux, delta)
         assert abs(got - want) <= 1e-12, (b, got, want)
 
@@ -423,8 +418,8 @@ def untiled_transport_term(pair, moll, epsilon, flux):
     keep = gw != 0.0
     shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
     b = vvals[:-1][:, shifted]
-    per_t = fresh_wedges(uvals[:-1][:, None, :], b, flux,
-                         moll.delta).sum(axis=2)
+    per_t = _wedges(uvals[:-1][:, None, :], b, flux, moll.delta,
+                    _WedgeWork(flux, b.size)).sum(axis=2)
     total_t = np.zeros(len(pair[0].times) - 1)
     for gwd, col in zip(gw[keep], per_t.T):
         total_t += gwd * col
@@ -465,11 +460,12 @@ def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
             np.float64(want).view(np.uint64), len(pair[0].times)
 
 
-def test_transport_term_traces_its_work_rows_and_two_tiles(pair_noise):
+def test_transport_term_traces_a_few_tiles(pair_noise):
     # the shipped grid and kernel widths, several tiles of snapshots; fresh
-    # temporaries per tile peaked above fifteen tile arrays.  Two tiles
-    # cover the per-call arrays and numpy's fixed 64 KB ufunc buffer next
-    # to the gathered b and the wedge rows
+    # temporaries per tile of 32 snapshots peaked above thirty of these
+    # 16-snapshot tiles.  The work block's ten rows, the primitive
+    # reader's index and masks and numpy's fixed 64 KB ufunc buffer come
+    # to about 12.6
     eta = make_initial(TorusGrid(64), "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=64, seed=2024, dt=1.0 / 256,
                     cfl_fraction=0.9)
@@ -485,4 +481,18 @@ def test_transport_term_traces_its_work_rows_and_two_tiles(pair_noise):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (1 + wedge_rows(flux) + 2) * tile
+    assert peak <= 13 * tile
+
+
+def test_transport_term_is_zero_when_gamma_is_one_cell(pair_noise):
+    # gamma = dx leaves only the offset 0, whose gradient weight is 0
+    grid = TorusGrid(10)
+    eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.1, cells=10, seed=2024, dt=1.0 / 64,
+                    cfl_fraction=0.9)
+    flux = make_flux("burgers")
+    pair = solve_coupled_pair(eta, cfg, flux, pair_noise)
+    moll = MollifierPair(grid.dx, 0.1)
+    assert not moll.gradient_weights(grid)[1].any()
+    got = transport_term(pair, moll, cfg.epsilon, flux)
+    assert np.float64(got).view(np.uint64) == np.float64(0.0).view(np.uint64)
