@@ -12,9 +12,10 @@ checkout:
 
 It names each file whose bytes differ (or that only one side wrote) and
 each exit code that differs, and exits 1 if there is any; else 0.  It
-also prints a table of each run's peak RSS and minor page faults on both
-sides, read from os.wait4 (the whole child: interpreter start-up and
-imports included).
+also prints a table of each run's wall time, peak RSS and minor page
+faults on both sides: the wall time from a monotonic clock around the
+child's start and os.wait4, the rest read from os.wait4 (the whole
+child: interpreter start-up and imports included).
 """
 
 import io
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUNS = (("validate", "burgers2mode.json"), ("simulate", "burgers2mode.json"),
@@ -43,37 +45,41 @@ def export(rev: str, dest: pathlib.Path) -> pathlib.Path:
 
 
 def run_all(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict, dict]:
-    """({run label: exit code}, {run label: (peak RSS in MB, minor page
-    faults)}) of every shipped command run from tree, each writing into
-    out / <label>."""
+    """({run label: exit code}, {run label: (wall seconds, peak RSS in
+    MB, minor page faults)}) of every shipped command run from tree, each
+    writing into out / <label>."""
     codes, usage = {}, {}
     for command, config in RUNS:
         for threads in THREADS:
             label = f"{command}-{config.removesuffix('.json')}-{threads}w"
             env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                        SCLAW_THREADS=threads)
+            start = time.monotonic()
             proc = subprocess.Popen(
                 [sys.executable, "-m", "sclaw.cli", command, "--config",
                  str(tree / "configs" / config), "--out", str(out / label),
                  "--quiet"], env=env, cwd=out, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL)
             _, status, rusage = os.wait4(proc.pid, 0)
+            wall = time.monotonic() - start
             proc.returncode = codes[label] = os.waitstatus_to_exitcode(status)
-            usage[label] = (rusage.ru_maxrss / 1024.0, rusage.ru_minflt)
+            usage[label] = (wall, rusage.ru_maxrss / 1024.0,
+                            rusage.ru_minflt)
             print(f"{tree.name}: {label} exited {codes[label]}", flush=True)
     return codes, usage
 
 
 def usage_table(base_usage: dict, work_usage: dict) -> list[str]:
-    """Peak RSS and minor faults of each run, revision against working
-    tree."""
-    out = [f"{'run':<32} {'peak RSS MB':>23} {'minor faults':>21}",
-           f"{'':<32} {'revision':>11} {'working':>11} {'revision':>10} "
-           f"{'working':>10}"]
-    for label, (rss, faults) in base_usage.items():
-        w_rss, w_faults = work_usage[label]
-        out.append(f"{label:<32} {rss:>11.1f} {w_rss:>11.1f} {faults:>10} "
-                   f"{w_faults:>10}")
+    """Wall time, peak RSS and minor faults of each run, revision
+    against working tree."""
+    out = [f"{'run':<32} {'wall s':>17} {'peak RSS MB':>23} "
+           f"{'minor faults':>21}",
+           f"{'':<32} {'revision':>8} {'working':>8} {'revision':>11} "
+           f"{'working':>11} {'revision':>10} {'working':>10}"]
+    for label, (wall, rss, faults) in base_usage.items():
+        w_wall, w_rss, w_faults = work_usage[label]
+        out.append(f"{label:<32} {wall:>8.2f} {w_wall:>8.2f} {rss:>11.1f} "
+                   f"{w_rss:>11.1f} {faults:>10} {w_faults:>10}")
     return out
 
 

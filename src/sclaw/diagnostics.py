@@ -40,9 +40,9 @@ Pair = tuple[Trajectory, Trajectory]
 # and is allocated once per call, the float ones in one block.  Fresh
 # tile-sized temporaries per operation took about 4 200 minor faults per
 # pair on the benchmark's grid, and three float blocks per call about
-# 190 on every call; one block takes about 200 on each of the first two
-# calls and none after them, once glibc has raised its mmap and trim
-# thresholds past the block it freed.  Tiles of 32 snapshots measured
+# 190 on every call; one block takes about 210 on the first call, 130
+# to 210 on the second and none after them, once glibc has raised its
+# mmap and trim thresholds past the block it freed.  Tiles of 32 snapshots measured
 # no faster per snapshot, and raised doubling's peak RSS by 1 MB.
 TRANSPORT_TILE = 16
 

@@ -14,10 +14,9 @@ the primitives
 One stack of moment primitives P_k(r) = int_{-1}^{r} s^k psi(s) ds,
 k = 0..kmax, is tabulated once on 4096 uniform knots by per-interval
 Gauss quadrature and stored as the per-interval coefficients of a cubic
-spline through each.  A read at a point of the band |r| < 1 finds its
-interval by direct index on the uniform knots and sums that cubic
-exactly as CubicSpline does; a point off the band takes P_k(-1) or
-P_k(1), read the same way once.
+spline through each.  A read at a point of [-1, 1] finds its interval
+by direct index on the uniform knots and sums that cubic exactly as
+CubicSpline does; -1 and 1 read the end intervals' cubics.
 X = P_0, and Xi follows from the exact integration-by-parts identity
 Xi(r) = r*X(r) - P_1(r), so Xi(1) = 1 and Xi(r) = r for r >= 1 with no
 drift.  The higher moments carry the transport wedges in closed form.
@@ -184,11 +183,10 @@ class PrimitiveReader:
     """Reads the moment primitives at up to size points per locate, in
     arrays allocated once.
 
-    locate(r) finds the points of the band |r| < 1 and the interval of
-    each; moment(k, out) then sums P_k's cubic at each band point in the
-    order CubicSpline uses, so every value equals CubicSpline's bit for
-    bit.  Only band points read the tables: every other point takes
-    P_k(-1) or P_k(1), read the same way once per moment.
+    locate(r) finds the interval of each point on the uniform knots;
+    moment(k, out) then sums P_k's cubic at each point in the order
+    CubicSpline uses, so every value equals CubicSpline's bit for bit.
+    A point at -1 or 1 reads the end interval's cubic like any other.
 
     rows float arrays of size points are the caller's, as self.rows; they
     share one allocation with the reader's own floats.
@@ -196,73 +194,50 @@ class PrimitiveReader:
 
     def __init__(self, tables: KernelTables, size: int, rows: int = 0):
         self.tables = tables
-        self.lo, self.hi, self.band = np.empty((3, size), dtype=bool)
-        # the band points, then -1 and 1, with their intervals
-        block = np.empty((4 + rows, size + 2))
-        self.t, self.acc, self.g, self.h = block[:4]
-        self.rows = block[4:, :size]
-        self.i = np.empty(size + 2, dtype=np.intp)
-        self.below, self.inside = np.empty((2, size + 2), dtype=bool)
-        self.n = self.nb = 0
+        block = np.empty((3 + rows, size))
+        self.t, self.g, self.h = block[:3]
+        self.rows = block[3:]
+        self.i = np.empty(size, dtype=np.intp)
+        self.below, self.inside = np.empty((2, size), dtype=bool)
+        self.n = 0
 
     def locate(self, r) -> None:
         """Take the points of r (clipped to [-1, 1], at most size of
         them) for the following moment calls."""
         r = np.ravel(r)
         n = self.n = r.size
-        lo, hi, band = self.lo[:n], self.hi[:n], self.band[:n]
-        np.less_equal(r, -1.0, out=lo)
-        np.greater_equal(r, 1.0, out=hi)
-        np.logical_not(np.logical_or(lo, hi, out=band), out=band)
-        # gather the band points into t: each takes its rank among them,
-        # every other point the slot nb, which then holds -1 and the next
-        # 1.  The ranks live in i until the intervals replace them
-        rank = self.i[:n]
-        np.copyto(rank, band)
-        np.cumsum(rank, out=rank)
-        nb = self.nb = int(rank[-1]) if n else 0
-        rank -= 1
-        np.copyto(rank, nb, where=lo)
-        np.copyto(rank, nb, where=hi)
-        np.put(self.t, rank, r, mode="clip")
-        self.t[nb:nb + 2] = -1.0, 1.0
+        t, g, i = self.t[:n], self.g[:n], self.i[:n]
+        below, inside = self.below[:n], self.inside[:n]
         # the interval from the uniform spacing, corrected once each way
         # against the knots
-        t, g, i = self.t[:nb + 2], self.g[:nb + 2], self.i[:nb + 2]
-        below, inside = self.below[:nb + 2], self.inside[:nb + 2]
         knots = self.tables.knots
         last = len(knots) - 2
-        np.add(t, 1.0, out=g)
+        np.add(r, 1.0, out=g)
         g *= last + 1
         g /= 2.0
         np.copyto(i, g, casting="unsafe")
         np.minimum(i, last, out=i)
-        np.less(t, np.take(knots, i, out=g, mode="clip"), out=below)
+        np.less(r, np.take(knots, i, out=g, mode="clip"), out=below)
         np.subtract(i, 1, out=i, where=below)
-        np.greater_equal(t, np.take(knots[1:], i, out=g, mode="clip"),
+        np.greater_equal(r, np.take(knots[1:], i, out=g, mode="clip"),
                          out=below)
         np.logical_and(below, np.less(i, last, out=inside), out=below)
         np.add(i, 1, out=i, where=below)
-        t -= np.take(knots, i, out=g, mode="clip")
+        np.subtract(r, np.take(knots, i, out=g, mode="clip"), out=t)
 
     def moment(self, k: int, out: np.ndarray) -> np.ndarray:
         """P_k at the located points, into out (C-contiguous, one entry
         per point)."""
-        nb = self.nb
-        t, acc, g, h = (w[:nb + 2] for w in (self.t, self.acc, self.g,
-                                             self.h))
-        i = self.i[:nb + 2]
+        n = self.n
+        t, g, h, i = self.t[:n], self.g[:n], self.h[:n], self.i[:n]
         c = self.tables.coeffs[k]
+        acc = out.reshape(n)
         np.take(c[3], i, out=acc, mode="clip")
         acc += np.multiply(np.take(c[2], i, out=g, mode="clip"), t, out=g)
         np.multiply(t, t, out=h)
         acc += np.multiply(np.take(c[1], i, out=g, mode="clip"), h, out=g)
         h *= t
         acc += np.multiply(np.take(c[0], i, out=g, mode="clip"), h, out=g)
-        row = out.reshape(self.n)
-        np.place(row, self.band[:self.n], acc[:nb])
-        np.copyto(row, acc[nb], where=self.lo[:self.n])
-        np.copyto(row, acc[nb + 1], where=self.hi[:self.n])
         return out
 
 

@@ -463,9 +463,9 @@ def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
 def test_transport_term_traces_a_few_tiles(pair_noise):
     # the shipped grid and kernel widths, several tiles of snapshots; fresh
     # temporaries per tile of 32 snapshots peaked above thirty of these
-    # 16-snapshot tiles.  The work block's ten rows, the primitive
+    # 16-snapshot tiles.  The work block's nine rows, the primitive
     # reader's index and masks and numpy's fixed 64 KB ufunc buffer come
-    # to about 12.6
+    # to about 11.2
     eta = make_initial(TorusGrid(64), "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=64, seed=2024, dt=1.0 / 256,
                     cfl_fraction=0.9)

@@ -182,6 +182,26 @@ def test_table_lookup_matches_cubic_spline_bitwise():
                                   spline(arg).view(np.uint64))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+def test_nan_reads_as_nan():
+    # a nan point takes a clipped interval and a nan offset; numpy warns
+    # when it casts the interval index, nothing raises, and the points
+    # read with it keep their bits
+    tables = kernel_tables()
+    r = np.array([0.25, np.nan, -1.0, 1.0, -0.5])
+    got = tables.primitives(r, BASE_MOMENTS)
+    assert np.isnan(got[:, 1]).all()
+    rest = np.delete(r, 1)
+    assert np.array_equal(np.delete(got, 1, axis=1).view(np.uint64),
+                          tables.primitives(rest, BASE_MOMENTS).view(
+                              np.uint64))
+    assert np.isnan(tables.Xi(np.nan))
+    xi = tables.Xi(r)
+    assert np.isnan(xi[1])
+    assert np.array_equal(np.delete(xi, 1).view(np.uint64),
+                          tables.Xi(rest).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # width pair
 

@@ -226,7 +226,7 @@ def unused_defaults(sources):
 def test_sources_found():
     assert len(SOURCES) >= 10
     assert {p.name for p in SOURCES} >= {"cli.py", "solvers.py",
-                                         "run_tail_scan.py"}
+                                         "compare_artifacts.py"}
 
 
 def test_no_surface_only_tests_call():
