@@ -4,7 +4,9 @@ tree and a git revision.
 
 Each command runs at full size on its shipped config, at SCLAW_THREADS=1
 and 2, from the working tree and from a `git archive` of <rev>, each in
-its own subprocess.  Every file a run writes, the manifest included, is
+its own subprocess.  The two sides alternate run by run, and every other
+run starts with the working tree, so that drift of the machine does not
+land on one side.  Every file a run writes, the manifest included, is
 compared byte for byte, and so is every exit code.  Run it from inside a
 checkout:
 
@@ -44,29 +46,24 @@ def export(rev: str, dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-def run_all(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict, dict]:
-    """({run label: exit code}, {run label: (wall seconds, peak RSS in
-    MB, minor page faults)}) of every shipped command run from tree, each
-    writing into out / <label>."""
-    codes, usage = {}, {}
-    for command, config in RUNS:
-        for threads in THREADS:
-            label = f"{command}-{config.removesuffix('.json')}-{threads}w"
-            env = dict(os.environ, PYTHONPATH=str(tree / "src"),
-                       SCLAW_THREADS=threads)
-            start = time.monotonic()
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "sclaw.cli", command, "--config",
-                 str(tree / "configs" / config), "--out", str(out / label),
-                 "--quiet"], env=env, cwd=out, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL)
-            _, status, rusage = os.wait4(proc.pid, 0)
-            wall = time.monotonic() - start
-            proc.returncode = codes[label] = os.waitstatus_to_exitcode(status)
-            usage[label] = (wall, rusage.ru_maxrss / 1024.0,
-                            rusage.ru_minflt)
-            print(f"{tree.name}: {label} exited {codes[label]}", flush=True)
-    return codes, usage
+def run_one(tree: pathlib.Path, out: pathlib.Path, label: str, command: str,
+            config: str, threads: str) -> tuple[int, tuple[float, float,
+                                                           int]]:
+    """(exit code, (wall seconds, peak RSS in MB, minor page faults)) of
+    one shipped command run from tree, writing into out / label."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               SCLAW_THREADS=threads)
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sclaw.cli", command, "--config",
+         str(tree / "configs" / config), "--out", str(out / label),
+         "--quiet"], env=env, cwd=out, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    _, status, rusage = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - start
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    print(f"{tree.name}: {label} exited {code}", flush=True)
+    return code, (wall, rusage.ru_maxrss / 1024.0, rusage.ru_minflt)
 
 
 def usage_table(base_usage: dict, work_usage: dict) -> list[str]:
@@ -116,8 +113,18 @@ def main() -> int:
         base, work = scratch / "base", scratch / "work"
         base.mkdir()
         work.mkdir()
-        base_codes, base_usage = run_all(base_tree, base)
-        work_codes, work_usage = run_all(ROOT, work)
+        base_codes, base_usage, work_codes, work_usage = {}, {}, {}, {}
+        sides = [(base_tree, base, base_codes, base_usage),
+                 (ROOT, work, work_codes, work_usage)]
+        runs = [(command, config, threads) for command, config in RUNS
+                for threads in THREADS]
+        for k, (command, config, threads) in enumerate(runs):
+            label = f"{command}-{config.removesuffix('.json')}-{threads}w"
+            # the sides alternate, the working tree first on every other
+            # label, so that drift of the machine lands on neither side
+            for tree, out, codes, usage in sides[::-1 if k % 2 else 1]:
+                codes[label], usage[label] = run_one(
+                    tree, out, label, command, config, threads)
         n_files = sum(1 for p in work.rglob("*") if p.is_file())
         diffs = differences(base, work, base_codes, work_codes)
     for line in usage_table(base_usage, work_usage) + diffs:

@@ -32,9 +32,9 @@ from .models import (FLUX_KINDS, PROFILE_KINDS, NoiseMode, NoiseModel,
                      SimConfig, check_mode_constants, check_state_bound,
                      make_flux, validate_flux, validate_noise)
 from .mollifier import MollifierPair
-from .solvers import solve_coupled_pair, solve_coupled_pairs
-from .diagnostics import (bound_check_I, bound_check_J, bound_csv_lines,
-                          error_term, transport_constants)
+from .solvers import pair_l1_distances, solve_coupled_pair
+from .diagnostics import (bound_csv_lines, certify_pairs, error_term,
+                          transport_constants)
 from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
                       moment_scan, scaling_check, worker_count)
 from .ratefn import (DIMENSION_CAP, OptConfig, constant_target, drift_target,
@@ -45,9 +45,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
-# coupled pairs recorded per block by doubling: 64 pairs of snapshots on
-# the shipped grid are about 17 MB
-PAIR_BLOCK = 64
+# coupled pairs per block of doubling: each block runs its own sweep and
+# certifies its tiles as they are recorded, and the blocks are mapped
+# over the workers.  On the shipped grid a block of 25 pairs traces
+# about 3.2 MB at its peak, where their snapshots alone took 6.6 MB when
+# recorded whole.  Blocks of 8 or 16 pairs ran slower at one worker and
+# at two, where their threads contend for the interpreter lock
+PAIR_BLOCK = 25
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +394,18 @@ def _cmd_doubling(resolved, _writes):
         raise ConfigError("certificate failure in model.flux")
 
     n_pairs = resolved["harness"]["n_pairs"]
-    reports = []
-    for lo in range(0, n_pairs, PAIR_BLOCK):
-        pairs = solve_coupled_pairs(eta, cfg, flux, noise,
-                                    range(lo, min(lo + PAIR_BLOCK, n_pairs)))
-        if lo == 0:
-            u_final, v_final = pairs[0][0].final(), pairs[0][1].final()
-
-        def one(r):
-            pair, i = pairs[r], lo + r
-            j1, j2 = bound_check_J(pair, moll, cfg.epsilon, noise,
-                                   path_index=i)
-            rep_i = bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)
-            return [j1, j2, rep_i]
-
-        reports += [rep for batch in map_paths(one, len(pairs))
-                    for rep in batch]
+    blocks = [range(lo, min(lo + PAIR_BLOCK, n_pairs))
+              for lo in range(0, n_pairs, PAIR_BLOCK)]
+    try:
+        certified = map_paths(lambda b: certify_pairs(
+            eta, cfg, flux, noise, moll, blocks[b]), len(blocks))
+    except NumericalFailure:
+        # a block stops at its own first failure: name the one that a
+        # single sweep of every pair meets first
+        pair_l1_distances(eta, cfg, flux, noise, range(n_pairs))
+        raise
+    reports = [rep for block, _ in certified for rep in block]
+    u_final, v_final = certified[0][1]
     # half the widths twice; rungs finer than the grid are dropped
     ladder = []
     for k in range(3):

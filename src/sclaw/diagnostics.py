@@ -30,20 +30,25 @@ import numpy as np
 from .grid import ScalarField, Trajectory
 from .mollifier import (MollifierPair, PrimitiveReader, kernel_tables,
                         psi_sup)
-from .models import FluxModel, NoiseModel, horner
-from .solvers import lp_moment
+from .models import FluxModel, NoiseModel, SimConfig, horner
+from .solvers import (lp_moment, lp_norms, record_coupled_pairs,
+                      recorded_times)
 
 Pair = tuple[Trajectory, Trajectory]
 
-# snapshots per tile of the transport wedges.  Each work array of a call
+# snapshots per tile of the transport wedges, and per tile that the sweep
+# of a doubling pair block hands its certificates.  Each work array
 # holds one (snapshots, offsets, cells) tile, 96 KB on the shipped grid,
-# and is allocated once per call, the float ones in one block.  Fresh
-# tile-sized temporaries per operation took about 4 200 minor faults per
-# pair on the benchmark's grid, and three float blocks per call about
-# 190 on every call; one block takes about 210 on the first call, 130
-# to 210 on the second and none after them, once glibc has raised its
-# mmap and trim thresholds past the block it freed.  Tiles of 32 snapshots measured
-# no faster per snapshot, and raised doubling's peak RSS by 1 MB.
+# and is allocated once per transport_term call or per pair block, the
+# float ones in one block.  Fresh tile-sized temporaries per operation
+# took about 4 200 minor faults per pair on the benchmark's grid, and
+# three float blocks per call about 190 on every call.  One block takes
+# 221 faults on the first transport_term call, 160 on the second and
+# none after them, once glibc has raised its mmap and trim thresholds
+# past the block it freed; certify_pairs on the benchmark's 6 pairs, one
+# block, takes 74 on its first call and none after.  Tiles of 32
+# snapshots measured no faster per snapshot, and raised doubling's peak
+# RSS by 1 MB.
 TRANSPORT_TILE = 16
 
 
@@ -178,6 +183,54 @@ def _pair_arrays(pair: Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u.values, v.values, u.times
 
 
+# Each certificate reduces per snapshot first, over its own contiguous
+# cells, and only then over time.  The per-snapshot kernels below serve
+# both a whole recorded pair (bound_check_J, transport_term and
+# bound_check_I) and the tiles that certify_pairs is handed while the
+# sweep runs, and the time sums then run over the same per-snapshot
+# arrays; so a pair's reports have the same bits either way.
+
+
+def _smoothing_rows(u: np.ndarray, v: np.ndarray, moll: MollifierPair,
+                    grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-snapshot kernel sums (j1_t, j2_t) of J1 and J2 for snapshots
+    u, v (..., cells), shaped like u without its cells axis."""
+    offs, w = moll.spatial_weights(grid)
+    z = offs * grid.dx
+    delta = moll.delta
+    j1_t = np.zeros(u.shape[:-1])
+    j2_t = np.zeros(u.shape[:-1])
+    for d, wd, zd in zip(offs, w, z):
+        diff = u - np.roll(v, d, axis=-1)
+        psi_vals = moll.psi_delta(diff)
+        j1_t += wd * zd * zd * psi_vals.sum(axis=-1)
+        inside = np.abs(diff) <= delta
+        # psi_vals * diff * diff * inside, in place
+        psi_vals *= diff
+        psi_vals *= diff
+        psi_vals *= inside
+        j2_t += wd * np.sum(psi_vals, axis=-1)
+    return j1_t, j2_t
+
+
+def _smoothing_reports(j1_t: np.ndarray, j2_t: np.ndarray,
+                       times: np.ndarray, moll: MollifierPair,
+                       epsilon: float, noise: NoiseModel, dx: float,
+                       path_index: int) -> tuple[BoundReport, BoundReport]:
+    """J1 and J2 from a pair's per-snapshot sums: left-endpoint time sums
+    over the snapshots at times, all but the last."""
+    delta = moll.delta
+    d1 = noise.D1
+    wts = np.diff(times)
+    j1 = epsilon * d1 * float(np.dot(wts, j1_t)) * dx
+    j2 = epsilon * d1 * float(np.dot(wts, j2_t)) * dx
+    r1 = BoundReport("J1", j1, epsilon * d1 * moll.gamma ** 2 / delta,
+                     epsilon, moll.gamma, delta, path_index)
+    r2 = BoundReport("J2", j2, epsilon * d1 * delta * psi_sup(),
+                     epsilon, moll.gamma, delta, path_index)
+    return r1, r2
+
+
 def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
                   noise: NoiseModel, path_index: int
                   ) -> tuple[BoundReport, BoundReport]:
@@ -196,28 +249,9 @@ def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
     """
     uvals, vvals, times = _pair_arrays(pair)
     grid = pair[0].grid
-    offs, w = moll.spatial_weights(grid)
-    z = offs * grid.dx
-    delta = moll.delta
-    d1 = noise.D1
-    wts = np.diff(times)
-    j1_t = np.zeros(len(times) - 1)
-    j2_t = np.zeros(len(times) - 1)
-    u = uvals[:-1]
-    for d, wd, zd in zip(offs, w, z):
-        diff = u - np.roll(vvals[:-1], d, axis=1)
-        psi_vals = moll.psi_delta(diff)
-        j1_t += wd * zd * zd * psi_vals.sum(axis=1)
-        inside = np.abs(diff) <= delta
-        j2_t += wd * np.sum(psi_vals * diff * diff * inside, axis=1)
-    dx = grid.dx
-    j1 = epsilon * d1 * float(np.dot(wts, j1_t)) * dx
-    j2 = epsilon * d1 * float(np.dot(wts, j2_t)) * dx
-    r1 = BoundReport("J1", j1, epsilon * d1 * moll.gamma ** 2 / delta,
-                     epsilon, moll.gamma, delta, path_index)
-    r2 = BoundReport("J2", j2, epsilon * d1 * delta * psi_sup(),
-                     epsilon, moll.gamma, delta, path_index)
-    return r1, r2
+    j1_t, j2_t = _smoothing_rows(uvals[:-1], vvals[:-1], moll, grid)
+    return _smoothing_reports(j1_t, j2_t, times, moll, epsilon, noise,
+                              grid.dx, path_index)
 
 
 class _WedgeWork:
@@ -296,6 +330,47 @@ def _wedges(a, b, flux: FluxModel, delta: float,
     return band
 
 
+def _transport_offsets(moll: MollifierPair, grid) -> tuple[np.ndarray,
+                                                            np.ndarray]:
+    """The nonzero gradient weights, and the cell indices of v(x - z) for
+    each of their offsets z: (offsets, cells)."""
+    offs, gw = moll.gradient_weights(grid)
+    keep = gw != 0.0
+    return gw[keep], (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
+
+
+def _wedge_sums(u: np.ndarray, v: np.ndarray, shifted: np.ndarray,
+                flux: FluxModel, delta: float, work: _WedgeWork,
+                out: np.ndarray) -> None:
+    """Wedge sums over the cells of snapshots u, v (snapshots, cells), one
+    column per offset of shifted, into out (snapshots, offsets); one
+    _wedges call per tile of TRANSPORT_TILE snapshots, in work."""
+    for lo in range(0, len(u), TRANSPORT_TILE):
+        hi = lo + TRANSPORT_TILE
+        # (snapshots, offsets, cells) wedges; each sum runs over its own
+        # contiguous cells, so the bits do not depend on the tile
+        b = work.b[:len(u[lo:hi]) * shifted.size].reshape(
+            (len(u[lo:hi]),) + shifted.shape)
+        np.take(v[lo:hi], shifted, axis=1, out=b, mode="wrap")
+        out[lo:hi] = _wedges(u[lo:hi, None, :], b, flux, delta,
+                             work).sum(axis=2)
+
+
+def _transport_rows(per_t: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """Per-snapshot transport sums from the wedge sums per_t (..., offsets):
+    the gradient weights gw times their columns, added in offset order."""
+    total_t = np.zeros(per_t.shape[:-1])
+    for gwd, col in zip(gw, np.moveaxis(per_t, -1, 0)):
+        total_t += gwd * col
+    return total_t
+
+
+def _transport_sum(total_t: np.ndarray, times: np.ndarray, epsilon: float,
+                   dx: float) -> float:
+    """The transport term from a pair's per-snapshot transport sums."""
+    return epsilon * float(np.dot(np.diff(times), total_t)) * dx
+
+
 def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
                    flux: FluxModel) -> float:
     """Signed transport contribution along the pair:
@@ -316,27 +391,13 @@ def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
     """
     uvals, vvals, times = _pair_arrays(pair)
     grid = pair[0].grid
-    offs, gw = moll.gradient_weights(grid)
-    keep = gw != 0.0
-    # cell indices of v(x - z) for each kept offset z: (offsets, cells)
-    shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
+    gw, shifted = _transport_offsets(moll, grid)
     u, v = uvals[:-1], vvals[:-1]
     per_t = np.empty((len(u), len(shifted)))
-    tile = min(TRANSPORT_TILE, len(u)) * shifted.size
-    work = _WedgeWork(flux, tile)
-    for lo in range(0, len(u), TRANSPORT_TILE):
-        hi = lo + TRANSPORT_TILE
-        # (snapshots, offsets, cells) wedges; each sum runs over its own
-        # contiguous cells, so the bits do not depend on the tile
-        b = work.b[:len(u[lo:hi]) * shifted.size].reshape(
-            (len(u[lo:hi]),) + shifted.shape)
-        np.take(v[lo:hi], shifted, axis=1, out=b, mode="wrap")
-        per_t[lo:hi] = _wedges(u[lo:hi, None, :], b, flux, moll.delta,
-                               work).sum(axis=2)
-    total_t = np.zeros(len(times) - 1)
-    for gwd, col in zip(gw[keep], per_t.T):
-        total_t += gwd * col
-    return epsilon * float(np.dot(np.diff(times), total_t)) * grid.dx
+    work = _WedgeWork(flux, min(TRANSPORT_TILE, len(u)) * shifted.size)
+    _wedge_sums(u, v, shifted, flux, moll.delta, work, per_t)
+    return _transport_sum(_transport_rows(per_t, gw), times, epsilon,
+                          grid.dx)
 
 
 def transport_constants(q0: float, delta: float) -> tuple[float, float]:
@@ -352,6 +413,18 @@ def transport_constants(q0: float, delta: float) -> tuple[float, float]:
         raise ValueError(f"delta {delta!r} overflows delta^(q0+1)") from None
 
 
+def _transport_report(term: float, mom_u: float, mom_v: float,
+                      moll: MollifierPair, epsilon: float, flux: FluxModel,
+                      path_index: int) -> BoundReport:
+    """I from a pair's transport term and the maxima over its snapshots
+    of the q0 + 1 moment norms of u and v."""
+    cq, lift = transport_constants(flux.growth_power, moll.delta)
+    lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
+    rhs = lead * lift + lead * (mom_u + mom_v)
+    return BoundReport("I", abs(term), rhs, epsilon, moll.gamma, moll.delta,
+                       path_index)
+
+
 def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
                   flux: FluxModel, path_index: int) -> BoundReport:
     """Certificate for the transport term via the growth envelope of a:
@@ -362,12 +435,65 @@ def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
 
     with Cq = max(1, 2^q0).
     """
-    lhs = abs(transport_term(pair, moll, epsilon, flux))
-    q0 = flux.growth_power
-    cq, lift = transport_constants(q0, moll.delta)
-    lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
-    mom_u = lp_moment(pair[0], q0 + 1.0)
-    mom_v = lp_moment(pair[1], q0 + 1.0)
-    rhs = lead * lift + lead * (mom_u + mom_v)
-    return BoundReport("I", lhs, rhs, epsilon, moll.gamma, moll.delta,
-                       path_index)
+    term = transport_term(pair, moll, epsilon, flux)
+    p = flux.growth_power + 1.0
+    return _transport_report(term, lp_moment(pair[0], p),
+                             lp_moment(pair[1], p), moll, epsilon, flux,
+                             path_index)
+
+
+# ---------------------------------------------------------------------------
+# certificates evaluated while the sweep runs
+
+
+def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
+                  noise: NoiseModel, moll: MollifierPair, path_indices
+                  ) -> tuple[list[BoundReport], tuple[ScalarField,
+                                                      ScalarField]]:
+    """J1, J2 and I of the coupled pair of each path index of a block, as
+    bound_check_J and bound_check_I report them, and the final states of
+    its first pair.
+
+    The sweep hands over one tile of TRANSPORT_TILE snapshots of the
+    block at a time, and the tile is reduced at once to the per-snapshot
+    sums of J1, J2 and the transport term, and to the q0 + 1 moment
+    norms of both members; so the pairs' snapshots are never held whole.
+    """
+    grid, dx, epsilon = eta.grid, eta.grid.dx, cfg.epsilon
+    times = recorded_times(eta, cfg, flux)
+    n = len(times) - 1
+    p = flux.growth_power + 1.0
+    gw, shifted = _transport_offsets(moll, grid)
+    j1, j2, transport = np.empty((3, len(path_indices), n))
+    norms = np.empty((len(path_indices), 2, n + 1))
+    tile = min(TRANSPORT_TILE, n)
+    work = _WedgeWork(flux, tile * shifted.size)
+    per_t = np.empty((len(path_indices), tile, len(shifted)))
+    last = []
+
+    def consume(buf, first):
+        # J and I skip the final snapshot, which only closes time; the
+        # moments read it
+        k = min(buf.shape[2], n - first)
+        span = slice(first, first + k)
+        u, v = buf[:, 0, :k], buf[:, 1, :k]
+        # each row of the block sums only its own cells
+        j1[:, span], j2[:, span] = _smoothing_rows(u, v, moll, grid)
+        for r in range(len(buf)):
+            _wedge_sums(u[r], v[r], shifted, flux, moll.delta, work,
+                        per_t[r, :k])
+        transport[:, span] = _transport_rows(per_t[:, :k], gw)
+        norms[:, :, first:first + buf.shape[2]] = lp_norms(buf, p, dx)
+        last[:] = buf[0, :, -1]
+
+    record_coupled_pairs(eta, cfg, flux, noise, path_indices, TRANSPORT_TILE,
+                         consume)
+    reports = []
+    for r, i in enumerate(path_indices):
+        reports += _smoothing_reports(j1[r], j2[r], times, moll, epsilon,
+                                      noise, dx, i)
+        mom_u, mom_v = (float(np.max(m)) for m in norms[r])
+        reports.append(_transport_report(
+            _transport_sum(transport[r], times, epsilon, dx), mom_u, mom_v,
+            moll, epsilon, flux, i))
+    return reports, tuple(ScalarField(grid, w) for w in last)

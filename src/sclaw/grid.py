@@ -102,9 +102,6 @@ class Trajectory:
     def field(self, j: int) -> ScalarField:
         return ScalarField(self.grid, self.values[j])
 
-    def final(self) -> ScalarField:
-        return self.field(len(self.times) - 1)
-
     def csv_lines(self) -> list[str]:
         """CSV rows ``t,cell_0,...,cell_{M-1}``, floats in round-trip form."""
         header = "t," + ",".join(f"cell_{i}" for i in range(self.grid.cells))

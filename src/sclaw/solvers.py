@@ -14,8 +14,8 @@ number (and the path/step) on violation.
 
 One stepper, ``_sweep``, advances every run: a block of paths moves in
 lockstep as a (paths, cells) array, and a single path is a block of one
-row.  What a caller needs (trajectory snapshots, the pair's L1 gap,
-moment maxima, endpoints) is observed along the way.
+row.  What a caller needs (tiles of trajectory snapshots, the pair's L1
+gap, moment maxima, endpoints) is observed along the way.
 """
 
 from __future__ import annotations
@@ -67,10 +67,12 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel,
 # (paths, cells) buffer, which never reach BLAS.  A row's bits therefore
 # do not depend on the height of its block.  Every (paths, cells) buffer
 # a step writes is allocated once per block; a step allocates only
-# per-row vectors.  A recording run writes its snapshots path-major,
-# (paths, members, snapshots, cells), so that each run's snapshots are
-# one contiguous block: its Trajectory adopts that block, without a
-# copy, once the buffer is read-only.
+# per-row vectors.  A recording run writes its snapshots path-major
+# into a tile, (paths, members, tile, cells), and hands each filled tile
+# to its consumer, which reduces it before the next one is written.  A
+# Trajectory recording asks for one tile that holds every snapshot, so
+# each run's snapshots are one contiguous block: its Trajectory adopts
+# that block, without a copy, once the buffer is read-only.
 
 
 def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
@@ -131,14 +133,21 @@ class _Observed:
     ends: np.ndarray                  # final first-member states (paths, cells)
     gap: np.ndarray | None = None     # space-time L1 gaps of pairs (paths,)
     moms: np.ndarray | None = None    # (paths, len(p_list), members)
-    marks: list[int] | None = None    # steps of the recorded snapshots
-    saved: np.ndarray | None = None   # (paths, members, snapshots, cells)
+
+
+def _snapshot_times(n: int, dt: float, stride: int) -> np.ndarray:
+    """Times of the snapshots that a run of n steps of dt records: the
+    start, every stride steps and the end, which is t = 1 exactly."""
+    steps = np.minimum(np.arange(1 + math.ceil(n / stride)) * stride, n)
+    times = steps * dt
+    times[-1] = 1.0
+    return times
 
 
 def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
            noise: NoiseModel, amp: float, dt: float, inc: np.ndarray,
            splitting: str, cfl_fraction: float, path_indices,
-           pair: bool = False, p_list=(), stride: int = 0) -> _Observed:
+           pair: bool = False, p_list=(), record=None) -> _Observed:
     """Advance one block of paths from eta and report what was observed.
 
     Row r is path_indices[r], driven by inc[:, :, r] (step-major
@@ -148,8 +157,13 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
     are formed once per step, shared by both members when pair is set;
     the second member runs without flux.  Observers: the endpoint always,
     the trapezoidal L1 gap of a pair, the running maxima of
-    dx * sum |.|^p for each p in p_list, and, when stride > 0, snapshots
-    every stride steps and at the end.
+    dx * sum |.|^p for each p in p_list, and, when record is given as
+    (stride, tile, consume), the snapshots of _snapshot_times.  They land
+    in a (paths, members, tile, cells) buffer, and consume(buffer, first)
+    gets it whenever it is full and at the end (then only its filled
+    part), first being the index of its first snapshot.  The buffer is
+    written again after consume returns, unless it held the last
+    snapshot.
     """
     n, n_modes, rows = inc.shape
     indices = [int(i) for i in path_indices]
@@ -173,10 +187,15 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
                       indices, s, scratch)
         lo_hi = None
 
-    def record(step):
+    def snap(last):
+        nonlocal filled, first
         for i, w in enumerate(members):
-            out.saved[:, i, len(out.marks)] = w
-        out.marks.append(step)
+            buf[:, i, filled] = w
+        filled += 1
+        if filled == tile or last:
+            consume(buf if filled == tile else buf[:, :, :filled], first)
+            first += filled
+            filled = 0
 
     def observe():
         for i, w in enumerate(members):
@@ -192,13 +211,12 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
     if p_list:
         out.moms = np.full((rows, len(p_list), len(members)), -np.inf)
         observe()
-    if stride:
-        out.marks = []
-        # the start, every stride steps, and the end; path-major, so that
-        # each run's snapshots are one contiguous block
-        out.saved = np.empty((rows, len(members), 1 + math.ceil(n / stride),
-                              m))
-        record(0)
+    if record:
+        stride, tile, consume = record
+        tile = min(tile, 1 + math.ceil(n / stride))
+        buf = np.empty((rows, len(members), tile, m))
+        filled = first = 0      # snapshots in buf, index of its first
+        snap(n == 0)
     for s in range(n):
         flux_step(s)
         if n_modes:
@@ -221,8 +239,8 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
             prev = cur
         if p_list:
             observe()
-        if stride and ((s + 1) % stride == 0 or s + 1 == n):
-            record(s + 1)
+        if record and ((s + 1) % stride == 0 or s + 1 == n):
+            snap(s + 1 == n)
     return out
 
 
@@ -273,14 +291,19 @@ def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                   pair: bool) -> list[list[Trajectory]]:
     """Recorded runs of a block of paths on the main stream: per path [u]
     or, for a pair, [u, v]."""
-    obs = _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,
-                 pair=pair, stride=cfg.save_stride)
-    times = np.array(obs.marks, dtype=float) * dynamics[3]
-    times[-1] = 1.0   # every recorded run ends at t = 1 exactly
-    # read-only, so each Trajectory adopts its block instead of copying it
-    obs.saved.setflags(write=False)
+    times = _snapshot_times(*dynamics[2:], cfg.save_stride)
+    held = []
+
+    def adopt(buf, _first):
+        # one tile holds every snapshot; read-only, so each Trajectory
+        # adopts its block instead of copying it
+        buf.setflags(write=False)
+        held.append(buf)
+
+    _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,
+           pair=pair, record=(cfg.save_stride, len(times), adopt))
     return [[Trajectory(eta.grid, times, run) for run in runs]
-            for runs in obs.saved]
+            for runs in held[0]]
 
 
 def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -297,6 +320,23 @@ def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     return [tuple(runs) for runs in _trajectories(
         eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices,
         pair=True)]
+
+
+def recorded_times(eta: ScalarField, cfg: SimConfig,
+                   flux: FluxModel) -> np.ndarray:
+    """Snapshot times of a recorded coupled pair (see _snapshot_times)."""
+    return _snapshot_times(*resolve_time_grid(cfg, flux, eta),
+                           cfg.save_stride)
+
+
+def record_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
+                         noise: NoiseModel, path_indices, tile: int,
+                         consume) -> None:
+    """Step the coupled pairs of a block of path indices, as
+    solve_coupled_pairs does, handing consume each tile of up to tile
+    snapshots at recorded_times (see _sweep)."""
+    _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices,
+           STREAM_MAIN, pair=True, record=(cfg.save_stride, tile, consume))
 
 
 def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -449,9 +489,14 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     return dx * (gaps * weights).sum(axis=1)
 
 
+def lp_norms(values: np.ndarray, p: float, dx: float) -> np.ndarray:
+    """The p-th power norm dx * sum |u_i|^p of each snapshot, summed over
+    the last axis, which holds the cells."""
+    return dx * np.sum(np.abs(values) ** p, axis=-1)
+
+
 def lp_moment(traj: Trajectory, p: float) -> float:
     """max over snapshots of the p-th power norm dx * sum |u_i|^p."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return float(np.max(traj.grid.dx *
-                        np.sum(np.abs(traj.values) ** p, axis=1)))
+    return float(np.max(lp_norms(traj.values, p, traj.grid.dx)))

@@ -70,7 +70,7 @@ def certificate_ensemble(main_setup):
         return j1, j2, rep_i
 
     start = time.perf_counter()
-    # one recording block, as the doubling command steps up to PAIR_BLOCK
+    # one recording block of all 50 pairs
     pairs = solve_coupled_pairs(eta, cfg, flux, noise, range(50))
     reports = map_paths(one, 50)
     elapsed = time.perf_counter() - start

@@ -5,15 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from sclaw import cli
+from sclaw import cli, solvers
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        load_config, run)
 from sclaw.diagnostics import bound_check_I, bound_check_J
-from sclaw.errors import ConfigError
+from sclaw.errors import ConfigError, NumericalFailure
 from sclaw.solvers import solve_coupled_pairs
 
 BASE = {
@@ -320,10 +321,11 @@ def test_doubling_command(tmp_path, capsys):
 
 def test_doubling_rejects_uncertified_flux(tmp_path, capsys, monkeypatch):
     # the transport bound I rests on the declared N: |a(xi)| = |xi| breaks
-    # N (1 + xi^2) at N = 0.02, so no pair may be stepped
+    # N (1 + xi^2) at N = 0.02, so no pair may be stepped: every run,
+    # recorded or not, steps through solvers._sweep
     doc = patched(BASE, harness={"n_pairs": 2})
     doc["model"]["flux"] = {"kind": "burgers", "growth_const": 0.02}
-    monkeypatch.setattr(cli, "solve_coupled_pairs", _no_compute)
+    monkeypatch.setattr(solvers, "_sweep", _no_compute)
     out = tmp_path / "out"
     assert run(["doubling", "--config", write_cfg(tmp_path, doc),
                 "--out", str(out)]) == EXIT_CONFIG
@@ -333,9 +335,9 @@ def test_doubling_rejects_uncertified_flux(tmp_path, capsys, monkeypatch):
 
 def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
                                                       monkeypatch):
-    # 67 pairs span two recording blocks: PAIR_BLOCK rows, then 3
-    assert cli.PAIR_BLOCK < 67 <= 2 * cli.PAIR_BLOCK
-    path = write_cfg(tmp_path, patched(BASE, harness={"n_pairs": 67}))
+    # two full pair blocks, then a partial block of 3 pairs
+    n_pairs = 2 * cli.PAIR_BLOCK + 3
+    path = write_cfg(tmp_path, patched(BASE, harness={"n_pairs": n_pairs}))
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("SCLAW_THREADS", threads)
@@ -347,15 +349,66 @@ def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
                              "error_ladder.plot.txt")}
     assert outputs["1"] == outputs["2"]
     rows = outputs["1"]["bounds.csv"].decode().splitlines()
-    assert len(rows) == 1 + 3 * 67
+    assert len(rows) == 1 + 3 * n_pairs
     resolved = load_config(path)
     cfg, flux, noise, eta = cli.build_run(resolved)
     moll = cli.build_mollifier(resolved, eta.grid)
-    for i in (0, 63, 64, 66):
+    block = cli.PAIR_BLOCK
+    for i in (0, block - 1, block, 2 * block, n_pairs - 1):
         pair = solve_coupled_pairs(eta, cfg, flux, noise, [i])[0]
         want = [*bound_check_J(pair, moll, cfg.epsilon, noise, path_index=i),
                 bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)]
         assert rows[1 + 3 * i:4 + 3 * i] == [r.csv_row() for r in want], i
+
+
+def test_doubling_names_the_failure_one_sweep_meets_first(tmp_path, capsys,
+                                                         monkeypatch):
+    # strong multiplicative noise breaks the Courant bound on most paths;
+    # with this seed the first pair block fails at a later step than the
+    # second, and doubling names what one sweep of every pair meets first
+    n_pairs = 2 * cli.PAIR_BLOCK
+    doc = patched(BASE, sim={"epsilon": 0.9, "seed": 1, "cfl_fraction": 0.5},
+                  harness={"n_pairs": n_pairs})
+    doc["model"]["noise"]["modes"] = [{"sigma": 1.0, "alpha": 1.0,
+                                       "beta": 1.0}]
+    path = write_cfg(tmp_path, doc)
+    cfg, flux, noise, eta = cli.build_run(load_config(path))
+    failures = []
+    for block in (range(cli.PAIR_BLOCK), range(n_pairs)):
+        with pytest.raises(NumericalFailure) as err:
+            solvers.pair_l1_distances(eta, cfg, flux, noise, block)
+        failures.append(err.value)
+    first_block, every_pair = failures
+    assert every_pair.step < first_block.step
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SCLAW_THREADS", threads)
+        assert run(["doubling", "--config", path, "--quiet"]) == \
+            EXIT_NUMERICAL
+        assert (f"[path {every_pair.path_index}, step {every_pair.step}]"
+                in capsys.readouterr().err)
+
+
+def test_doubling_traces_under_half_its_snapshot_bytes(tmp_path,
+                                                      monkeypatch):
+    # the certificates reduce each tile of a pair block while it is
+    # stepped, so no pair's snapshots are held whole.  Measured at 64
+    # pairs: 4.77 MB (1.13 x the snapshot bytes) when every pair was
+    # recorded whole, 1.44 MB (0.34 x) streamed in blocks of 25 pairs.
+    # Below about 30 pairs validate_flux's 1.0 MB sets the peak
+    n_pairs = 64
+    monkeypatch.setenv("SCLAW_THREADS", "1")
+    warm = write_cfg(tmp_path, patched(BASE, harness={"n_pairs": 1}), "w.json")
+    assert run(["doubling", "--config", warm, "--quiet"]) == EXIT_OK
+    path = write_cfg(tmp_path, patched(BASE, harness={"n_pairs": n_pairs}))
+    tracemalloc.start()
+    try:
+        assert run(["doubling", "--config", path, "--quiet"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what recording every pair whole takes: 129 snapshots of both members
+    snapshots = n_pairs * 2 * 129 * 32 * 8
+    assert peak < 0.5 * snapshots, peak / snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +448,7 @@ def test_rate_bad_target(tmp_path, capsys):
 
 # the CLI's compute entry points: a malformed input must stop a run first
 COMPUTE = ("validate_flux", "validate_noise", "solve_coupled_pair",
-           "solve_coupled_pairs", "estimate_tail", "exp_equiv_scan", "moment_scan", "scaling_check",
+           "certify_pairs", "estimate_tail", "exp_equiv_scan", "moment_scan", "scaling_check",
            "map_paths", "rate_estimate")
 
 SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,

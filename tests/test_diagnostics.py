@@ -10,14 +10,15 @@ from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
                                BoundReport, _WedgeWork, _wedges,
                                bound_check_I,
                                bound_check_J, bound_csv_lines,
-                               bracket_identity, direct_brackets,
-                               doubling_functional, error_term,
+                               bracket_identity, certify_pairs,
+                               direct_brackets, doubling_functional,
+                               error_term,
                                smoothing_defect, transport_constants,
                                transport_term)
 from sclaw.grid import ScalarField, Trajectory, TorusGrid, make_initial
 from sclaw.models import NoiseMode, NoiseModel, SimConfig, make_flux
 from sclaw.mollifier import MollifierPair
-from sclaw.solvers import solve_coupled_pair
+from sclaw.solvers import lp_norms, solve_coupled_pair, solve_coupled_pairs
 
 from oracles import doubling_bruteforce, kernel_cdf, psi_scalar
 
@@ -458,6 +459,40 @@ def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
         want = untiled_transport_term(pair, moll, 0.1, flux)
         assert np.float64(got).view(np.uint64) == \
             np.float64(want).view(np.uint64), len(pair[0].times)
+
+
+@pytest.mark.parametrize("dt, stride, last_tile", [
+    # 50 steps, not a multiple of the stride: 18 snapshots, and the last
+    # tile holds snapshot 16 and the final one, after a short step
+    (1.0 / 50, 3, 2),
+    # 33 snapshots, S - 1 a multiple of the tile: the last tile holds only
+    # the final snapshot, which J and I skip and the moments read
+    (1.0 / 64, 2, 1)])
+def test_streamed_certificates_match_whole_pairs_bitwise(pair_noise, dt,
+                                                         stride, last_tile):
+    # a small initial wave, which the noise outgrows on some paths
+    eta = make_initial(TorusGrid(32), "sine", mean=0.0, amp=0.2, mode=1)
+    cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=dt, cfl_fraction=0.9,
+                    save_stride=stride)
+    flux, moll = make_flux("burgers"), MollifierPair(0.1, 0.1)
+    indices = range(3, 8)
+    got, (u_end, v_end) = certify_pairs(eta, cfg, flux, pair_noise, moll,
+                                        indices)
+    pairs = solve_coupled_pairs(eta, cfg, flux, pair_noise, indices)
+    assert (len(pairs[0][0].times) - 1) % TRANSPORT_TILE == last_tile - 1
+    want = []
+    for i, pair in zip(indices, pairs):
+        want += [*bound_check_J(pair, moll, cfg.epsilon, pair_noise, i),
+                 bound_check_I(pair, moll, cfg.epsilon, flux, i)]
+    # csv rows carry every float in round-trip form
+    assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
+    assert np.array_equal(u_end.values, pairs[0][0].values[-1])
+    assert np.array_equal(v_end.values, pairs[0][1].values[-1])
+    # some run's largest moment norm is at its final snapshot, so the
+    # moments must read it
+    p = flux.growth_power + 1.0
+    assert any(np.argmax(lp_norms(run.values, p, eta.grid.dx))
+               == len(run.times) - 1 for pair in pairs for run in pair)
 
 
 def test_transport_term_traces_a_few_tiles(pair_noise):

@@ -680,10 +680,14 @@ def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
     ends = scaled_endpoints(small_eta, cfg, burgers, two_mode_noise, idx)
     dynamics = _scaled(cfg, burgers, small_eta)
     for r, i in enumerate(idx):
-        # the recorded run of path i on the scaled stream
-        rec = _block(small_eta, cfg, burgers, two_mode_noise, dynamics,
-                     [int(i)], STREAM_SCALED, stride=1)
-        assert np.array_equal(ends[r], rec.saved[0, 0, -1])
+        # the recorded run of path i on the scaled stream, in tiles of 4
+        # snapshots: the 65th, the last, is a tile of its own
+        tiles = []
+        _block(small_eta, cfg, burgers, two_mode_noise, dynamics, [int(i)],
+               STREAM_SCALED, record=(1, 4, lambda buf, first: tiles.append(
+                   (first, buf[0, 0].copy()))))
+        assert [first for first, _ in tiles] == list(range(0, 65, 4))
+        assert np.array_equal(ends[r], tiles[-1][1][-1])
     base = base_small_time_endpoints(small_eta, 0.2, cfg, burgers,
                                      two_mode_noise, idx)
     for r, i in enumerate(idx):
@@ -706,7 +710,7 @@ def test_coupled_pair_members_match_single_runs(small_eta, burgers,
 
 @pytest.mark.parametrize("indices, stride", [
     ([0], 1), ([0, 1], 3),
-    # the partial block doubling records past the cap for 67 pairs
+    # a partial block that starts at PAIR_BLOCK
     (range(PAIR_BLOCK, PAIR_BLOCK + 3), 4)])
 def test_pair_block_rows_match_single_pairs(two_mode_noise, burgers,
                                             indices, stride):
