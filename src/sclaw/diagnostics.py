@@ -27,28 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, Trajectory
+from .grid import ScalarField
 from .mollifier import (MollifierPair, PrimitiveReader, kernel_tables,
                         psi_sup)
 from .models import FluxModel, NoiseModel, SimConfig, horner
-from .solvers import (lp_moment, lp_norms, record_coupled_pairs,
-                      recorded_times)
+from .solvers import lp_norms, record_coupled_pairs, recorded_times
 
-Pair = tuple[Trajectory, Trajectory]
-
-# snapshots per tile of the transport wedges, and per tile that the sweep
-# of a doubling pair block hands its certificates.  Each work array
-# holds one (snapshots, offsets, cells) tile, 96 KB on the shipped grid,
-# and is allocated once per transport_term call or per pair block, the
-# float ones in one block.  Fresh tile-sized temporaries per operation
-# took about 4 200 minor faults per pair on the benchmark's grid, and
-# three float blocks per call about 190 on every call.  One block takes
-# 221 faults on the first transport_term call, 160 on the second and
-# none after them, once glibc has raised its mmap and trim thresholds
-# past the block it freed; certify_pairs on the benchmark's 6 pairs, one
-# block, takes 74 on its first call and none after.  Tiles of 32
-# snapshots measured no faster per snapshot, and raised doubling's peak
-# RSS by 1 MB.
+# snapshots per tile that the sweep of a doubling pair block hands its
+# certificates, and per tile of the transport wedges.  Each wedge work
+# array holds one (snapshots, offsets, cells) tile, 96 KB on the shipped
+# grid, and is allocated once per pair block, the float ones in one
+# block.  Fresh tile-sized temporaries per operation took about 4 200
+# minor faults per pair on the benchmark's grid.  certify_pairs on the
+# benchmark's 6 pairs, one block, takes 74 faults on its first call and
+# none after, once glibc has raised its mmap and trim thresholds past the
+# block it freed.  Tiles of 32 snapshots measured no faster per snapshot,
+# and raised doubling's peak RSS by 1 MB.
 TRANSPORT_TILE = 16
 
 
@@ -176,19 +170,11 @@ def bound_csv_lines(reports: list[BoundReport]) -> list[str]:
     return [BOUND_CSV_HEADER] + [r.csv_row() for r in reports]
 
 
-def _pair_arrays(pair: Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, v = pair
-    if u.grid.cells != v.grid.cells or not np.array_equal(u.times, v.times):
-        raise ValueError("coupled pair must share grid and time grid")
-    return u.values, v.values, u.times
-
-
 # Each certificate reduces per snapshot first, over its own contiguous
-# cells, and only then over time.  The per-snapshot kernels below serve
-# both a whole recorded pair (bound_check_J, transport_term and
-# bound_check_I) and the tiles that certify_pairs is handed while the
-# sweep runs, and the time sums then run over the same per-snapshot
-# arrays; so a pair's reports have the same bits either way.
+# cells, and only then over time.  certify_pairs reduces each tile that
+# the sweep hands it with the per-snapshot kernels below, and runs the
+# time sums once at the end over the per-snapshot arrays; so a pair's
+# reports do not depend on the tile width or on the block it runs in.
 
 
 def _smoothing_rows(u: np.ndarray, v: np.ndarray, moll: MollifierPair,
@@ -217,24 +203,7 @@ def _smoothing_reports(j1_t: np.ndarray, j2_t: np.ndarray,
                        times: np.ndarray, moll: MollifierPair,
                        epsilon: float, noise: NoiseModel, dx: float,
                        path_index: int) -> tuple[BoundReport, BoundReport]:
-    """J1 and J2 from a pair's per-snapshot sums: left-endpoint time sums
-    over the snapshots at times, all but the last."""
-    delta = moll.delta
-    d1 = noise.D1
-    wts = np.diff(times)
-    j1 = epsilon * d1 * float(np.dot(wts, j1_t)) * dx
-    j2 = epsilon * d1 * float(np.dot(wts, j2_t)) * dx
-    r1 = BoundReport("J1", j1, epsilon * d1 * moll.gamma ** 2 / delta,
-                     epsilon, moll.gamma, delta, path_index)
-    r2 = BoundReport("J2", j2, epsilon * d1 * delta * psi_sup(),
-                     epsilon, moll.gamma, delta, path_index)
-    return r1, r2
-
-
-def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
-                  noise: NoiseModel, path_index: int
-                  ) -> tuple[BoundReport, BoundReport]:
-    """Evaluate both smoothing-cost certificates along a coupled pair.
+    """J1 and J2 from a pair's per-snapshot sums j1_t, j2_t.
 
     With D1 the aggregate noise Lipschitz constant, w the unit-mass
     kernel weights over offsets z and psi_d the state kernel,
@@ -245,13 +214,19 @@ def bound_check_J(pair: Pair, moll: MollifierPair, epsilon: float,
                       1_{|u - v_z| <= delta} dx
            <= eps*D1 * delta * C_psi
 
-    Time integrals are left-endpoint sums over the saved snapshots.
+    Time integrals are left-endpoint sums over the snapshots at times,
+    all but the last.
     """
-    uvals, vvals, times = _pair_arrays(pair)
-    grid = pair[0].grid
-    j1_t, j2_t = _smoothing_rows(uvals[:-1], vvals[:-1], moll, grid)
-    return _smoothing_reports(j1_t, j2_t, times, moll, epsilon, noise,
-                              grid.dx, path_index)
+    delta = moll.delta
+    d1 = noise.D1
+    wts = np.diff(times)
+    j1 = epsilon * d1 * float(np.dot(wts, j1_t)) * dx
+    j2 = epsilon * d1 * float(np.dot(wts, j2_t)) * dx
+    r1 = BoundReport("J1", j1, epsilon * d1 * moll.gamma ** 2 / delta,
+                     epsilon, moll.gamma, delta, path_index)
+    r2 = BoundReport("J2", j2, epsilon * d1 * delta * psi_sup(),
+                     epsilon, moll.gamma, delta, path_index)
+    return r1, r2
 
 
 class _WedgeWork:
@@ -365,44 +340,9 @@ def _transport_rows(per_t: np.ndarray, gw: np.ndarray) -> np.ndarray:
     return total_t
 
 
-def _transport_sum(total_t: np.ndarray, times: np.ndarray, epsilon: float,
-                   dx: float) -> float:
-    """The transport term from a pair's per-snapshot transport sums."""
-    return epsilon * float(np.dot(np.diff(times), total_t)) * dx
-
-
-def transport_term(pair: Pair, moll: MollifierPair, epsilon: float,
-                   flux: FluxModel) -> float:
-    """Signed transport contribution along the pair:
-
-        I = eps * int_t sum_z rho_gamma'(z) dx sum_x [W+ + W-](u(x), v(x-z)) dx
-
-    Each wedge sum is exact for the polynomial speed: with b = v(x - z),
-    r = clip((u(x) - b)/delta, -1, 1) and p_j = delta^j a^(j)(b)/j!,
-
-        [W+ + W-](u(x), b) = delta * sum_j p_j [r^(j+1) (2 X(r) - 1)
-                                 - 2 P_(j+1)(r) + P_(j+1)(1)] / (j+1)
-                             + the flux differences of the flat tails,
-
-    P_k the tabulated kernel moment primitives (derived at _wedges).
-    Every offset with a nonzero gradient weight is evaluated in one call
-    per tile of TRANSPORT_TILE snapshots, in work arrays allocated once
-    per call.
-    """
-    uvals, vvals, times = _pair_arrays(pair)
-    grid = pair[0].grid
-    gw, shifted = _transport_offsets(moll, grid)
-    u, v = uvals[:-1], vvals[:-1]
-    per_t = np.empty((len(u), len(shifted)))
-    work = _WedgeWork(flux, min(TRANSPORT_TILE, len(u)) * shifted.size)
-    _wedge_sums(u, v, shifted, flux, moll.delta, work, per_t)
-    return _transport_sum(_transport_rows(per_t, gw), times, epsilon,
-                          grid.dx)
-
-
 def transport_constants(q0: float, delta: float) -> tuple[float, float]:
-    """(Cq, 1 + delta^(q0+1)) of bound_check_I, Cq = max(1, 2^q0); a
-    power that overflows raises ValueError naming growth_power or delta."""
+    """(Cq, 1 + delta^(q0+1)) of the I bound, Cq = max(1, 2^q0); a power
+    that overflows raises ValueError naming growth_power or delta."""
     try:
         cq = max(1.0, 2.0 ** q0)
     except OverflowError:
@@ -413,21 +353,19 @@ def transport_constants(q0: float, delta: float) -> tuple[float, float]:
         raise ValueError(f"delta {delta!r} overflows delta^(q0+1)") from None
 
 
-def _transport_report(term: float, mom_u: float, mom_v: float,
-                      moll: MollifierPair, epsilon: float, flux: FluxModel,
+def _transport_report(total_t: np.ndarray, times: np.ndarray,
+                      mom_u: float, mom_v: float, moll: MollifierPair,
+                      epsilon: float, flux: FluxModel, dx: float,
                       path_index: int) -> BoundReport:
-    """I from a pair's transport term and the maxima over its snapshots
-    of the q0 + 1 moment norms of u and v."""
-    cq, lift = transport_constants(flux.growth_power, moll.delta)
-    lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
-    rhs = lead * lift + lead * (mom_u + mom_v)
-    return BoundReport("I", abs(term), rhs, epsilon, moll.gamma, moll.delta,
-                       path_index)
+    """I from a pair's per-snapshot transport sums total_t, whose
+    left-endpoint time sum over the snapshots at times, all but the
+    last, is the signed transport term
 
+        I = eps * int_t sum_z rho_gamma'(z) dx sum_x [W+ + W-](u(x), v(x-z)) dx
 
-def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
-                  flux: FluxModel, path_index: int) -> BoundReport:
-    """Certificate for the transport term via the growth envelope of a:
+    (the wedges at _wedges), and from the maxima over its snapshots, the
+    last included, of the q0 + 1 moment norms of u and v.  The bound
+    rests on the growth envelope of a:
 
         |I| <= (2 eps N Cq / gamma) * (1 + delta^(q0+1))
              + (2 eps N Cq / gamma) * (max_t ||u||_{q0+1}^{q0+1}
@@ -435,11 +373,12 @@ def bound_check_I(pair: Pair, moll: MollifierPair, epsilon: float,
 
     with Cq = max(1, 2^q0).
     """
-    term = transport_term(pair, moll, epsilon, flux)
-    p = flux.growth_power + 1.0
-    return _transport_report(term, lp_moment(pair[0], p),
-                             lp_moment(pair[1], p), moll, epsilon, flux,
-                             path_index)
+    term = epsilon * float(np.dot(np.diff(times), total_t)) * dx
+    cq, lift = transport_constants(flux.growth_power, moll.delta)
+    lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
+    rhs = lead * lift + lead * (mom_u + mom_v)
+    return BoundReport("I", abs(term), rhs, epsilon, moll.gamma, moll.delta,
+                       path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +389,9 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                   noise: NoiseModel, moll: MollifierPair, path_indices
                   ) -> tuple[list[BoundReport], tuple[ScalarField,
                                                       ScalarField]]:
-    """J1, J2 and I of the coupled pair of each path index of a block, as
-    bound_check_J and bound_check_I report them, and the final states of
-    its first pair.
+    """J1, J2 (see _smoothing_reports) and I (see _transport_report) of
+    the coupled pair of each path index of a block, and the final states
+    of its first pair.
 
     The sweep hands over one tile of TRANSPORT_TILE snapshots of the
     block at a time, and the tile is reduced at once to the per-snapshot
@@ -493,7 +432,6 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
         reports += _smoothing_reports(j1[r], j2[r], times, moll, epsilon,
                                       noise, dx, i)
         mom_u, mom_v = (float(np.max(m)) for m in norms[r])
-        reports.append(_transport_report(
-            _transport_sum(transport[r], times, epsilon, dx), mom_u, mom_v,
-            moll, epsilon, flux, i))
+        reports.append(_transport_report(transport[r], times, mom_u, mom_v,
+                                         moll, epsilon, flux, dx, i))
     return reports, tuple(ScalarField(grid, w) for w in last)

@@ -493,10 +493,3 @@ def lp_norms(values: np.ndarray, p: float, dx: float) -> np.ndarray:
     """The p-th power norm dx * sum |u_i|^p of each snapshot, summed over
     the last axis, which holds the cells."""
     return dx * np.sum(np.abs(values) ** p, axis=-1)
-
-
-def lp_moment(traj: Trajectory, p: float) -> float:
-    """max over snapshots of the p-th power norm dx * sum |u_i|^p."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return float(np.max(lp_norms(traj.values, p, traj.grid.dx)))

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclaw.cli import (build_flux, build_initial, build_noise, build_sim,
-                       load_config)
-from sclaw.diagnostics import (bound_check_I, bound_check_J,
-                               bracket_identity, direct_brackets,
-                               doubling_functional, smoothing_defect)
+from sclaw.cli import (PAIR_BLOCK, build_flux, build_initial, build_noise,
+                       build_sim, load_config)
+from sclaw.diagnostics import (bracket_identity, certify_pairs,
+                               direct_brackets, doubling_functional,
+                               smoothing_defect)
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.harness import (exp_equiv_scan, map_paths, moment_scan,
                            scaling_check)
@@ -28,7 +28,7 @@ from sclaw.models import (NoiseMode, NoiseModel, SimConfig, additive_noise,
 from sclaw.mollifier import MollifierPair
 from sclaw.ratefn import (Control, OptConfig, action, drift_target,
                           rate_estimate, skeleton_residual)
-from sclaw.solvers import deterministic_step, solve_coupled_pairs
+from sclaw.solvers import deterministic_step
 
 from oracles import doubling_bruteforce
 
@@ -62,19 +62,16 @@ def certificate_ensemble(main_setup):
                         main_setup["noise"])
     eta = main_setup["eta"]
     moll = MollifierPair(0.1, 0.1)
-
-    def one(i):
-        pair = pairs[i]
-        j1, j2 = bound_check_J(pair, moll, cfg.epsilon, noise, path_index=i)
-        rep_i = bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)
-        return j1, j2, rep_i
-
+    # blocks of PAIR_BLOCK pairs over the workers, as doubling maps them
+    blocks = [range(lo, min(lo + PAIR_BLOCK, 50))
+              for lo in range(0, 50, PAIR_BLOCK)]
     start = time.perf_counter()
-    # one recording block of all 50 pairs
-    pairs = solve_coupled_pairs(eta, cfg, flux, noise, range(50))
-    reports = map_paths(one, 50)
+    certified = map_paths(lambda b: certify_pairs(
+        eta, cfg, flux, noise, moll, blocks[b])[0], len(blocks))
     elapsed = time.perf_counter() - start
-    return reports, elapsed
+    flat = [rep for block in certified for rep in block]
+    # (J1, J2, I) per path
+    return [tuple(flat[k:k + 3]) for k in range(0, 150, 3)], elapsed
 
 
 def test_criterion_01_shock_position():

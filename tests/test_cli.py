@@ -13,9 +13,8 @@ import pytest
 from sclaw import cli, solvers
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        load_config, run)
-from sclaw.diagnostics import bound_check_I, bound_check_J
+from sclaw.diagnostics import certify_pairs
 from sclaw.errors import ConfigError, NumericalFailure
-from sclaw.solvers import solve_coupled_pairs
 
 BASE = {
     "model": {"noise": {"modes": [
@@ -355,9 +354,7 @@ def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
     moll = cli.build_mollifier(resolved, eta.grid)
     block = cli.PAIR_BLOCK
     for i in (0, block - 1, block, 2 * block, n_pairs - 1):
-        pair = solve_coupled_pairs(eta, cfg, flux, noise, [i])[0]
-        want = [*bound_check_J(pair, moll, cfg.epsilon, noise, path_index=i),
-                bound_check_I(pair, moll, cfg.epsilon, flux, path_index=i)]
+        want = certify_pairs(eta, cfg, flux, noise, moll, [i])[0]
         assert rows[1 + 3 * i:4 + 3 * i] == [r.csv_row() for r in want], i
 
 
@@ -578,7 +575,7 @@ def test_largest_seed_is_accepted(tmp_path):
 @pytest.mark.parametrize("section,key,value", [
     ("model.flux", "growth_power", 2000),
     ("mollifier", "delta", 1e200),
-    ("model.noise", "state_bound", 1e160),    # D1 of bound_check_J
+    ("model.noise", "state_bound", 1e160),    # D1 of J1 and J2
 ])
 def test_doubling_bound_overflow_exits_2_before_compute(
         tmp_path, capsys, monkeypatch, section, key, value):

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sclaw import diagnostics
 from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
-                               BoundReport, _WedgeWork, _wedges,
-                               bound_check_I,
-                               bound_check_J, bound_csv_lines,
+                               BoundReport, _smoothing_rows,
+                               _transport_offsets, _transport_rows,
+                               _wedge_sums, _WedgeWork, _wedges,
+                               bound_csv_lines,
                                bracket_identity, certify_pairs,
                                direct_brackets, doubling_functional,
                                error_term,
-                               smoothing_defect, transport_constants,
-                               transport_term)
-from sclaw.grid import ScalarField, Trajectory, TorusGrid, make_initial
+                               smoothing_defect, transport_constants)
+from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import NoiseMode, NoiseModel, SimConfig, make_flux
-from sclaw.mollifier import MollifierPair
+from sclaw.mollifier import MollifierPair, psi_sup
 from sclaw.solvers import lp_norms, solve_coupled_pair, solve_coupled_pairs
 
 from oracles import doubling_bruteforce, kernel_cdf, psi_scalar
@@ -40,13 +41,20 @@ def pair_noise():
 
 
 @pytest.fixture(scope="module")
-def coupled(pair_noise):
+def sine_run():
     grid = TorusGrid(32)
     eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=1.0 / 128,
                     cfl_fraction=0.9)
-    pair = solve_coupled_pair(eta, cfg, make_flux("burgers"), pair_noise)
-    return pair, cfg
+    return eta, cfg
+
+
+@pytest.fixture(scope="module")
+def certified(sine_run, pair_noise):
+    """J1, J2 and I of the Burgers pair of path 0 from sine_run."""
+    eta, cfg = sine_run
+    return certify_pairs(eta, cfg, make_flux("burgers"), pair_noise,
+                         MollifierPair(0.1, 0.1), [0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,34 +257,39 @@ def test_write_bound_reports():
     assert lines[2].endswith("false")
 
 
-def test_smoothing_cost_certificates_hold(coupled, pair_noise):
-    pair, cfg = coupled
+def test_smoothing_cost_certificates_hold(sine_run, certified, pair_noise):
+    _, cfg = sine_run
     moll = MollifierPair(0.1, 0.1)
-    r1, r2 = bound_check_J(pair, moll, cfg.epsilon, pair_noise,
-                           path_index=0)
+    r1, r2, _ = certified
+    assert (r1.name, r2.name) == ("J1", "J2")
     assert r1.passed and r2.passed
     assert 0.0 <= r1.lhs and 0.0 <= r2.lhs
     assert r1.rhs == pytest.approx(
         cfg.epsilon * pair_noise.D1 * moll.gamma ** 2 / moll.delta)
 
 
-def test_transport_certificate_holds(coupled):
-    pair, cfg = coupled
-    moll = MollifierPair(0.1, 0.1)
-    rep = bound_check_I(pair, moll, cfg.epsilon, make_flux("burgers"),
-                        path_index=0)
+def test_transport_certificate_holds(certified):
+    rep = certified[2]
     assert rep.passed
     assert rep.name == "I"
 
 
-def test_transport_rhs_linear_in_epsilon(coupled):
-    pair, _ = coupled
-    moll = MollifierPair(0.1, 0.1)
-    flux = make_flux("burgers")
-    r1 = bound_check_I(pair, moll, 0.05, flux, path_index=0)
-    r2 = bound_check_I(pair, moll, 0.10, flux, path_index=0)
-    assert r2.rhs == 2.0 * r1.rhs
-    assert r2.lhs == pytest.approx(2.0 * r1.lhs, rel=1e-12)
+def test_transport_rhs_linear_in_epsilon():
+    # without noise a constant state stays put, so each member's q0 + 1
+    # moment norm is |c|^3 = 0.125 at every snapshot, and with Burgers'
+    # N = 1, Cq = 2^2: rhs = lead * (1 + delta^3) + lead * 2 * 0.125,
+    # lead = 2 eps N Cq / gamma
+    eta = make_initial(TorusGrid(32), "constant", value=-0.5)
+    flux, moll = make_flux("burgers"), MollifierPair(0.1, 0.1)
+    rhs = []
+    for eps in (0.05, 0.10):
+        cfg = SimConfig(epsilon=eps, cells=32, seed=11, dt=1.0 / 128,
+                        cfl_fraction=0.9)
+        rep = certify_pairs(eta, cfg, flux, NoiseModel(()), moll, [0])[0][2]
+        lead = 2.0 * eps * 1.0 * 4.0 / 0.1
+        assert rep.rhs == lead * (1.0 + 0.1 ** 3.0) + lead * (0.125 + 0.125)
+        rhs.append(rep.rhs)
+    assert rhs[1] == 2.0 * rhs[0]
 
 
 def test_transport_constants_and_their_overflow():
@@ -295,10 +308,11 @@ def test_transport_constants_and_their_overflow():
         transport_constants(2.0, 1e200)
 
 
-def test_transport_vanishes_for_zero_flux(coupled):
-    pair, cfg = coupled
-    moll = MollifierPair(0.1, 0.1)
-    assert transport_term(pair, moll, cfg.epsilon, make_flux("zero")) == 0.0
+def test_transport_vanishes_for_zero_flux(sine_run, pair_noise):
+    eta, cfg = sine_run
+    rep = certify_pairs(eta, cfg, make_flux("zero"), pair_noise,
+                        MollifierPair(0.1, 0.1), [0])[0][2]
+    assert rep.lhs == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,34 +411,40 @@ def test_wedges_match_adaptive_quadrature(kind, regime, gap):
         assert abs(got - want) <= 1e-12, (b, got, want)
 
 
-def test_transport_matches_gl12_reference(coupled):
+def test_transport_matches_gl12_reference(sine_run, pair_noise):
     # a linear flux is left to the quadrature test above: its term nearly
     # cancels over the antisymmetric weights, so GL12's own error
     # dominates the relative gap
-    pair, cfg = coupled
+    eta, cfg = sine_run
     moll = MollifierPair(0.1, 0.1)
     for flux in (WEDGE_FLUXES["burgers"], WEDGE_FLUXES["cubic"],
                  WEDGE_FLUXES["quartic"]):
-        got = transport_term(pair, moll, cfg.epsilon, flux)
+        rep = certify_pairs(eta, cfg, flux, pair_noise, moll, [0])[0][2]
+        pair = solve_coupled_pair(eta, cfg, flux, pair_noise)
         want = gl12_transport_term(pair, moll, cfg.epsilon, flux)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert rep.lhs == pytest.approx(abs(want), rel=1e-6)
 
 
-def untiled_transport_term(pair, moll, epsilon, flux):
-    """Untiled reference for transport_term: the wedges of every
-    snapshot in one array, then one cell sum."""
-    uvals, vvals = pair[0].values, pair[1].values
-    grid = pair[0].grid
+def untiled_wedge_sums(u, v, moll, grid, flux):
+    """Untiled reference for _wedge_sums: the wedges of every snapshot
+    of u, v (snapshots, cells) in one array, then one cell sum per
+    snapshot and offset."""
     offs, gw = moll.gradient_weights(grid)
     keep = gw != 0.0
     shifted = (np.arange(grid.cells) - offs[keep][:, None]) % grid.cells
-    b = vvals[:-1][:, shifted]
-    per_t = _wedges(uvals[:-1][:, None, :], b, flux, moll.delta,
-                    _WedgeWork(flux, b.size)).sum(axis=2)
-    total_t = np.zeros(len(pair[0].times) - 1)
-    for gwd, col in zip(gw[keep], per_t.T):
-        total_t += gwd * col
-    return epsilon * float(np.dot(np.diff(pair[0].times), total_t)) * grid.dx
+    b = v[:, shifted]
+    return _wedges(u[:, None, :], b, flux, moll.delta,
+                   _WedgeWork(flux, b.size)).sum(axis=2)
+
+
+def tiled_wedge_sums(u, v, moll, grid, flux):
+    """_wedge_sums of u, v, in work arrays sized as certify_pairs sizes
+    them, allocated here."""
+    shifted = _transport_offsets(moll, grid)[1]
+    out = np.empty((len(u), len(shifted)))
+    work = _WedgeWork(flux, min(TRANSPORT_TILE, len(u)) * shifted.size)
+    _wedge_sums(u, v, shifted, flux, moll.delta, work, out)
+    return out
 
 
 TILE_FLUXES = {
@@ -438,27 +458,55 @@ TILE_FLUXES = {
 @pytest.mark.parametrize("kind", sorted(TILE_FLUXES))
 def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
     flux = TILE_FLUXES[kind]
-    grid = TorusGrid(16)
     moll = MollifierPair(0.2, 0.1)
     g = np.random.default_rng(3)
-    pairs = []
+    grid = TorusGrid(16)
+    cases = []
     for count in (1, TRANSPORT_TILE - 1, TRANSPORT_TILE, TRANSPORT_TILE + 1):
-        # count snapshots enter the wedges: the last one only closes time
-        times = np.linspace(0.0, 1.0, count + 1)
-        pairs.append(tuple(
-            Trajectory(grid, times, g.uniform(-1.2, 1.2, (count + 1, 16)))
-            for _ in range(2)))
+        cases.append((grid, *(g.uniform(-1.2, 1.2, (count, 16))
+                              for _ in range(2))))
     eta = make_initial(TorusGrid(32), "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=1.0 / 128,
                     cfl_fraction=0.9, save_stride=3)
     run = solve_coupled_pair(eta, cfg, make_flux("burgers"), pair_noise)
+    # the final snapshot only closes time
     assert (len(run[0].times) - 1) % TRANSPORT_TILE != 0   # a partial tile
-    pairs.append(run)
-    for pair in pairs:
-        got = transport_term(pair, moll, 0.1, flux)
-        want = untiled_transport_term(pair, moll, 0.1, flux)
-        assert np.float64(got).view(np.uint64) == \
-            np.float64(want).view(np.uint64), len(pair[0].times)
+    cases.append((eta.grid, run[0].values[:-1], run[1].values[:-1]))
+    for grid, u, v in cases:
+        got = tiled_wedge_sums(u, v, moll, grid, flux)
+        want = untiled_wedge_sums(u, v, moll, grid, flux)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            len(u)
+
+
+def whole_pair_rows(pair, moll, epsilon, flux, noise, path_index):
+    """csv rows of J1, J2 and I of a recorded pair, from the per-snapshot
+    kernels applied to its whole trajectories: J and I read every
+    snapshot but the final one, the moment norms every one."""
+    grid, times = pair[0].grid, pair[0].times
+    dx, wts = grid.dx, np.diff(times)
+    u, v = pair[0].values[:-1], pair[1].values[:-1]
+    scale = epsilon * noise.D1
+    j1_t, j2_t = _smoothing_rows(u, v, moll, grid)
+    gw = moll.gradient_weights(grid)[1]
+    total_t = _transport_rows(untiled_wedge_sums(u, v, moll, grid, flux),
+                              gw[gw != 0.0])
+    cq, lift = transport_constants(flux.growth_power, moll.delta)
+    lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
+    p = flux.growth_power + 1.0
+    mom_u, mom_v = (float(np.max(lp_norms(run.values, p, dx)))
+                    for run in pair)
+    widths = (epsilon, moll.gamma, moll.delta)
+    reports = [
+        BoundReport("J1", scale * float(np.dot(wts, j1_t)) * dx,
+                    scale * moll.gamma ** 2 / moll.delta, *widths,
+                    path_index),
+        BoundReport("J2", scale * float(np.dot(wts, j2_t)) * dx,
+                    scale * moll.delta * psi_sup(), *widths, path_index),
+        BoundReport("I", abs(epsilon * float(np.dot(wts, total_t)) * dx),
+                    lead * lift + lead * (mom_u + mom_v), *widths,
+                    path_index)]
+    return [r.csv_row() for r in reports]
 
 
 @pytest.mark.parametrize("dt, stride, last_tile", [
@@ -468,31 +516,42 @@ def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
     # 33 snapshots, S - 1 a multiple of the tile: the last tile holds only
     # the final snapshot, which J and I skip and the moments read
     (1.0 / 64, 2, 1)])
-def test_streamed_certificates_match_whole_pairs_bitwise(pair_noise, dt,
-                                                         stride, last_tile):
+def test_streamed_certificates_match_whole_pairs_bitwise(
+        pair_noise, monkeypatch, dt, stride, last_tile):
     # a small initial wave, which the noise outgrows on some paths
     eta = make_initial(TorusGrid(32), "sine", mean=0.0, amp=0.2, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=32, seed=11, dt=dt, cfl_fraction=0.9,
                     save_stride=stride)
     flux, moll = make_flux("burgers"), MollifierPair(0.1, 0.1)
     indices = range(3, 8)
-    got, (u_end, v_end) = certify_pairs(eta, cfg, flux, pair_noise, moll,
-                                        indices)
     pairs = solve_coupled_pairs(eta, cfg, flux, pair_noise, indices)
-    assert (len(pairs[0][0].times) - 1) % TRANSPORT_TILE == last_tile - 1
-    want = []
-    for i, pair in zip(indices, pairs):
-        want += [*bound_check_J(pair, moll, cfg.epsilon, pair_noise, i),
-                 bound_check_I(pair, moll, cfg.epsilon, flux, i)]
-    # csv rows carry every float in round-trip form
-    assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
-    assert np.array_equal(u_end.values, pairs[0][0].values[-1])
-    assert np.array_equal(v_end.values, pairs[0][1].values[-1])
+    snapshots = len(pairs[0][0].times)
+    assert (snapshots - 1) % TRANSPORT_TILE == last_tile - 1
     # some run's largest moment norm is at its final snapshot, so the
     # moments must read it
     p = flux.growth_power + 1.0
     assert any(np.argmax(lp_norms(run.values, p, eta.grid.dx))
-               == len(run.times) - 1 for pair in pairs for run in pair)
+               == snapshots - 1 for pair in pairs for run in pair)
+    want = [row for i, pair in zip(indices, pairs)
+            for row in whole_pair_rows(pair, moll, cfg.epsilon, flux,
+                                       pair_noise, i)]
+
+    def rows(block):
+        reports, ends = certify_pairs(eta, cfg, flux, pair_noise, moll,
+                                      block)
+        # csv rows carry every float in round-trip form
+        return [r.csv_row() for r in reports], ends
+
+    got, (u_end, v_end) = rows(indices)
+    assert got == want
+    assert np.array_equal(u_end.values, pairs[0][0].values[-1])
+    assert np.array_equal(v_end.values, pairs[0][1].values[-1])
+    # as blocks of one pair, with one tile that holds every snapshot, and
+    # with tiles of one snapshot
+    assert [row for i in indices for row in rows([i])[0]] == want
+    for tile in (snapshots, 1):
+        monkeypatch.setattr(diagnostics, "TRANSPORT_TILE", tile)
+        assert rows(indices)[0] == want, tile
 
 
 def test_transport_term_traces_a_few_tiles(pair_noise):
@@ -506,13 +565,14 @@ def test_transport_term_traces_a_few_tiles(pair_noise):
                     cfl_fraction=0.9)
     flux = make_flux("burgers")
     pair = solve_coupled_pair(eta, cfg, flux, pair_noise)
+    u, v = pair[0].values[:-1], pair[1].values[:-1]
     moll = MollifierPair(0.1, 0.1)
     offsets = int(np.count_nonzero(moll.gradient_weights(eta.grid)[1]))
     tile = TRANSPORT_TILE * offsets * eta.grid.cells * 8
-    transport_term(pair, moll, cfg.epsilon, flux)
+    tiled_wedge_sums(u, v, moll, eta.grid, flux)
     tracemalloc.start()
     try:
-        transport_term(pair, moll, cfg.epsilon, flux)
+        tiled_wedge_sums(u, v, moll, eta.grid, flux)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -525,9 +585,9 @@ def test_transport_term_is_zero_when_gamma_is_one_cell(pair_noise):
     eta = make_initial(grid, "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=10, seed=2024, dt=1.0 / 64,
                     cfl_fraction=0.9)
-    flux = make_flux("burgers")
-    pair = solve_coupled_pair(eta, cfg, flux, pair_noise)
     moll = MollifierPair(grid.dx, 0.1)
     assert not moll.gradient_weights(grid)[1].any()
-    got = transport_term(pair, moll, cfg.epsilon, flux)
-    assert np.float64(got).view(np.uint64) == np.float64(0.0).view(np.uint64)
+    rep = certify_pairs(eta, cfg, make_flux("burgers"), pair_noise, moll,
+                        [0])[0][2]
+    assert np.float64(rep.lhs).view(np.uint64) == \
+        np.float64(0.0).view(np.uint64)

@@ -21,7 +21,7 @@ from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN,
                            STREAM_SCALED, _base, _block, _flux_substep,
                            _scaled, _sweep, _trajectories,
                            base_small_time_endpoints, deterministic_step,
-                           integrate_skeleton, lp_moment, pair_l1_distances,
+                           integrate_skeleton, lp_norms, pair_l1_distances,
                            pair_moment_maxes, scaled_endpoints,
                            solve_coupled_pair, solve_coupled_pairs,
                            uniform_times)
@@ -625,12 +625,14 @@ def test_lp_moment_constant_and_riemann():
     c = ScalarField(grid, np.full(10, -1.5))
     traj_c = Trajectory(grid, uniform_times(4), skeleton_per_step(
         c, np.zeros((0, 1))[None], NoiseModel(()), 4)[:, 0])
-    assert lp_moment(traj_c, 2.0) == pytest.approx(2.25, abs=1e-14)
+    assert np.max(lp_norms(traj_c.values, 2.0, grid.dx)) == pytest.approx(
+        2.25, abs=1e-14)
     grid4 = TorusGrid(4)
     step = make_initial(grid4, "riemann", left=1.0, right=0.0, x0=0.5)
     traj_s = Trajectory(grid4, uniform_times(4), skeleton_per_step(
         step, np.zeros((0, 1))[None], NoiseModel(()), 4)[:, 0])
-    assert lp_moment(traj_s, 1.0) == pytest.approx(0.5, abs=1e-14)
+    assert np.max(lp_norms(traj_s.values, 1.0, grid4.dx)) == pytest.approx(
+        0.5, abs=1e-14)
 
 
 def test_lp_moment_stride_monotone(small_eta, burgers, two_mode_noise):
@@ -640,7 +642,8 @@ def test_lp_moment_stride_monotone(small_eta, burgers, two_mode_noise):
     sparse_cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                            cfl_fraction=0.9, save_stride=8)
     sparse = _run(small_eta, sparse_cfg, burgers, two_mode_noise)
-    assert lp_moment(dense, 2.0) >= lp_moment(sparse, 2.0)
+    assert np.max(lp_norms(dense.values, 2.0, small_eta.grid.dx)) >= \
+        np.max(lp_norms(sparse.values, 2.0, small_eta.grid.dx))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +672,8 @@ def test_batched_moments_match_scalar(small_eta, burgers, two_mode_noise):
     for r, i in enumerate(idx):
         u, v = _pair(small_eta, cfg, burgers, two_mode_noise, int(i))
         for c, p in enumerate(p_list):
-            assert batched[r, c, 0] == lp_moment(u, p)
-            assert batched[r, c, 1] == lp_moment(v, p)
+            assert batched[r, c, 0] == np.max(lp_norms(u.values, p, u.grid.dx))
+            assert batched[r, c, 1] == np.max(lp_norms(v.values, p, v.grid.dx))
 
 
 def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):

@@ -30,7 +30,7 @@ SOURCES = sorted((ROOT / "src" / "sclaw").glob("*.py")) + sorted(
     (ROOT / "scripts").glob("*.py"))
 
 # NoisePath and its generate are imported by the benchmark's tracer from
-# outside these files; both leave with ROADMAP item 4(b), and the class's
+# outside these files; both leave with ROADMAP item 6(b), and the class's
 # fields are exempt with it
 EXEMPT = {"NoisePath", "generate"}
 
