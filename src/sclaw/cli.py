@@ -35,7 +35,7 @@ from .mollifier import MollifierPair
 from .solvers import pair_l1_distances, solve_coupled_pair
 from .diagnostics import (bound_csv_lines, certify_pairs, error_term,
                           transport_constants)
-from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan, map_paths,
+from .harness import (FUNCTIONALS, estimate_tail, exp_equiv_scan,
                       moment_scan, scaling_check, worker_count)
 from .ratefn import (DIMENSION_CAP, OptConfig, constant_target, drift_target,
                      rate_estimate)
@@ -46,11 +46,13 @@ EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
 # coupled pairs per block of doubling: each block runs its own sweep and
-# certifies its tiles as they are recorded, and the blocks are mapped
-# over the workers.  On the shipped grid a block of 25 pairs traces
-# about 3.2 MB at its peak, where their snapshots alone took 6.6 MB when
-# recorded whole.  Blocks of 8 or 16 pairs ran slower at one worker and
-# at two, where their threads contend for the interpreter lock
+# certifies its tiles as they are recorded, and the blocks are stepped in
+# order.  On the shipped grid a block of 25 pairs traces about 3.2 MB at
+# its peak, where their snapshots alone took 6.6 MB when recorded whole.
+# Blocks of 8 or 16 pairs ran slower.  Mapped over two worker threads,
+# the blocks ran no faster than in order, since the threads contend for
+# the interpreter lock between numpy calls on small arrays, and raised
+# the peak by about 4 MB
 PAIR_BLOCK = 25
 
 
@@ -397,8 +399,8 @@ def _cmd_doubling(resolved, _writes):
     blocks = [range(lo, min(lo + PAIR_BLOCK, n_pairs))
               for lo in range(0, n_pairs, PAIR_BLOCK)]
     try:
-        certified = map_paths(lambda b: certify_pairs(
-            eta, cfg, flux, noise, moll, blocks[b]), len(blocks))
+        certified = [certify_pairs(eta, cfg, flux, noise, moll, b)
+                     for b in blocks]
     except NumericalFailure:
         # a block stops at its own first failure: name the one that a
         # single sweep of every pair meets first

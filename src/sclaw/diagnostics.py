@@ -30,7 +30,8 @@ import numpy as np
 from .grid import ScalarField
 from .mollifier import (MollifierPair, PrimitiveReader, kernel_tables,
                         psi_sup)
-from .models import FluxModel, NoiseModel, SimConfig, horner
+from .models import (FLUX_LATTICE_RADIUS, FluxModel, NoiseModel, SimConfig,
+                     horner)
 from .solvers import lp_norms, record_coupled_pairs, recorded_times
 
 # snapshots per tile that the sweep of a doubling pair block hands its
@@ -142,7 +143,9 @@ def smoothing_defect(u: ScalarField, v: ScalarField, moll: MollifierPair) -> flo
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One certificate instance: lhs <= rhs with its run context."""
+    """One certificate instance: lhs <= rhs with its run context.  It
+    passes only when the pair's states stayed in the range that the
+    bound's constants were derived for (in_range)."""
 
     name: str
     lhs: float
@@ -150,11 +153,12 @@ class BoundReport:
     epsilon: float
     gamma: float
     delta: float
-    path_index: int = 0
+    path_index: int
+    in_range: bool
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs
+        return self.in_range and self.lhs <= self.rhs
 
     def csv_row(self) -> str:
         cols = [self.name, str(self.path_index), repr(self.epsilon),
@@ -202,8 +206,10 @@ def _smoothing_rows(u: np.ndarray, v: np.ndarray, moll: MollifierPair,
 def _smoothing_reports(j1_t: np.ndarray, j2_t: np.ndarray,
                        times: np.ndarray, moll: MollifierPair,
                        epsilon: float, noise: NoiseModel, dx: float,
-                       path_index: int) -> tuple[BoundReport, BoundReport]:
-    """J1 and J2 from a pair's per-snapshot sums j1_t, j2_t.
+                       path_index: int,
+                       peak: float) -> tuple[BoundReport, BoundReport]:
+    """J1 and J2 from a pair's per-snapshot sums j1_t, j2_t and its
+    largest |u| and |v|, peak: D1 holds for |u| <= state_bound only.
 
     With D1 the aggregate noise Lipschitz constant, w the unit-mass
     kernel weights over offsets z and psi_d the state kernel,
@@ -222,10 +228,11 @@ def _smoothing_reports(j1_t: np.ndarray, j2_t: np.ndarray,
     wts = np.diff(times)
     j1 = epsilon * d1 * float(np.dot(wts, j1_t)) * dx
     j2 = epsilon * d1 * float(np.dot(wts, j2_t)) * dx
+    held = peak <= noise.state_bound
     r1 = BoundReport("J1", j1, epsilon * d1 * moll.gamma ** 2 / delta,
-                     epsilon, moll.gamma, delta, path_index)
+                     epsilon, moll.gamma, delta, path_index, held)
     r2 = BoundReport("J2", j2, epsilon * d1 * delta * psi_sup(),
-                     epsilon, moll.gamma, delta, path_index)
+                     epsilon, moll.gamma, delta, path_index, held)
     return r1, r2
 
 
@@ -317,18 +324,14 @@ def _transport_offsets(moll: MollifierPair, grid) -> tuple[np.ndarray,
 def _wedge_sums(u: np.ndarray, v: np.ndarray, shifted: np.ndarray,
                 flux: FluxModel, delta: float, work: _WedgeWork,
                 out: np.ndarray) -> None:
-    """Wedge sums over the cells of snapshots u, v (snapshots, cells), one
-    column per offset of shifted, into out (snapshots, offsets); one
-    _wedges call per tile of TRANSPORT_TILE snapshots, in work."""
-    for lo in range(0, len(u), TRANSPORT_TILE):
-        hi = lo + TRANSPORT_TILE
-        # (snapshots, offsets, cells) wedges; each sum runs over its own
-        # contiguous cells, so the bits do not depend on the tile
-        b = work.b[:len(u[lo:hi]) * shifted.size].reshape(
-            (len(u[lo:hi]),) + shifted.shape)
-        np.take(v[lo:hi], shifted, axis=1, out=b, mode="wrap")
-        out[lo:hi] = _wedges(u[lo:hi, None, :], b, flux, delta,
-                             work).sum(axis=2)
+    """Wedge sums over the cells of one tile of snapshots u, v (snapshots,
+    cells), one column per offset of shifted, into out (snapshots,
+    offsets); one _wedges call, in work."""
+    # (snapshots, offsets, cells) wedges; each sum runs over its own
+    # contiguous cells, so the bits do not depend on the tile
+    b = work.b[:len(u) * shifted.size].reshape((len(u),) + shifted.shape)
+    np.take(v, shifted, axis=1, out=b, mode="wrap")
+    out[:] = _wedges(u[:, None, :], b, flux, delta, work).sum(axis=2)
 
 
 def _transport_rows(per_t: np.ndarray, gw: np.ndarray) -> np.ndarray:
@@ -356,7 +359,7 @@ def transport_constants(q0: float, delta: float) -> tuple[float, float]:
 def _transport_report(total_t: np.ndarray, times: np.ndarray,
                       mom_u: float, mom_v: float, moll: MollifierPair,
                       epsilon: float, flux: FluxModel, dx: float,
-                      path_index: int) -> BoundReport:
+                      path_index: int, peak: float) -> BoundReport:
     """I from a pair's per-snapshot transport sums total_t, whose
     left-endpoint time sum over the snapshots at times, all but the
     last, is the signed transport term
@@ -371,14 +374,16 @@ def _transport_report(total_t: np.ndarray, times: np.ndarray,
              + (2 eps N Cq / gamma) * (max_t ||u||_{q0+1}^{q0+1}
                                        + max_t ||v||_{q0+1}^{q0+1})
 
-    with Cq = max(1, 2^q0).
+    with Cq = max(1, 2^q0).  The envelope is checked on validate_flux's
+    lattice only, so the pair's largest |u| and |v|, peak, widened by
+    delta, must stay within FLUX_LATTICE_RADIUS.
     """
     term = epsilon * float(np.dot(np.diff(times), total_t)) * dx
     cq, lift = transport_constants(flux.growth_power, moll.delta)
     lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
     rhs = lead * lift + lead * (mom_u + mom_v)
     return BoundReport("I", abs(term), rhs, epsilon, moll.gamma, moll.delta,
-                       path_index)
+                       path_index, peak + moll.delta <= FLUX_LATTICE_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +400,9 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
 
     The sweep hands over one tile of TRANSPORT_TILE snapshots of the
     block at a time, and the tile is reduced at once to the per-snapshot
-    sums of J1, J2 and the transport term, and to the q0 + 1 moment
-    norms of both members; so the pairs' snapshots are never held whole.
+    sums of J1, J2 and the transport term, to the q0 + 1 moment norms of
+    both members and to each pair's largest |u| and |v|; so the pairs'
+    snapshots are never held whole.
     """
     grid, dx, epsilon = eta.grid, eta.grid.dx, cfg.epsilon
     times = recorded_times(eta, cfg, flux)
@@ -405,15 +411,23 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     gw, shifted = _transport_offsets(moll, grid)
     j1, j2, transport = np.empty((3, len(path_indices), n))
     norms = np.empty((len(path_indices), 2, n + 1))
+    peaks = np.zeros(len(path_indices))
     tile = min(TRANSPORT_TILE, n)
     work = _WedgeWork(flux, tile * shifted.size)
     per_t = np.empty((len(path_indices), tile, len(shifted)))
     last = []
 
     def consume(buf, first):
+        norms[:, :, first:first + buf.shape[2]] = lp_norms(buf, p, dx)
+        # max |.| per pair, from its extremes: no tile-sized temporary
+        np.maximum(peaks, buf.max(axis=(1, 2, 3)), out=peaks)
+        np.maximum(peaks, -buf.min(axis=(1, 2, 3)), out=peaks)
+        last[:] = buf[0, :, -1]
         # J and I skip the final snapshot, which only closes time; the
-        # moments read it
+        # moments and the range read it
         k = min(buf.shape[2], n - first)
+        if not k:
+            return
         span = slice(first, first + k)
         u, v = buf[:, 0, :k], buf[:, 1, :k]
         # each row of the block sums only its own cells
@@ -422,16 +436,15 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
             _wedge_sums(u[r], v[r], shifted, flux, moll.delta, work,
                         per_t[r, :k])
         transport[:, span] = _transport_rows(per_t[:, :k], gw)
-        norms[:, :, first:first + buf.shape[2]] = lp_norms(buf, p, dx)
-        last[:] = buf[0, :, -1]
 
     record_coupled_pairs(eta, cfg, flux, noise, path_indices, TRANSPORT_TILE,
                          consume)
     reports = []
     for r, i in enumerate(path_indices):
+        peak = float(peaks[r])
         reports += _smoothing_reports(j1[r], j2[r], times, moll, epsilon,
-                                      noise, dx, i)
+                                      noise, dx, i, peak)
         mom_u, mom_v = (float(np.max(m)) for m in norms[r])
         reports.append(_transport_report(transport[r], times, mom_u, mom_v,
-                                         moll, epsilon, flux, dx, i))
+                                         moll, epsilon, flux, dx, i, peak))
     return reports, tuple(ScalarField(grid, w) for w in last)

@@ -7,7 +7,7 @@ strictly increasing time grid and make their CSV rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +68,8 @@ class Trajectory:
 
     ``values[j]`` is the cell-average vector at ``times[j]``; the first
     time is 0 and the last is the horizon of the run that produced it.
-    Values are read-only.  A float array that neither it nor any array
-    it views can write is adopted as it is, with no copy (the recording
-    stepper hands over each run's block of its snapshot buffer this
-    way); any other input is copied, so later writes to it do not show.
+    Times and values are copied on construction and read-only, so later
+    writes to the inputs do not show.
     """
 
     grid: TorusGrid
@@ -80,9 +78,7 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float, copy=True)
-        v = np.asarray(self.values, dtype=float)
-        if not _frozen(v):
-            v = v.copy()
+        v = np.array(self.values, dtype=float, copy=True)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("need at least two snapshots")
         if v.shape != (len(t), self.grid.cells):
@@ -99,25 +95,12 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def field(self, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[j])
-
     def csv_lines(self) -> list[str]:
         """CSV rows ``t,cell_0,...,cell_{M-1}``, floats in round-trip form."""
         header = "t," + ",".join(f"cell_{i}" for i in range(self.grid.cells))
         return [header] + [repr(t) + "," + ",".join(map(repr, row))
                            for t, row in zip(self.times.tolist(),
                                              self.values.tolist())]
-
-
-def _frozen(a: np.ndarray) -> bool:
-    """Whether a and every array it views are read-only, down to one that
-    owns its data."""
-    while a is not None:
-        if not isinstance(a, np.ndarray) or a.flags.writeable:
-            return False
-        a = a.base
-    return True
 
 
 def make_initial(grid: TorusGrid, kind: str, **params) -> ScalarField:

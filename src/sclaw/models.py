@@ -338,11 +338,6 @@ class NoiseModel:
         c = self.mode_lipschitz_consts()
         return float(2.0 * np.sum(c * c))
 
-    def g(self, k: int, x, u):
-        """Evaluate mode k at positions x and states u (broadcasting)."""
-        m = self.modes[k]
-        return m.sigma * m.phi(x) * (m.alpha + m.beta * np.asarray(u, dtype=float))
-
     def affine_parts(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(P0, P1) with g_k(x, u) = P0[k] + P1[k] * u, each shaped (K, len(x)).
 
@@ -463,12 +458,16 @@ def _ratio_check(name: str, lhs: np.ndarray, rhs: np.ndarray,
     return _Worst(name).add(lhs, rhs, points).result()
 
 
+# half-width of validate_flux's lattice: the flux certificate is checked
+# for states in [-FLUX_LATTICE_RADIUS, FLUX_LATTICE_RADIUS] only
+FLUX_LATTICE_RADIUS = 10.0
+
 # zeta rows per tile of validate_flux's lattice: 16 x 1024 points, so a
 # tile's float array is 128 KB
 _FLUX_TILE = 16
 
 
-def validate_flux(flux: FluxModel, r_val: float = 10.0,
+def validate_flux(flux: FluxModel, r_val: float = FLUX_LATTICE_RADIUS,
                   lattice_n: int = 1024) -> ValidationReport:
     """Check the declared growth and local-Lipschitz certificates of a
     on the lattice xi, zeta in [-r_val, r_val], the 2-D one in tiles of

@@ -69,10 +69,8 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel,
 # a step writes is allocated once per block; a step allocates only
 # per-row vectors.  A recording run writes its snapshots path-major
 # into a tile, (paths, members, tile, cells), and hands each filled tile
-# to its consumer, which reduces it before the next one is written.  A
-# Trajectory recording asks for one tile that holds every snapshot, so
-# each run's snapshots are one contiguous block: its Trajectory adopts
-# that block, without a copy, once the buffer is read-only.
+# to its consumer, which reduces or copies it before the next one is
+# written.
 
 
 def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
@@ -286,42 +284,6 @@ def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                   cfg.cfl_fraction, path_indices, **observers)
 
 
-def _trajectories(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                  noise: NoiseModel, dynamics, path_indices,
-                  pair: bool) -> list[list[Trajectory]]:
-    """Recorded runs of a block of paths on the main stream: per path [u]
-    or, for a pair, [u, v]."""
-    times = _snapshot_times(*dynamics[2:], cfg.save_stride)
-    held = []
-
-    def adopt(buf, _first):
-        # one tile holds every snapshot; read-only, so each Trajectory
-        # adopts its block instead of copying it
-        buf.setflags(write=False)
-        held.append(buf)
-
-    _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,
-           pair=pair, record=(cfg.save_stride, len(times), adopt))
-    return [[Trajectory(eta.grid, times, run) for run in runs]
-            for runs in held[0]]
-
-
-def solve_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                        noise: NoiseModel, path_indices
-                        ) -> list[tuple[Trajectory, Trajectory]]:
-    """(transport run, flux-free run) for each path index, recorded in
-    one block.
-
-    Both members of a pair are driven by one shared noise path on the
-    time grid resolved from the transport side, so they see identical
-    Brownian increments step by step and their gap isolates the effect
-    of the scaled flux.  Rows do not depend on the height of the block.
-    """
-    return [tuple(runs) for runs in _trajectories(
-        eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices,
-        pair=True)]
-
-
 def recorded_times(eta: ScalarField, cfg: SimConfig,
                    flux: FluxModel) -> np.ndarray:
     """Snapshot times of a recorded coupled pair (see _snapshot_times)."""
@@ -332,17 +294,27 @@ def recorded_times(eta: ScalarField, cfg: SimConfig,
 def record_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                          noise: NoiseModel, path_indices, tile: int,
                          consume) -> None:
-    """Step the coupled pairs of a block of path indices, as
-    solve_coupled_pairs does, handing consume each tile of up to tile
-    snapshots at recorded_times (see _sweep)."""
+    """Step the coupled pairs of a block of path indices, handing consume
+    each tile of up to tile snapshots at recorded_times (see _sweep).
+
+    Both members of a pair are driven by one shared noise path on the
+    time grid resolved from the transport side, so they see identical
+    Brownian increments step by step and their gap isolates the effect
+    of the scaled flux.  Rows do not depend on the height of the block.
+    """
     _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices,
            STREAM_MAIN, pair=True, record=(cfg.save_stride, tile, consume))
 
 
 def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                        noise: NoiseModel) -> tuple[Trajectory, Trajectory]:
-    """The coupled pair of path 0: a block of one of solve_coupled_pairs."""
-    return solve_coupled_pairs(eta, cfg, flux, noise, [0])[0]
+    """(transport run, flux-free run) of path 0, recorded as one tile
+    that each Trajectory copies its run from."""
+    times = recorded_times(eta, cfg, flux)
+    tiles = []
+    record_coupled_pairs(eta, cfg, flux, noise, [0], len(times),
+                         lambda buf, _first: tiles.append(buf))
+    return tuple(Trajectory(eta.grid, times, run) for run in tiles[0][0])
 
 
 def pair_l1_distances(eta: ScalarField, cfg: SimConfig, flux: FluxModel,

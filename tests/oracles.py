@@ -8,7 +8,9 @@ coarsen aggregates a noise path onto a coarser time grid.
 skeleton_per_step integrates the skeleton without tiles, and is the
 only integrator that keeps every snapshot.  validate_flux_untiled
 evaluates the flux certificate lattice as one array, as validate_flux
-did before it went through it in tiles.
+did before it went through it in tiles.  recorded_runs keeps every
+snapshot of a block of stochastic runs, from one tile of the stepper's
+recording, and noise_g evaluates a noise mode from its definition.
 """
 
 import math
@@ -16,8 +18,10 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
+from sclaw.grid import Trajectory
 from sclaw.models import NoisePath, ValidationReport, _ratio_check
 from sclaw.mollifier import bump_norm, kernel_tables
+from sclaw.solvers import STREAM_MAIN, _block, _scaled, _snapshot_times
 
 
 def psi_scalar(w: float) -> float:
@@ -83,6 +87,28 @@ def doubling_bruteforce(u, v, moll) -> float:
         total += wd * sum(wedges_quadrature(a, b, moll)
                           for a, b in zip(u.values, vy))
     return float(total * u.grid.dx)
+
+
+def noise_g(noise, k: int, x, u):
+    """Mode k of a noise model at positions x and states u (broadcasting):
+    sigma_k * phi_k(x) * (alpha_k + beta_k * u)."""
+    m = noise.modes[k]
+    return m.sigma * m.phi(x) * (m.alpha + m.beta * np.asarray(u, dtype=float))
+
+
+def recorded_runs(eta, cfg, flux, noise, path_indices, pair=True):
+    """Every snapshot of the rescaled runs of a block of paths on the main
+    stream, as Trajectories: per path [u, v] of its coupled pair, or [u]
+    of its transport run alone.  The block records one tile that holds
+    every snapshot."""
+    dynamics = _scaled(cfg, flux, eta)
+    times = _snapshot_times(*dynamics[2:], cfg.save_stride)
+    tiles = []
+    _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,
+           pair=pair, record=(cfg.save_stride, len(times),
+                              lambda buf, _first: tiles.append(buf)))
+    return [[Trajectory(eta.grid, times, run) for run in runs]
+            for runs in tiles[0]]
 
 
 def validate_flux_untiled(flux, r_val: float = 10.0,

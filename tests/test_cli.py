@@ -27,6 +27,9 @@ BASE = {
             "cfl_fraction": 0.9},
 }
 
+MAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / \
+    "burgers2mode.json"
+
 RATE_BASE = {
     "model": {"flux": {"kind": "zero"},
               "noise": {"modes": [{"sigma": 1.0, "alpha": 1.0, "beta": 0.0}]}},
@@ -332,6 +335,27 @@ def test_doubling_rejects_uncertified_flux(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_doubling_fails_the_j_rows_of_pairs_past_the_state_bound(
+        tmp_path, capsys):
+    # D1 of J1 and J2 holds for |u| <= state_bound only.  On the shipped
+    # config at 6 pairs, pair 0 alone goes past 0.6 (|u| 0.6085, |v|
+    # 0.6231); the others peak between 0.50 and 0.59
+    doc = json.loads(MAIN_CONFIG.read_text())
+    doc["model"]["noise"]["state_bound"] = 0.6
+    doc["harness"]["n_pairs"] = 6
+    out = tmp_path / "out"
+    assert run(["doubling", "--config", write_cfg(tmp_path, doc),
+                "--out", str(out)]) == EXIT_OK
+    assert "certificates: 16/18 pass" in capsys.readouterr().out
+    rows = [row.split(",") for row in
+            (out / "bounds.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 18
+    assert [row[:2] for row in rows if row[-1] == "false"] == [
+        ["J1", "0"], ["J2", "0"]]
+    # every lhs is within its rhs: only the state range fails them
+    assert all(float(row[5]) <= float(row[6]) for row in rows)
+
+
 def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
                                                       monkeypatch):
     # two full pair blocks, then a partial block of 3 pairs
@@ -445,8 +469,8 @@ def test_rate_bad_target(tmp_path, capsys):
 
 # the CLI's compute entry points: a malformed input must stop a run first
 COMPUTE = ("validate_flux", "validate_noise", "solve_coupled_pair",
-           "certify_pairs", "estimate_tail", "exp_equiv_scan", "moment_scan", "scaling_check",
-           "map_paths", "rate_estimate")
+           "certify_pairs", "estimate_tail", "exp_equiv_scan", "moment_scan",
+           "scaling_check", "rate_estimate")
 
 SCAN_BASE = patched(BASE, harness={"iota": 0.02, "n_tail": 24,
                                    "ladder": [0.5, 0.2],

@@ -17,11 +17,13 @@ from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
                                error_term,
                                smoothing_defect, transport_constants)
 from sclaw.grid import ScalarField, TorusGrid, make_initial
-from sclaw.models import NoiseMode, NoiseModel, SimConfig, make_flux
+from sclaw.models import (FLUX_LATTICE_RADIUS, NoiseMode, NoiseModel,
+                          SimConfig, make_flux)
 from sclaw.mollifier import MollifierPair, psi_sup
-from sclaw.solvers import lp_norms, solve_coupled_pair, solve_coupled_pairs
+from sclaw.solvers import lp_norms, solve_coupled_pair
 
-from oracles import doubling_bruteforce, kernel_cdf, psi_scalar
+from oracles import (doubling_bruteforce, kernel_cdf, psi_scalar,
+                     recorded_runs)
 
 XI_ZERO_REF = 0.16722699885498704
 
@@ -240,17 +242,20 @@ def test_smoothing_defect_certificate_property(seed):
 
 
 def test_bound_report_pass_logic_and_csv():
-    good = BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1, 3)
-    bad = BoundReport("J1", 2.0, 1.0, 0.1, 0.1, 0.1)
-    assert good.passed and not bad.passed
+    good = BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1, 3, True)
+    bad = BoundReport("J1", 2.0, 1.0, 0.1, 0.1, 0.1, 0, True)
+    # lhs <= rhs, but the states left the range the bound holds on
+    out = BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1, 3, False)
+    assert good.passed and not bad.passed and not out.passed
     row = good.csv_row()
     assert row.split(",") == ["J1", "3", "0.1", "0.1", "0.1", "0.5", "1.0",
                               "true"]
+    assert out.csv_row() == row[:-len("true")] + "false"
 
 
 def test_write_bound_reports():
-    reports = [BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1),
-               BoundReport("I", 3.0, 2.0, 0.1, 0.1, 0.1, 1)]
+    reports = [BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1, 0, True),
+               BoundReport("I", 3.0, 2.0, 0.1, 0.1, 0.1, 1, True)]
     lines = bound_csv_lines(reports)
     assert lines[0] == BOUND_CSV_HEADER
     assert len(lines) == 3
@@ -438,12 +443,15 @@ def untiled_wedge_sums(u, v, moll, grid, flux):
 
 
 def tiled_wedge_sums(u, v, moll, grid, flux):
-    """_wedge_sums of u, v, in work arrays sized as certify_pairs sizes
-    them, allocated here."""
+    """_wedge_sums of u, v, one call per tile of TRANSPORT_TILE snapshots,
+    in work arrays sized as certify_pairs sizes them, allocated here."""
     shifted = _transport_offsets(moll, grid)[1]
     out = np.empty((len(u), len(shifted)))
     work = _WedgeWork(flux, min(TRANSPORT_TILE, len(u)) * shifted.size)
-    _wedge_sums(u, v, shifted, flux, moll.delta, work, out)
+    for lo in range(0, len(u), TRANSPORT_TILE):
+        hi = lo + TRANSPORT_TILE
+        _wedge_sums(u[lo:hi], v[lo:hi], shifted, flux, moll.delta, work,
+                    out[lo:hi])
     return out
 
 
@@ -496,16 +504,20 @@ def whole_pair_rows(pair, moll, epsilon, flux, noise, path_index):
     p = flux.growth_power + 1.0
     mom_u, mom_v = (float(np.max(lp_norms(run.values, p, dx)))
                     for run in pair)
+    # the largest |u| and |v| over every snapshot, the final one included
+    peak = max(float(np.max(np.abs(run.values))) for run in pair)
+    j_held = peak <= noise.state_bound
     widths = (epsilon, moll.gamma, moll.delta)
     reports = [
         BoundReport("J1", scale * float(np.dot(wts, j1_t)) * dx,
                     scale * moll.gamma ** 2 / moll.delta, *widths,
-                    path_index),
+                    path_index, j_held),
         BoundReport("J2", scale * float(np.dot(wts, j2_t)) * dx,
-                    scale * moll.delta * psi_sup(), *widths, path_index),
+                    scale * moll.delta * psi_sup(), *widths, path_index,
+                    j_held),
         BoundReport("I", abs(epsilon * float(np.dot(wts, total_t)) * dx),
                     lead * lift + lead * (mom_u + mom_v), *widths,
-                    path_index)]
+                    path_index, peak + moll.delta <= FLUX_LATTICE_RADIUS)]
     return [r.csv_row() for r in reports]
 
 
@@ -524,7 +536,7 @@ def test_streamed_certificates_match_whole_pairs_bitwise(
                     save_stride=stride)
     flux, moll = make_flux("burgers"), MollifierPair(0.1, 0.1)
     indices = range(3, 8)
-    pairs = solve_coupled_pairs(eta, cfg, flux, pair_noise, indices)
+    pairs = recorded_runs(eta, cfg, flux, pair_noise, indices)
     snapshots = len(pairs[0][0].times)
     assert (snapshots - 1) % TRANSPORT_TILE == last_tile - 1
     # some run's largest moment norm is at its final snapshot, so the
@@ -552,6 +564,39 @@ def test_streamed_certificates_match_whole_pairs_bitwise(
     for tile in (snapshots, 1):
         monkeypatch.setattr(diagnostics, "TRANSPORT_TILE", tile)
         assert rows(indices)[0] == want, tile
+
+
+def test_certificates_fail_when_the_states_leave_their_range(
+        sine_run, pair_noise, monkeypatch):
+    # J1 and J2 rest on D1, derived for |u| <= state_bound, and I on the
+    # growth envelope, checked for |xi| <= FLUX_LATTICE_RADIUS.  A pair
+    # whose largest |u| or |v| leaves that range fails the row, whatever
+    # its margin
+    eta, cfg = sine_run
+    flux, moll = make_flux("burgers"), MollifierPair(0.1, 0.1)
+    indices = range(6)
+    pairs = recorded_runs(eta, cfg, flux, pair_noise, indices)
+    peaks = [max(float(np.max(np.abs(run.values))) for run in pair)
+             for pair in pairs]
+    bound = float(np.median(peaks))
+    noise = NoiseModel(pair_noise.modes, state_bound=bound)
+    want = [peak <= bound for peak in peaks]
+    assert any(want) and not all(want)
+    # the peaks of one tile of every snapshot, and of one-snapshot tiles
+    for tile in (len(pairs[0][0].times), 1):
+        monkeypatch.setattr(diagnostics, "TRANSPORT_TILE", tile)
+        reports = certify_pairs(eta, cfg, flux, noise, moll, indices)[0]
+        assert all(r.lhs <= r.rhs for r in reports)
+        assert [r.passed for r in reports if r.name != "I"] == [
+            held for held in want for _ in ("J1", "J2")], tile
+        assert all(r.passed for r in reports if r.name == "I")
+    # delta widens I's range: just inside the lattice, then just past it
+    reach = FLUX_LATTICE_RADIUS - peaks[0]
+    for delta, held in ((reach * (1 - 1e-9), True),
+                        (reach * (1 + 1e-9), False)):
+        rep = certify_pairs(eta, cfg, flux, pair_noise,
+                            MollifierPair(0.1, delta), [0])[0][2]
+        assert rep.lhs <= rep.rhs and rep.passed == held, delta
 
 
 def test_transport_term_traces_a_few_tiles(pair_noise):

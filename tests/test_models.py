@@ -17,7 +17,7 @@ from sclaw.models import (PROFILE_KINDS, CheckResult, FluxModel, NoiseMode,
                           check_mode_constants, check_state_bound, make_flux,
                           validate_flux, validate_noise)
 
-from oracles import coarsen, validate_flux_untiled
+from oracles import coarsen, noise_g, validate_flux_untiled
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +206,19 @@ def _noise_lattice_holds(noise, n_x: int = 25, n_u: int = 25) -> bool:
         m = model.modes[k]
         roundoff = 8.0 * np.spacing(abs(m.sigma)
                                     * (abs(m.alpha) + abs(m.beta) * b))
-        gap = np.abs(model.g(k, x1, u1) - model.g(k, x2, u2))
+        gap = np.abs(noise_g(model, k, x1, u1) - noise_g(model, k, x2, u2))
         return np.maximum(gap - roundoff, 0.0)
 
     for mode in noise.modes:
         unit = _rescaled(NoiseModel((mode,), b), _pow2_floor(abs(mode.sigma)))
-        if not (_holds(np.abs(unit.g(0, x, u)),
+        if not (_holds(np.abs(noise_g(unit, 0, x, u)),
                        unit.mode_growth_consts()[0] * (1.0 + np.abs(u)))
                 and _holds(gaps(unit, 0),
                            unit.mode_lipschitz_consts()[0] * (dx + du))):
             return False
     common = _rescaled(noise, _common_scale(noise))
     ks = range(common.n_modes)
-    return (_holds(sum(common.g(k, x, u) ** 2 for k in ks),
+    return (_holds(sum(noise_g(common, k, x, u) ** 2 for k in ks),
                    common.D0 * (1.0 + u * u))
             and _holds(sum(gaps(common, k) ** 2 for k in ks),
                        common.D1 * (dx * dx + du * du)))

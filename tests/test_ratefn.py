@@ -159,7 +159,7 @@ def central_gradient(fn, x, step):
 def objective_gradient(h, lam, target, noise):
     """The optimizer's batched central-difference gradient at h."""
     objectives = _objectives(lam, h.n_modes, h.bins, target, noise,
-                             target.field(0))
+                             ScalarField(target.grid, target.values[0]))
     return _fd_bundle(objectives, h.values.flatten())[0]
 
 

@@ -19,27 +19,25 @@ from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
                           make_flux)
 from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN,
                            STREAM_SCALED, _base, _block, _flux_substep,
-                           _scaled, _sweep, _trajectories,
-                           base_small_time_endpoints, deterministic_step,
-                           integrate_skeleton, lp_norms, pair_l1_distances,
-                           pair_moment_maxes, scaled_endpoints,
-                           solve_coupled_pair, solve_coupled_pairs,
+                           _scaled, _sweep, base_small_time_endpoints,
+                           deterministic_step, integrate_skeleton, lp_norms,
+                           pair_l1_distances, pair_moment_maxes,
+                           scaled_endpoints, solve_coupled_pair,
                            uniform_times)
 
-from oracles import coarsen, skeleton_per_step
+from oracles import coarsen, recorded_runs, skeleton_per_step
 
 rng = np.random.default_rng(42)
 
 
 def _run(eta, cfg, flux, noise, i=0):
     """The recorded rescaled run of path i."""
-    return _trajectories(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                         [i], pair=False)[0][0]
+    return recorded_runs(eta, cfg, flux, noise, [i], pair=False)[0][0]
 
 
 def _pair(eta, cfg, flux, noise, i):
     """The coupled pair of path i, as a block of one."""
-    return solve_coupled_pairs(eta, cfg, flux, noise, [i])[0]
+    return tuple(recorded_runs(eta, cfg, flux, noise, [i])[0])
 
 
 def _eo(flux, ul, ur):
@@ -720,16 +718,22 @@ def test_pair_block_rows_match_single_pairs(two_mode_noise, burgers,
     eta = make_initial(TorusGrid(16), "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.2, cells=16, seed=9, dt=1.0 / 32,
                     cfl_fraction=0.9, save_stride=stride)
-    block = solve_coupled_pairs(eta, cfg, burgers, two_mode_noise, indices)
+    block = recorded_runs(eta, cfg, burgers, two_mode_noise, indices)
     assert len(block) == len(indices)
     for i, pair in zip(indices, block):
-        alone = _pair(eta, cfg, burgers, two_mode_noise, i)
-        for got, want in zip(pair, alone):
-            assert got.values.shape == want.values.shape
-            assert np.array_equal(got.values.view(np.uint64),
-                                  want.values.view(np.uint64)), i
-            assert np.array_equal(got.times.view(np.uint64),
-                                  want.times.view(np.uint64)), i
+        alones = [_pair(eta, cfg, burgers, two_mode_noise, i)]
+        if i == 0:
+            # simulate's recording of path 0
+            alones.append(solve_coupled_pair(eta, cfg, burgers,
+                                             two_mode_noise))
+        for alone in alones:
+            assert len(alone) == 2
+            for got, want in zip(pair, alone):
+                assert got.values.shape == want.values.shape
+                assert np.array_equal(got.values.view(np.uint64),
+                                      want.values.view(np.uint64)), i
+                assert np.array_equal(got.times.view(np.uint64),
+                                      want.times.view(np.uint64)), i
 
 
 # Burgers under Lie keeps the ids 1..3; the other cases run every
@@ -804,23 +808,23 @@ def test_pair_sweep_allocates_no_per_step_block(two_mode_noise, burgers,
     assert peak <= 8 * rows * cells * 8
 
 
-def test_coupled_pairs_hold_one_copy_of_their_snapshots(two_mode_noise,
-                                                        burgers):
-    # the shipped grid and step, 6 pairs: each run adopts its block of the
-    # snapshot buffer instead of copying it
+def test_coupled_pair_holds_its_tile_and_one_copy(two_mode_noise, burgers):
+    # the shipped grid and step: the recording tile holds both runs' 257
+    # snapshots, and the two Trajectories copy them once.  The rest is
+    # small: the path's increments, the one-row stepping arrays and a
+    # copy's finiteness mask, a byte per value of one run
     eta = make_initial(TorusGrid(64), "sine", mean=0.0, amp=0.5, mode=1)
     cfg = SimConfig(epsilon=0.1, cells=64, seed=2024, dt=1.0 / 256,
                     cfl_fraction=0.9)
     tracemalloc.start()
     try:
-        pairs = solve_coupled_pairs(eta, cfg, burgers, two_mode_noise,
-                                    range(6))
+        pair = solve_coupled_pair(eta, cfg, burgers, two_mode_noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    snapshots = sum(run.values.nbytes for pair in pairs for run in pair)
-    assert snapshots == 6 * 2 * 257 * 64 * 8
-    assert peak <= 1.1 * snapshots
+    snapshots = sum(run.values.nbytes for run in pair)
+    assert snapshots == 2 * 257 * 64 * 8
+    assert peak <= 2.125 * snapshots
 
 
 def test_trajectory_copies_what_another_holder_can_write():
@@ -834,10 +838,11 @@ def test_trajectory_copies_what_another_holder_can_write():
     view = values.view()
     view.setflags(write=False)
     assert not np.shares_memory(Trajectory(grid, times, view).values, values)
-    # a block of a read-only buffer is adopted as it is
+    # a block of a read-only buffer is copied too
     frozen = np.arange(24.0).reshape(2, 3, 4).copy()
     frozen.setflags(write=False)
-    assert Trajectory(grid, times, frozen[1]).values.base is frozen
+    assert not np.shares_memory(Trajectory(grid, times, frozen[1]).values,
+                                frozen)
 
 
 # ---------------------------------------------------------------------------

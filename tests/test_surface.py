@@ -2,9 +2,11 @@
 
 Every top-level function or class, and every public method, defined in
 ``src/sclaw`` or ``scripts`` must be named by code in those files
-outside its own body.  Names are matched as identifiers (a variable, an
-attribute or a call), not resolved to their owner; an import alone does
-not count as naming.  What the acceptance criteria name is exempt.
+outside its own body: a top-level definition by a load of its name (a
+read or a call, not an assignment, a parameter or an attribute), a
+method by a load of an attribute of its name.  Names are matched, not
+resolved to their owner; an import alone does not count as naming.
+What the acceptance criteria name is exempt.
 
 Every field of a dataclass there must be read as an attribute by code
 in those files; the attribute name is matched, not its owner.
@@ -50,16 +52,16 @@ def _named(node):
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the public methods of the
-    classes."""
+    """(definition, the node type that names it) of each top-level
+    function and class, and of each public method of the classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, ast.Name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_")):
-                    yield item
+                    yield item, ast.Attribute
 
 
 def acceptance_names():
@@ -74,13 +76,14 @@ def unnamed_definitions(sources):
     """(file, line, name) of each definition in sources that nothing
     outside its own body names."""
     trees = [(path, ast.parse(path.read_text())) for path in sources]
-    uses = [n for _, tree in trees for n in ast.walk(tree) if _named(n)]
+    loads = [n for _, tree in trees for n in ast.walk(tree)
+             if _named(n) and isinstance(n.ctx, ast.Load)]
     out = []
     for path, tree in trees:
-        for node in _definitions(tree):
+        for node, kind in _definitions(tree):
             inside = {id(n) for n in ast.walk(node)}
-            if not any(_named(n) == node.name and id(n) not in inside
-                       for n in uses):
+            if not any(isinstance(n, kind) and _named(n) == node.name
+                       and id(n) not in inside for n in loads):
                 out.append((path.name, node.lineno, node.name))
     return out
 
@@ -306,9 +309,16 @@ def test_guard_flags_a_dead_helper(tmp_path):
     mod.write_text(
         "def used():\n    return 1\n\n\n"
         "def dead():\n    return dead()\n\n\n"
+        "def stored():\n    return 2\n\n\n"
         "class Box:\n"
         "    def shown(self):\n        return self._hidden()\n\n"
         "    def _hidden(self):\n        return used()\n\n"
-        "    def unseen(self):\n        return self.unseen()\n\n\n"
-        "print(Box().shown())\n")
-    assert [d[2] for d in unnamed_definitions([mod])] == ["dead", "unseen"]
+        "    def unseen(self):\n        return self.unseen()\n\n"
+        "    def size(self):\n        return 3\n\n\n"
+        "def area(size=1, box=Box()):\n"
+        "    size = 2 * size + box.stored\n    return size\n\n\n"
+        "print(Box().shown(), area())\n")
+    # size's only namesakes are a parameter and a local variable, and
+    # stored's an attribute
+    assert [d[2] for d in unnamed_definitions([mod])] == [
+        "dead", "stored", "unseen", "size"]
