@@ -32,7 +32,7 @@ from .mollifier import (MollifierPair, PrimitiveReader, kernel_tables,
                         psi_sup)
 from .models import (FLUX_LATTICE_RADIUS, FluxModel, NoiseModel, SimConfig,
                      horner)
-from .solvers import lp_norms, record_coupled_pairs, recorded_times
+from .solvers import record_coupled_pairs, recorded_times
 
 # snapshots per tile that the sweep of a doubling pair block hands its
 # certificates, and per tile of the transport wedges.  Each wedge work
@@ -366,9 +366,9 @@ def _transport_report(total_t: np.ndarray, times: np.ndarray,
 
         I = eps * int_t sum_z rho_gamma'(z) dx sum_x [W+ + W-](u(x), v(x-z)) dx
 
-    (the wedges at _wedges), and from the maxima over its snapshots, the
-    last included, of the q0 + 1 moment norms of u and v.  The bound
-    rests on the growth envelope of a:
+    (the wedges at _wedges), and from the maxima over every step of the
+    q0 + 1 moment norms of u and v.  The bound rests on the growth
+    envelope of a:
 
         |I| <= (2 eps N Cq / gamma) * (1 + delta^(q0+1))
              + (2 eps N Cq / gamma) * (max_t ||u||_{q0+1}^{q0+1}
@@ -400,31 +400,24 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
 
     The sweep hands over one tile of TRANSPORT_TILE snapshots of the
     block at a time, and the tile is reduced at once to the per-snapshot
-    sums of J1, J2 and the transport term, to the q0 + 1 moment norms of
-    both members and to each pair's largest |u| and |v|; so the pairs'
-    snapshots are never held whole.
+    sums of J1, J2 and the transport term; so the pairs' snapshots are
+    never held whole.  The q0 + 1 moment norms of both members and each
+    pair's largest |u| and |v| are the sweep's own observers, which read
+    every step, not only the recorded ones.
     """
     grid, dx, epsilon = eta.grid, eta.grid.dx, cfg.epsilon
     times = recorded_times(eta, cfg, flux)
     n = len(times) - 1
-    p = flux.growth_power + 1.0
     gw, shifted = _transport_offsets(moll, grid)
     j1, j2, transport = np.empty((3, len(path_indices), n))
-    norms = np.empty((len(path_indices), 2, n + 1))
-    peaks = np.zeros(len(path_indices))
     tile = min(TRANSPORT_TILE, n)
     work = _WedgeWork(flux, tile * shifted.size)
     per_t = np.empty((len(path_indices), tile, len(shifted)))
     last = []
 
     def consume(buf, first):
-        norms[:, :, first:first + buf.shape[2]] = lp_norms(buf, p, dx)
-        # max |.| per pair, from its extremes: no tile-sized temporary
-        np.maximum(peaks, buf.max(axis=(1, 2, 3)), out=peaks)
-        np.maximum(peaks, -buf.min(axis=(1, 2, 3)), out=peaks)
         last[:] = buf[0, :, -1]
-        # J and I skip the final snapshot, which only closes time; the
-        # moments and the range read it
+        # J and I skip the final snapshot, which only closes time
         k = min(buf.shape[2], n - first)
         if not k:
             return
@@ -437,14 +430,15 @@ def certify_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                         per_t[r, :k])
         transport[:, span] = _transport_rows(per_t[:, :k], gw)
 
-    record_coupled_pairs(eta, cfg, flux, noise, path_indices, TRANSPORT_TILE,
-                         consume)
+    moms = record_coupled_pairs(
+        eta, cfg, flux, noise, path_indices,
+        [flux.growth_power + 1.0, np.inf], TRANSPORT_TILE, consume).moms
     reports = []
     for r, i in enumerate(path_indices):
-        peak = float(peaks[r])
+        (mom_u, mom_v), peaks = moms[r].tolist()
+        peak = max(peaks)
         reports += _smoothing_reports(j1[r], j2[r], times, moll, epsilon,
                                       noise, dx, i, peak)
-        mom_u, mom_v = (float(np.max(m)) for m in norms[r])
         reports.append(_transport_report(transport[r], times, mom_u, mom_v,
                                          moll, epsilon, flux, dx, i, peak))
     return reports, tuple(ScalarField(grid, w) for w in last)

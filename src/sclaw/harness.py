@@ -42,24 +42,19 @@ def worker_count() -> int:
     return int(env) if env else os.cpu_count() or 1
 
 
-def map_paths(fn, n: int) -> list:
-    """fn(path_index) over 0..n-1, order-stable regardless of threading."""
-    workers = worker_count()
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def map_blocks(fn, n: int) -> np.ndarray:
-    """Concatenate fn(range_of_indices) over fixed-size blocks of 0..n-1.
+    """Concatenate fn(range_of_indices) over fixed-size blocks of 0..n-1,
+    in block order however many workers run them.
 
     Blocks are cut at multiples of a constant, so the split (and hence
     every float produced) is identical for any worker count.
     """
     blocks = [range(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
-    return np.concatenate(map_paths(lambda b: fn(blocks[b]), len(blocks)),
-                          axis=0)
+    workers = min(worker_count(), len(blocks))
+    if workers <= 1:
+        return np.concatenate([fn(b) for b in blocks], axis=0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(fn, blocks)), axis=0)
 
 
 def fmean(values) -> float:

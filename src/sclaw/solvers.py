@@ -15,7 +15,8 @@ number (and the path/step) on violation.
 One stepper, ``_sweep``, advances every run: a block of paths moves in
 lockstep as a (paths, cells) array, and a single path is a block of one
 row.  What a caller needs (tiles of trajectory snapshots, the pair's L1
-gap, moment maxima, endpoints) is observed along the way.
+gap, moment maxima and the state range, endpoints) is observed along
+the way, at every step.
 """
 
 from __future__ import annotations
@@ -154,14 +155,14 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
     substep.  The noise coefficients sum_k db_k P0[k] and sum_k db_k P1[k]
     are formed once per step, shared by both members when pair is set;
     the second member runs without flux.  Observers: the endpoint always,
-    the trapezoidal L1 gap of a pair, the running maxima of
-    dx * sum |.|^p for each p in p_list, and, when record is given as
-    (stride, tile, consume), the snapshots of _snapshot_times.  They land
-    in a (paths, members, tile, cells) buffer, and consume(buffer, first)
-    gets it whenever it is full and at the end (then only its filled
-    part), first being the index of its first snapshot.  The buffer is
-    written again after consume returns, unless it held the last
-    snapshot.
+    the trapezoidal L1 gap of a pair, the running maxima over every step
+    of dx * sum |.|^p for each p in p_list (of max |.| for p = math.inf),
+    and, when record is given as (stride, tile, consume), the snapshots
+    of _snapshot_times.  They land in a (paths, members, tile, cells)
+    buffer, and consume(buffer, first) gets it whenever it is full and
+    at the end (then only its filled part), first being the index of its
+    first snapshot.  The buffer is written again after consume returns,
+    unless it held the last snapshot.
     """
     n, n_modes, rows = inc.shape
     indices = [int(i) for i in path_indices]
@@ -199,9 +200,12 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
         for i, w in enumerate(members):
             for j, p in enumerate(p_list):
                 a = np.abs(w, out=tmp)
-                a **= p
-                np.maximum(out.moms[:, j, i], dx * a.sum(axis=1),
-                           out=out.moms[:, j, i])
+                if p == math.inf:
+                    size = a.max(axis=1)
+                else:
+                    a **= p
+                    size = dx * a.sum(axis=1)
+                np.maximum(out.moms[:, j, i], size, out=out.moms[:, j, i])
 
     if pair:
         out.gap = np.zeros(rows)
@@ -292,18 +296,20 @@ def recorded_times(eta: ScalarField, cfg: SimConfig,
 
 
 def record_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                         noise: NoiseModel, path_indices, tile: int,
-                         consume) -> None:
+                         noise: NoiseModel, path_indices, p_list, tile: int,
+                         consume) -> _Observed:
     """Step the coupled pairs of a block of path indices, handing consume
-    each tile of up to tile snapshots at recorded_times (see _sweep).
+    each tile of up to tile snapshots at recorded_times, and observing
+    the moment maxima of p_list (see _sweep).
 
     Both members of a pair are driven by one shared noise path on the
     time grid resolved from the transport side, so they see identical
     Brownian increments step by step and their gap isolates the effect
     of the scaled flux.  Rows do not depend on the height of the block.
     """
-    _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta), path_indices,
-           STREAM_MAIN, pair=True, record=(cfg.save_stride, tile, consume))
+    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+                  path_indices, STREAM_MAIN, pair=True, p_list=p_list,
+                  record=(cfg.save_stride, tile, consume))
 
 
 def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
@@ -312,7 +318,7 @@ def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     that each Trajectory copies its run from."""
     times = recorded_times(eta, cfg, flux)
     tiles = []
-    record_coupled_pairs(eta, cfg, flux, noise, [0], len(times),
+    record_coupled_pairs(eta, cfg, flux, noise, [0], (), len(times),
                          lambda buf, _first: tiles.append(buf))
     return tuple(Trajectory(eta.grid, times, run) for run in tiles[0][0])
 
@@ -377,9 +383,8 @@ SKELETON_TILE = 64
 
 
 def uniform_times(n_steps: int) -> np.ndarray:
-    times = np.arange(n_steps + 1) * (1.0 / n_steps)
-    times[-1] = 1.0
-    return times
+    """The n_steps + 1 times of a uniform grid on [0, 1]."""
+    return _snapshot_times(n_steps, 1.0 / n_steps, 1)
 
 
 def _skeleton_steps(rows: np.ndarray, amp: np.ndarray | None,
@@ -459,9 +464,3 @@ def integrate_skeleton(eta: ScalarField, h: np.ndarray, noise: NoiseModel,
     weights[[0, -1]] = 0.5 * dt
     # each lane's time sum runs along its own contiguous row
     return dx * (gaps * weights).sum(axis=1)
-
-
-def lp_norms(values: np.ndarray, p: float, dx: float) -> np.ndarray:
-    """The p-th power norm dx * sum |u_i|^p of each snapshot, summed over
-    the last axis, which holds the cells."""
-    return dx * np.sum(np.abs(values) ** p, axis=-1)

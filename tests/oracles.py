@@ -10,7 +10,8 @@ only integrator that keeps every snapshot.  validate_flux_untiled
 evaluates the flux certificate lattice as one array, as validate_flux
 did before it went through it in tiles.  recorded_runs keeps every
 snapshot of a block of stochastic runs, from one tile of the stepper's
-recording, and noise_g evaluates a noise mode from its definition.
+recording, lp_norms reduces snapshots to their moment norms, and noise_g
+evaluates a noise mode from its definition.
 """
 
 import math
@@ -109,6 +110,12 @@ def recorded_runs(eta, cfg, flux, noise, path_indices, pair=True):
                               lambda buf, _first: tiles.append(buf)))
     return [[Trajectory(eta.grid, times, run) for run in runs]
             for runs in tiles[0]]
+
+
+def lp_norms(values, p: float, dx: float) -> np.ndarray:
+    """The p-th power norm dx * sum |u_i|^p of each snapshot, summed over
+    the last axis, which holds the cells."""
+    return dx * np.sum(np.abs(values) ** p, axis=-1)
 
 
 def validate_flux_untiled(flux, r_val: float = 10.0,

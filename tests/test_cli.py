@@ -335,14 +335,17 @@ def test_doubling_rejects_uncertified_flux(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("save_stride", [1, 16])
 def test_doubling_fails_the_j_rows_of_pairs_past_the_state_bound(
-        tmp_path, capsys):
+        tmp_path, capsys, save_stride):
     # D1 of J1 and J2 holds for |u| <= state_bound only.  On the shipped
     # config at 6 pairs, pair 0 alone goes past 0.6 (|u| 0.6085, |v|
-    # 0.6231); the others peak between 0.50 and 0.59
+    # 0.6231); the others peak between 0.50 and 0.59.  The range is read
+    # at every step, also where only every 16th is recorded
     doc = json.loads(MAIN_CONFIG.read_text())
     doc["model"]["noise"]["state_bound"] = 0.6
     doc["harness"]["n_pairs"] = 6
+    doc["sim"]["save_stride"] = save_stride
     out = tmp_path / "out"
     assert run(["doubling", "--config", write_cfg(tmp_path, doc),
                 "--out", str(out)]) == EXIT_OK

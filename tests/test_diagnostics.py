@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (FLUX_LATTICE_RADIUS, NoiseMode, NoiseModel,
                           SimConfig, make_flux)
 from sclaw.mollifier import MollifierPair, psi_sup
-from sclaw.solvers import lp_norms, solve_coupled_pair
+from sclaw.solvers import solve_coupled_pair
 
-from oracles import (doubling_bruteforce, kernel_cdf, psi_scalar,
+from oracles import (doubling_bruteforce, kernel_cdf, lp_norms, psi_scalar,
                      recorded_runs)
 
 XI_ZERO_REF = 0.16722699885498704
@@ -487,10 +488,11 @@ def test_transport_tiles_match_untiled_bitwise(kind, pair_noise):
             len(u)
 
 
-def whole_pair_rows(pair, moll, epsilon, flux, noise, path_index):
+def whole_pair_rows(pair, dense, moll, epsilon, flux, noise, path_index):
     """csv rows of J1, J2 and I of a recorded pair, from the per-snapshot
     kernels applied to its whole trajectories: J and I read every
-    snapshot but the final one, the moment norms every one."""
+    snapshot but the final one.  The moment norms and the range read
+    every step, from dense, the same pair recorded at every step."""
     grid, times = pair[0].grid, pair[0].times
     dx, wts = grid.dx, np.diff(times)
     u, v = pair[0].values[:-1], pair[1].values[:-1]
@@ -503,9 +505,9 @@ def whole_pair_rows(pair, moll, epsilon, flux, noise, path_index):
     lead = 2.0 * epsilon * flux.growth_const * cq / moll.gamma
     p = flux.growth_power + 1.0
     mom_u, mom_v = (float(np.max(lp_norms(run.values, p, dx)))
-                    for run in pair)
-    # the largest |u| and |v| over every snapshot, the final one included
-    peak = max(float(np.max(np.abs(run.values))) for run in pair)
+                    for run in dense)
+    # the largest |u| and |v| over every step, the final one included
+    peak = max(float(np.max(np.abs(run.values))) for run in dense)
     j_held = peak <= noise.state_bound
     widths = (epsilon, moll.gamma, moll.delta)
     reports = [
@@ -526,7 +528,7 @@ def whole_pair_rows(pair, moll, epsilon, flux, noise, path_index):
     # tile holds snapshot 16 and the final one, after a short step
     (1.0 / 50, 3, 2),
     # 33 snapshots, S - 1 a multiple of the tile: the last tile holds only
-    # the final snapshot, which J and I skip and the moments read
+    # the final snapshot, which J and I skip
     (1.0 / 64, 2, 1)])
 def test_streamed_certificates_match_whole_pairs_bitwise(
         pair_noise, monkeypatch, dt, stride, last_tile):
@@ -537,15 +539,17 @@ def test_streamed_certificates_match_whole_pairs_bitwise(
     flux, moll = make_flux("burgers"), MollifierPair(0.1, 0.1)
     indices = range(3, 8)
     pairs = recorded_runs(eta, cfg, flux, pair_noise, indices)
+    dense = recorded_runs(eta, replace(cfg, save_stride=1), flux, pair_noise,
+                          indices)
     snapshots = len(pairs[0][0].times)
     assert (snapshots - 1) % TRANSPORT_TILE == last_tile - 1
-    # some run's largest moment norm is at its final snapshot, so the
+    # some run's largest moment norm is at its final step, so the
     # moments must read it
     p = flux.growth_power + 1.0
     assert any(np.argmax(lp_norms(run.values, p, eta.grid.dx))
-               == snapshots - 1 for pair in pairs for run in pair)
-    want = [row for i, pair in zip(indices, pairs)
-            for row in whole_pair_rows(pair, moll, cfg.epsilon, flux,
+               == len(run.times) - 1 for pair in dense for run in pair)
+    want = [row for i, pair, every in zip(indices, pairs, dense)
+            for row in whole_pair_rows(pair, every, moll, cfg.epsilon, flux,
                                        pair_noise, i)]
 
     def rows(block):
@@ -636,3 +640,26 @@ def test_transport_term_is_zero_when_gamma_is_one_cell(pair_noise):
                         [0])[0][2]
     assert np.float64(rep.lhs).view(np.uint64) == \
         np.float64(0.0).view(np.uint64)
+
+
+def test_certificate_ranges_read_every_step_at_any_stride(
+        small_eta, burgers, two_mode_noise):
+    # I's moment maxima and every row's state range are observed at each
+    # step, so recording every 8th snapshot changes neither: not I's rhs,
+    # and not which rows keep their range
+    cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
+                    cfl_fraction=0.9)
+    moll, indices = MollifierPair(0.1, 0.1), range(6)
+    peaks = [max(float(np.max(np.abs(run.values))) for run in pair)
+             for pair in recorded_runs(small_eta, cfg, burgers,
+                                       two_mode_noise, indices)]
+    noise = NoiseModel(two_mode_noise.modes,
+                       state_bound=float(np.median(peaks)))
+    rows = {}
+    for stride in (1, 8):
+        reports = certify_pairs(small_eta, replace(cfg, save_stride=stride),
+                                burgers, noise, moll, indices)[0]
+        rows[stride] = [(r.name, r.rhs, r.in_range) for r in reports]
+    assert rows[1] == rows[8]
+    held = [in_range for name, _, in_range in rows[1] if name == "J1"]
+    assert any(held) and not all(held)

@@ -9,7 +9,7 @@ from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.harness import (_BATCH, FUNCTIONALS, MCEstimate, MomentRow,
                            MomentTable, ScanRow, ScanTable, estimate_tail,
                            exp_equiv_scan, fmean, functional_values,
-                           map_blocks, map_paths, moment_scan, scaling_check,
+                           map_blocks, moment_scan, scaling_check,
                            worker_count)
 from sclaw.models import NoiseModel, SimConfig, additive_noise, make_flux
 from sclaw.solvers import pair_l1_distances
@@ -32,14 +32,6 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("SCLAW_THREADS")
     assert worker_count() >= 1
-
-
-def test_map_paths_order_stable(monkeypatch):
-    monkeypatch.setenv("SCLAW_THREADS", "1")
-    serial = map_paths(lambda i: i * i, 17)
-    monkeypatch.setenv("SCLAW_THREADS", "4")
-    threaded = map_paths(lambda i: i * i, 17)
-    assert serial == threaded == [i * i for i in range(17)]
 
 
 def test_map_blocks_covers_indices(monkeypatch):

@@ -20,12 +20,12 @@ from sclaw.models import (FluxModel, NoiseMode, NoiseModel, NoisePath,
 from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN,
                            STREAM_SCALED, _base, _block, _flux_substep,
                            _scaled, _sweep, base_small_time_endpoints,
-                           deterministic_step, integrate_skeleton, lp_norms,
+                           deterministic_step, integrate_skeleton,
                            pair_l1_distances, pair_moment_maxes,
                            scaled_endpoints, solve_coupled_pair,
                            uniform_times)
 
-from oracles import coarsen, recorded_runs, skeleton_per_step
+from oracles import coarsen, lp_norms, recorded_runs, skeleton_per_step
 
 rng = np.random.default_rng(42)
 
@@ -633,17 +633,6 @@ def test_lp_moment_constant_and_riemann():
         0.5, abs=1e-14)
 
 
-def test_lp_moment_stride_monotone(small_eta, burgers, two_mode_noise):
-    base = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
-                     cfl_fraction=0.9)
-    dense = _run(small_eta, base, burgers, two_mode_noise)
-    sparse_cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
-                           cfl_fraction=0.9, save_stride=8)
-    sparse = _run(small_eta, sparse_cfg, burgers, two_mode_noise)
-    assert np.max(lp_norms(dense.values, 2.0, small_eta.grid.dx)) >= \
-        np.max(lp_norms(sparse.values, 2.0, small_eta.grid.dx))
-
-
 # ---------------------------------------------------------------------------
 # a path's numbers do not depend on the block it runs in
 
@@ -664,14 +653,17 @@ def test_batched_moments_match_scalar(small_eta, burgers, two_mode_noise):
     cfg = SimConfig(epsilon=0.2, cells=32, seed=21, dt=1.0 / 64,
                     cfl_fraction=0.9)
     idx = np.arange(3)
-    p_list = [1.0, 2.0]
+    # p = inf observes the largest |.|
+    p_list = [1.0, 2.0, math.inf]
     batched = pair_moment_maxes(small_eta, cfg, burgers, two_mode_noise, idx,
                                 p_list)
     for r, i in enumerate(idx):
         u, v = _pair(small_eta, cfg, burgers, two_mode_noise, int(i))
-        for c, p in enumerate(p_list):
+        for c, p in enumerate(p_list[:2]):
             assert batched[r, c, 0] == np.max(lp_norms(u.values, p, u.grid.dx))
             assert batched[r, c, 1] == np.max(lp_norms(v.values, p, v.grid.dx))
+        assert batched[r, 2, 0] == np.max(np.abs(u.values))
+        assert batched[r, 2, 1] == np.max(np.abs(v.values))
 
 
 def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
