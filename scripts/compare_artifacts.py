@@ -7,17 +7,19 @@ and 2, from the working tree and from a `git archive` of <rev>, each in
 its own subprocess.  The two sides alternate run by run, and every other
 run starts with the working tree, so that drift of the machine does not
 land on one side.  Every file a run writes, the manifest included, is
-compared byte for byte, and so is every exit code.  Run it from inside a
+compared byte for byte, and so are its standard output (the report
+lines, kept as <label>.stdout) and its exit code.  Run it from inside a
 checkout:
 
     python scripts/compare_artifacts.py HEAD~1
 
-It names each file whose bytes differ (or that only one side wrote) and
-each exit code that differs, and exits 1 if there is any; else 0.  It
-also prints a table of each run's wall time, peak RSS and minor page
-faults on both sides: the wall time from a monotonic clock around the
-child's start and os.wait4, the rest read from os.wait4 (the whole
-child: interpreter start-up and imports included).
+It names each file whose bytes differ (or that only one side wrote),
+the standard output included, and each exit code that differs, and
+exits 1 if there is any; else 0.  It also prints a table of each run's
+wall time, peak RSS and minor page faults on both sides: the wall time
+from a monotonic clock around the child's start and os.wait4, the rest
+read from os.wait4 (the whole child: interpreter start-up and imports
+included).
 """
 
 import io
@@ -50,16 +52,17 @@ def run_one(tree: pathlib.Path, out: pathlib.Path, label: str, command: str,
             config: str, threads: str) -> tuple[int, tuple[float, float,
                                                            int]]:
     """(exit code, (wall seconds, peak RSS in MB, minor page faults)) of
-    one shipped command run from tree, writing into out / label."""
+    one shipped command run from tree, writing its artifacts into
+    out / label and its standard output to out / label.stdout."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                SCLAW_THREADS=threads)
-    start = time.monotonic()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sclaw.cli", command, "--config",
-         str(tree / "configs" / config), "--out", str(out / label),
-         "--quiet"], env=env, cwd=out, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    _, status, rusage = os.wait4(proc.pid, 0)
+    with open(out / f"{label}.stdout", "wb") as stdout:
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sclaw.cli", command, "--config",
+             str(tree / "configs" / config), "--out", str(out / label)],
+            env=env, cwd=out, stdout=stdout, stderr=subprocess.DEVNULL)
+        _, status, rusage = os.wait4(proc.pid, 0)
     wall = time.monotonic() - start
     proc.returncode = code = os.waitstatus_to_exitcode(status)
     print(f"{tree.name}: {label} exited {code}", flush=True)

@@ -160,19 +160,6 @@ class BoundReport:
     def passed(self) -> bool:
         return self.in_range and self.lhs <= self.rhs
 
-    def csv_row(self) -> str:
-        cols = [self.name, str(self.path_index), repr(self.epsilon),
-                repr(self.gamma), repr(self.delta), repr(self.lhs),
-                repr(self.rhs), str(self.passed).lower()]
-        return ",".join(cols)
-
-
-BOUND_CSV_HEADER = "name,path,epsilon,gamma,delta,lhs,rhs,pass"
-
-
-def bound_csv_lines(reports: list[BoundReport]) -> list[str]:
-    return [BOUND_CSV_HEADER] + [r.csv_row() for r in reports]
-
 
 # Each certificate reduces per snapshot first, over its own contiguous
 # cells, and only then over time.  certify_pairs reduces each tile that

@@ -2,7 +2,7 @@
 
 Space is the unit torus [0, 1) split into M equal cells; a field is the
 vector of its cell averages.  Trajectories collect snapshots on a
-strictly increasing time grid and make their CSV rows.
+strictly increasing time grid.
 """
 
 from __future__ import annotations
@@ -94,13 +94,6 @@ class Trajectory:
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-    def csv_lines(self) -> list[str]:
-        """CSV rows ``t,cell_0,...,cell_{M-1}``, floats in round-trip form."""
-        header = "t," + ",".join(f"cell_{i}" for i in range(self.grid.cells))
-        return [header] + [repr(t) + "," + ",".join(map(repr, row))
-                           for t, row in zip(self.times.tolist(),
-                                             self.values.tolist())]
 
 
 def make_initial(grid: TorusGrid, kind: str, **params) -> ScalarField:

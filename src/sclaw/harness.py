@@ -132,14 +132,6 @@ class ScanTable:
         seq = [r.eps_log_p for r in self.rows if r.hits > 0]
         return all(a > b for a, b in zip(seq, seq[1:]))
 
-    def csv_lines(self) -> list[str]:
-        out = ["epsilon,iota,n,hits,p_hat,ci_lo,ci_hi,eps_log_p"]
-        for r in self.rows:
-            out.append(",".join([repr(r.epsilon), repr(r.iota), str(r.n),
-                                 str(r.hits), repr(r.p_hat), repr(r.ci_lo),
-                                 repr(r.ci_hi), repr(r.eps_log_p)]))
-        return out
-
 
 def exp_equiv_scan(eta: ScalarField, ladder, iota: float, n: int,
                    cfg: SimConfig, flux: FluxModel,
@@ -276,11 +268,6 @@ class MomentTable:
         vals = [max(r.u_moment, r.v_moment) for r in self.rows if r.p == p]
         return min(vals) if vals else float("nan")
 
-    def csv_lines(self) -> list[str]:
-        return ["epsilon,p,u_moment,v_moment"] + [
-            f"{r.epsilon!r},{r.p!r},{r.u_moment!r},{r.v_moment!r}"
-            for r in self.rows]
-
 
 def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,
                 flux: FluxModel, noise: NoiseModel) -> MomentTable:
@@ -291,6 +278,8 @@ def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,
     p_list = [float(p) for p in p_list]
     if not ladder or not p_list:
         raise ValueError("need nonempty epsilon ladder and p list")
+    if n < 1:
+        raise ValueError("need at least one path")
     if any(not 1.0 <= p <= 8.0 for p in p_list):
         raise ValueError("moment orders must lie in [1, 8]")
     rows = []

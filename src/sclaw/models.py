@@ -338,27 +338,19 @@ class NoiseModel:
         c = self.mode_lipschitz_consts()
         return float(2.0 * np.sum(c * c))
 
-    def affine_parts(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(P0, P1) with g_k(x, u) = P0[k] + P1[k] * u, each shaped (K, len(x)).
-
-        Precomputed once per grid by the solvers; the per-step noise
-        increment is then amp * (P0^T db + (P1^T db) * u).
-        """
-        x = np.asarray(x, dtype=float)
-        if not self.modes:
-            return np.zeros((0, x.size)), np.zeros((0, x.size))
-        p0 = np.stack([m.sigma * m.alpha * m.phi(x) for m in self.modes])
-        p1 = np.stack([m.sigma * m.beta * m.phi(x) for m in self.modes])
-        return p0, p1
-
     def stacked_parts(self, grid) -> np.ndarray:
-        """[P0 | P1] at the grid's cell centers, (K, 2 * cells), built
-        once per grid and read-only.  Worker threads may share the model:
-        setdefault on an int key is atomic, so every caller gets the
-        first array stored."""
+        """[P0 | P1], (K, 2 * cells), with g_k(x, u) = P0[k] + P1[k] * u
+        at the grid's cell centers x; the per-step noise increment is
+        then amp * (P0^T db + (P1^T db) * u).  Built once per grid and
+        read-only.  Worker threads may share the model: setdefault on an
+        int key is atomic, so every caller gets the first array stored."""
         parts = self._stacked.get(grid.cells)
         if parts is None:
-            parts = np.concatenate(self.affine_parts(grid.centers), axis=1)
+            m, x = grid.cells, grid.centers
+            parts = np.empty((self.n_modes, 2 * m))
+            for k, mode in enumerate(self.modes):
+                parts[k, :m] = mode.sigma * mode.alpha * mode.phi(x)
+                parts[k, m:] = mode.sigma * mode.beta * mode.phi(x)
             parts.setflags(write=False)
             parts = self._stacked.setdefault(grid.cells, parts)
         return parts
@@ -392,17 +384,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = [f"{self.subject}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            head = f"  {'PASS' if c.passed else 'FAIL'}  {c.name}"
-            if not c.worst_point:
-                out.append(f"{head}={c.worst_ratio!r}")
-                continue
-            pt = ", ".join(f"{v:.6g}" for v in c.worst_point)
-            out.append(f"{head}  worst_ratio={c.worst_ratio:.6g}  at ({pt})")
-        return out
 
 
 class _Worst:
@@ -462,29 +443,30 @@ def _ratio_check(name: str, lhs: np.ndarray, rhs: np.ndarray,
 # for states in [-FLUX_LATTICE_RADIUS, FLUX_LATTICE_RADIUS] only
 FLUX_LATTICE_RADIUS = 10.0
 
+# points per axis of validate_flux's lattice
+_FLUX_LATTICE_N = 1024
+
 # zeta rows per tile of validate_flux's lattice: 16 x 1024 points, so a
 # tile's float array is 128 KB
 _FLUX_TILE = 16
 
 
-def validate_flux(flux: FluxModel, r_val: float = FLUX_LATTICE_RADIUS,
-                  lattice_n: int = 1024) -> ValidationReport:
+def validate_flux(flux: FluxModel) -> ValidationReport:
     """Check the declared growth and local-Lipschitz certificates of a
-    on the lattice xi, zeta in [-r_val, r_val], the 2-D one in tiles of
-    _FLUX_TILE zeta rows.  The tiles' work arrays are allocated once per
-    call: a fresh tile-sized temporary per operation costs a page fault
-    per 4 KB whenever malloc hands it out from mmap."""
-    if r_val <= 0 or lattice_n < 2:
-        raise ValueError("need r_val > 0 and lattice_n >= 2")
-    xi = np.linspace(-r_val, r_val, lattice_n)
+    flux on the lattice xi, zeta in [-FLUX_LATTICE_RADIUS,
+    FLUX_LATTICE_RADIUS], the 2-D one in tiles of _FLUX_TILE zeta rows.
+    The tiles' work arrays are allocated once per call: a fresh
+    tile-sized temporary per operation costs a page fault per 4 KB
+    whenever malloc hands it out from mmap."""
+    xi = np.linspace(-FLUX_LATTICE_RADIUS, FLUX_LATTICE_RADIUS,
+                     _FLUX_LATTICE_N)
     a_xi = flux.a(xi)
     growth = _ratio_check("speed_growth", np.abs(a_xi),
                           flux.growth_envelope(xi), [xi])
     lipschitz = _Worst("speed_local_lipschitz")
-    rows = min(_FLUX_TILE, lattice_n)
-    work = np.empty((3, rows, lattice_n))
-    flags = np.empty((rows, lattice_n), dtype=bool)
-    for lo in range(0, lattice_n, _FLUX_TILE):
+    work = np.empty((3, _FLUX_TILE, _FLUX_LATTICE_N))
+    flags = np.empty((_FLUX_TILE, _FLUX_LATTICE_N), dtype=bool)
+    for lo in range(0, _FLUX_LATTICE_N, _FLUX_TILE):
         zeta = xi[lo:lo + _FLUX_TILE, None]
         gap, diff, env = work[:, :len(zeta)]
         off = flags[:len(zeta)]

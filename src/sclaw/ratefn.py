@@ -143,8 +143,7 @@ def inverse_dynamics_start(rho_target: Trajectory, noise: NoiseModel,
     if n_steps % bins:
         raise ValueError(f"target steps {n_steps} must be a multiple of "
                          f"control bins {bins}")
-    grid = rho_target.grid
-    p0, p1 = noise.affine_parts(grid.centers)
+    p0, p1 = np.hsplit(noise.stacked_parts(rho_target.grid), 2)
     k = noise.n_modes
     vals = np.zeros((k, bins))
     if k == 0:
@@ -210,20 +209,6 @@ class RateResult:
     residual: float
     feasible: bool
     iterations: int
-
-    def report_lines(self) -> list[str]:
-        return [f"i_hat {repr(self.i_hat)}",
-                f"action {repr(action(self.h_opt))}",
-                f"residual {repr(self.residual)}",
-                f"feasible {'true' if self.feasible else 'false'}",
-                f"iterations {self.iterations}"]
-
-    def control_csv_lines(self) -> list[str]:
-        out = ["bin,mode,value"]
-        for b in range(self.h_opt.bins):
-            for k in range(self.h_opt.n_modes):
-                out.append(f"{b},{k},{repr(float(self.h_opt.values[k, b]))}")
-        return out
 
 
 def rate_estimate(rho_target: Trajectory, noise: NoiseModel, bins: int,

@@ -168,7 +168,7 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
     indices = [int(i) for i in path_indices]
     dx = eta.grid.dx
     m = eta.grid.cells
-    p0, p1 = noise.affine_parts(eta.grid.centers)
+    p0, p1 = np.hsplit(noise.stacked_parts(eta.grid), 2)
     c0, c1 = np.empty((2, rows, m))
     scratch = np.empty((3, rows, m))  # flux substep: right states, f, work
     tmp = scratch[0]

@@ -10,8 +10,9 @@ only integrator that keeps every snapshot.  validate_flux_untiled
 evaluates the flux certificate lattice as one array, as validate_flux
 did before it went through it in tiles.  recorded_runs keeps every
 snapshot of a block of stochastic runs, from one tile of the stepper's
-recording, lp_norms reduces snapshots to their moment norms, and noise_g
-evaluates a noise mode from its definition.
+recording, lp_norms reduces snapshots to their moment norms, noise_g
+evaluates a noise mode from its definition, and affine_parts forms a
+noise model's parts P0 and P1 as two arrays.
 """
 
 import math
@@ -20,7 +21,8 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from sclaw.grid import Trajectory
-from sclaw.models import NoisePath, ValidationReport, _ratio_check
+from sclaw.models import (FLUX_LATTICE_RADIUS, NoisePath, ValidationReport,
+                          _ratio_check)
 from sclaw.mollifier import bump_norm, kernel_tables
 from sclaw.solvers import STREAM_MAIN, _block, _scaled, _snapshot_times
 
@@ -97,6 +99,16 @@ def noise_g(noise, k: int, x, u):
     return m.sigma * m.phi(x) * (m.alpha + m.beta * np.asarray(u, dtype=float))
 
 
+def affine_parts(noise, x):
+    """(P0, P1) with g_k(x, u) = P0[k] + P1[k] * u, each shaped (K, len(x))."""
+    x = np.asarray(x, dtype=float)
+    if not noise.modes:
+        return np.zeros((0, x.size)), np.zeros((0, x.size))
+    p0 = np.stack([m.sigma * m.alpha * m.phi(x) for m in noise.modes])
+    p1 = np.stack([m.sigma * m.beta * m.phi(x) for m in noise.modes])
+    return p0, p1
+
+
 def recorded_runs(eta, cfg, flux, noise, path_indices, pair=True):
     """Every snapshot of the rescaled runs of a block of paths on the main
     stream, as Trajectories: per path [u, v] of its coupled pair, or [u]
@@ -118,10 +130,9 @@ def lp_norms(values, p: float, dx: float) -> np.ndarray:
     return dx * np.sum(np.abs(values) ** p, axis=-1)
 
 
-def validate_flux_untiled(flux, r_val: float = 10.0,
-                          lattice_n: int = 1024):
+def validate_flux_untiled(flux):
     """validate_flux over the whole 2-D lattice at once."""
-    xi = np.linspace(-r_val, r_val, lattice_n)
+    xi = np.linspace(-FLUX_LATTICE_RADIUS, FLUX_LATTICE_RADIUS, 1024)
     checks = [
         _ratio_check("speed_growth", np.abs(flux.a(xi)),
                      flux.growth_envelope(xi), [xi]),
@@ -146,7 +157,7 @@ def skeleton_per_step(eta, h, noise, n_steps, target=None):
     bins = h.shape[2]
     m = eta.grid.cells
     dt = 1.0 / n_steps
-    p0, p1 = noise.affine_parts(eta.grid.centers)
+    p0, p1 = affine_parts(noise, eta.grid.centers)
     q = np.einsum("ckb,kx->bcx", h, np.concatenate([p0, p1], axis=1))
     z = dt * q[:, :, m:]
     poly = 1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sclaw import cli, solvers
@@ -108,6 +109,21 @@ def test_usage_errors_exit_2(capsys):
     assert run(["validate"]) == 2
     assert run(["frobnicate", "--config", "x"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# value format
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (np.True_, "true"), (False, "false"),
+    (7, "7"), (np.int64(7), "7"),
+    # numpy's own repr would read np.float64(0.1)
+    (0.1, "0.1"), (np.float64(0.1), "0.1"), (-0.0, "-0.0"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    ("J1", "J1")])
+def test_value_format(value, text):
+    assert cli._fmt(value) == text
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +398,7 @@ def test_doubling_same_bytes_across_workers_and_blocks(tmp_path,
     block = cli.PAIR_BLOCK
     for i in (0, block - 1, block, 2 * block, n_pairs - 1):
         want = certify_pairs(eta, cfg, flux, noise, moll, [i])[0]
-        assert rows[1 + 3 * i:4 + 3 * i] == [r.csv_row() for r in want], i
+        assert rows[1 + 3 * i:4 + 3 * i] == cli._bound_csv(want)[1:], i
 
 
 def test_doubling_names_the_failure_one_sweep_meets_first(tmp_path, capsys,

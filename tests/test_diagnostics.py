@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sclaw import diagnostics
-from sclaw.diagnostics import (BOUND_CSV_HEADER, TRANSPORT_TILE,
-                               BoundReport, _smoothing_rows,
+from sclaw import cli, diagnostics
+from sclaw.diagnostics import (TRANSPORT_TILE, BoundReport, _smoothing_rows,
                                _transport_offsets, _transport_rows,
                                _wedge_sums, _WedgeWork, _wedges,
-                               bound_csv_lines,
                                bracket_identity, certify_pairs,
                                direct_brackets, doubling_functional,
                                error_term,
@@ -248,17 +246,17 @@ def test_bound_report_pass_logic_and_csv():
     # lhs <= rhs, but the states left the range the bound holds on
     out = BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1, 3, False)
     assert good.passed and not bad.passed and not out.passed
-    row = good.csv_row()
+    _, row, out_row = cli._bound_csv([good, out])
     assert row.split(",") == ["J1", "3", "0.1", "0.1", "0.1", "0.5", "1.0",
                               "true"]
-    assert out.csv_row() == row[:-len("true")] + "false"
+    assert out_row == row[:-len("true")] + "false"
 
 
 def test_write_bound_reports():
     reports = [BoundReport("J1", 0.5, 1.0, 0.1, 0.1, 0.1, 0, True),
                BoundReport("I", 3.0, 2.0, 0.1, 0.1, 0.1, 1, True)]
-    lines = bound_csv_lines(reports)
-    assert lines[0] == BOUND_CSV_HEADER
+    lines = cli._bound_csv(reports)
+    assert lines[0] == "name,path,epsilon,gamma,delta,lhs,rhs,pass"
     assert len(lines) == 3
     assert lines[2].endswith("false")
 
@@ -520,7 +518,7 @@ def whole_pair_rows(pair, dense, moll, epsilon, flux, noise, path_index):
         BoundReport("I", abs(epsilon * float(np.dot(wts, total_t)) * dx),
                     lead * lift + lead * (mom_u + mom_v), *widths,
                     path_index, peak + moll.delta <= FLUX_LATTICE_RADIUS)]
-    return [r.csv_row() for r in reports]
+    return cli._bound_csv(reports)[1:]
 
 
 @pytest.mark.parametrize("dt, stride, last_tile", [
@@ -556,7 +554,7 @@ def test_streamed_certificates_match_whole_pairs_bitwise(
         reports, ends = certify_pairs(eta, cfg, flux, pair_noise, moll,
                                       block)
         # csv rows carry every float in round-trip form
-        return [r.csv_row() for r in reports], ends
+        return cli._bound_csv(reports)[1:], ends
 
     got, (u_end, v_end) = rows(indices)
     assert got == want

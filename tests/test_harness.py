@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sclaw import cli
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.harness import (_BATCH, FUNCTIONALS, MCEstimate, MomentRow,
                            MomentTable, ScanRow, ScanTable, estimate_tail,
@@ -186,7 +187,7 @@ def test_scan_empty_tail_writes_minus_inf(small_eta, small_cfg,
     table = exp_equiv_scan(small_eta, [0.1], 1e9, 8, small_cfg,
                            make_flux("zero"), two_mode_noise)
     assert table.rows[0].eps_log_p == float("-inf")
-    lines = table.csv_lines()
+    lines = cli._scan_csv(table)
     assert lines[0] == "epsilon,iota,n,hits,p_hat,ci_lo,ci_hi,eps_log_p"
     assert lines[1].endswith(",-inf")
 
@@ -261,6 +262,9 @@ def test_moment_scan_validation(small_eta, small_cfg, burgers,
         with pytest.raises(ValueError):
             moment_scan(small_eta, ladder, p_list, 8, small_cfg, burgers,
                         two_mode_noise)
+    with pytest.raises(ValueError, match="need at least one path"):
+        moment_scan(small_eta, [0.1], [2.0], 0, small_cfg, burgers,
+                    two_mode_noise)
 
 
 def test_moment_scan_dead_noise_constant(small_cfg):

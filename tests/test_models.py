@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sclaw import models
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.models import (PROFILE_KINDS, CheckResult, FluxModel, NoiseMode,
                           NoiseModel, NoisePath, SimConfig, _common_scale,
@@ -89,7 +90,7 @@ def test_flux_cubic_speed_fails_quadratic_certificate():
     # a(x) = x^3 grows faster than the declared 1 + |x|^2 envelope
     cubic = FluxModel(kind="polynomial", coeffs=(0.0, 0.0, 0.0, 0.0, 0.25),
                       growth_power=2.0, growth_const=1.0)
-    rep = validate_flux(cubic, r_val=10.0)
+    rep = validate_flux(cubic)
     assert not rep.passed
     worst = max(c.worst_ratio for c in rep.checks)
     assert worst >= 1000.0 / 101.0 - 1e-9
@@ -97,8 +98,7 @@ def test_flux_cubic_speed_fails_quadratic_certificate():
 
 def test_flux_certificate_monotone_in_range():
     flux = make_flux("burgers")
-    assert validate_flux(flux, r_val=10.0).passed
-    assert validate_flux(flux, r_val=3.0).passed
+    assert validate_flux(flux).passed
 
 
 def test_burgers_sup_abs_a_matches_candidate_evaluation():
@@ -415,11 +415,13 @@ def _assert_same_report(got, ref):
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_FLUXES))
-def test_tiled_validate_flux_matches_untiled_reference(name):
+def test_tiled_validate_flux_matches_untiled_reference(name, monkeypatch):
     flux = _REFERENCE_FLUXES[name]
-    for kw in ({}, {"r_val": 3.0}, {"lattice_n": 1000}, {"lattice_n": 2}):
-        _assert_same_report(validate_flux(flux, **kw),
-                            validate_flux_untiled(flux, **kw))
+    ref = validate_flux_untiled(flux)
+    _assert_same_report(validate_flux(flux), ref)
+    # tiles of 24 rows end in a partial tile of 16 (1024 = 42 * 24 + 16)
+    monkeypatch.setattr(models, "_FLUX_TILE", 24)
+    _assert_same_report(validate_flux(flux), ref)
 
 
 def test_reference_cases_cover_failures_and_the_last_tile():

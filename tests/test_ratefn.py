@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sclaw import cli
 from sclaw.errors import ConfigError, NumericalFailure
 from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
 from sclaw.models import NoiseMode, NoiseModel, additive_noise
@@ -325,11 +326,12 @@ def test_opt_config_validation():
 
 def test_rate_result_report_format():
     res = RateResult(0.245, Control(np.full((1, 2), 0.7)), 1e-9, True, 42)
-    lines = res.report_lines()
+    files = cli._rate_files(res)
+    lines = files["rate.txt"]
     assert lines[0] == "i_hat 0.245"
     assert lines[3] == "feasible true"
     assert lines[4] == "iterations 42"
-    csv = res.control_csv_lines()
+    csv = files["rate_control.csv"]
     assert csv[0] == "bin,mode,value"
     assert len(csv) == 3
     assert csv[1] == "0,0,0.7"

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from sclaw.errors import NumericalFailure
 from sclaw.grid import ScalarField, TorusGrid, Trajectory, make_initial
+from sclaw import cli
 from sclaw.cli import PAIR_BLOCK
 from sclaw.harness import _BATCH
 from sclaw import solvers
@@ -25,7 +26,8 @@ from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN,
                            scaled_endpoints, solve_coupled_pair,
                            uniform_times)
 
-from oracles import coarsen, lp_norms, recorded_runs, skeleton_per_step
+from oracles import (affine_parts, coarsen, lp_norms, recorded_runs,
+                     skeleton_per_step)
 
 rng = np.random.default_rng(42)
 
@@ -512,7 +514,7 @@ def test_stacked_parts_built_once_per_grid(two_mode_noise):
     parts = two_mode_noise.stacked_parts(grid)
     assert two_mode_noise.stacked_parts(TorusGrid(16)) is parts
     assert not parts.flags.writeable
-    want = np.concatenate(two_mode_noise.affine_parts(grid.centers), axis=1)
+    want = np.concatenate(affine_parts(two_mode_noise, grid.centers), axis=1)
     assert np.array_equal(_bits(parts), _bits(want))
     assert two_mode_noise.stacked_parts(TorusGrid(8)).shape == (2, 16)
 
@@ -842,7 +844,8 @@ def test_trajectory_copies_what_another_holder_can_write():
 
 
 def trajectory_from_csv(lines) -> Trajectory:
-    """Inverse of Trajectory.csv_lines (exact, thanks to repr round-trip)."""
+    """Inverse of the CLI's trajectory CSV (exact, thanks to repr
+    round-trip)."""
     header = lines[0].split(",")
     if header[0] != "t" or not all(h == f"cell_{i}" for i, h
                                    in enumerate(header[1:])):
@@ -857,7 +860,7 @@ def test_trajectory_csv_roundtrip(small_eta, burgers, two_mode_noise):
     cfg = SimConfig(epsilon=0.1, cells=32, seed=5, dt=1.0 / 64,
                     cfl_fraction=0.9, save_stride=4)
     traj = _run(small_eta, cfg, burgers, two_mode_noise)
-    lines = traj.csv_lines()
+    lines = cli._trajectory_csv(traj)
     assert lines[0] == "t," + ",".join(f"cell_{i}" for i in range(32))
     assert len(lines) == 1 + len(traj.times)
     back = trajectory_from_csv(lines)

@@ -38,10 +38,6 @@ EXEMPT = {"NoisePath", "generate"}
 
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
-# the tiled-versus-untiled reference tests need these lattices to reach
-# a partial tile, which the shipped one does not have
-EXEMPT_PARAMETERS = {"validate_flux.r_val", "validate_flux.lattice_n"}
-
 
 def _named(node):
     if isinstance(node, ast.Name):
@@ -245,8 +241,7 @@ def test_no_dataclass_field_goes_unread():
 
 
 def test_no_optional_parameter_goes_unset():
-    dead = [d for d in unset_parameters(SOURCES, [ACCEPTANCE])
-            if d[2] not in EXEMPT_PARAMETERS]
+    dead = unset_parameters(SOURCES, [ACCEPTANCE])
     assert dead == [], dead
 
 
