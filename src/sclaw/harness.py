@@ -1,16 +1,19 @@
 """Monte Carlo harness: tail estimates, scans, distribution checks, moments.
 
-Every sweep cuts path indices 0..n-1 into fixed blocks of 1024 paths
-(the last one partial) and runs each block through the batched stepper
-of ``solvers``.  A path's result depends only on (seed, stream,
-path_index): its increments come from its own Philox counter, and the
-stepper's arithmetic acts row by row, so a row's bits do not depend on
-the width of its block.  Cross-path tallies go through math.fsum.  The
-numbers are therefore bitwise independent of both the worker count and
-the block width.  Workers are threads, taken from the SCLAW_THREADS
-environment variable (default: machine parallelism); a 1024-path block
-spends long enough in numpy, which releases the GIL, for two workers to
-beat one.
+Every sweep cuts path indices 0..n-1 into fixed blocks (the last one
+partial) and runs each block through the batched stepper of
+``solvers``.  A block is a task of at most 1024 rows: 1024 paths of one
+run, or, in a scan, 1024 // rungs paths of every rung of a stack that
+steps the rungs of a shared time grid together, rung by rung.  A path's
+result depends only on (seed, stream, path_index) and its rung: its
+increments come from its own Philox counter, and the stepper's
+arithmetic acts row by row, so a row's bits do not depend on the width
+of its block or on the other rungs of its stack.  Cross-path tallies go
+through math.fsum.  The numbers are therefore bitwise independent of the
+worker count, the block width and the stacking.  Workers are threads,
+taken from the SCLAW_THREADS environment variable (default: machine
+parallelism); a 1024-row task spends long enough in numpy, which
+releases the GIL, for two workers to beat one.
 """
 
 from __future__ import annotations
@@ -19,17 +22,22 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .grid import ScalarField
 from .ks import ks_2samp
 from .models import FluxModel, NoiseModel, SimConfig
 from .solvers import (base_small_time_endpoints, pair_l1_distances,
-                      pair_moment_maxes, scaled_endpoints)
+                      resolve_time_grid, scaled_endpoints, stacked_pairs)
 
 _Z95 = 1.959963984540054
-_BATCH = 1024  # paths per block; fixed so results never depend on workers
+# rows per task: a block of one run holds _BATCH paths, a scan's stack of
+# R rungs _BATCH // R paths of each; fixed so results never depend on
+# workers
+_BATCH = 1024
 
 FUNCTIONALS = ("mass", "l2norm", "maxval")
 
@@ -42,19 +50,60 @@ def worker_count() -> int:
     return int(env) if env else os.cpu_count() or 1
 
 
-def map_blocks(fn, n: int) -> np.ndarray:
-    """Concatenate fn(range_of_indices) over fixed-size blocks of 0..n-1,
-    in block order however many workers run them.
+def map_blocks(fn, n: int, width: int) -> np.ndarray:
+    """Concatenate fn(range_of_indices) over blocks of width indices of
+    0..n-1 (the last one partial), in block order however many workers
+    run them.
 
-    Blocks are cut at multiples of a constant, so the split (and hence
-    every float produced) is identical for any worker count.
+    The width is the caller's constant (a function of _BATCH and, for a
+    stack, its rung count), so the split, and hence every float produced,
+    is identical for any worker count.
     """
-    blocks = [range(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
+    blocks = [range(lo, min(lo + width, n)) for lo in range(0, n, width)]
     workers = min(worker_count(), len(blocks))
     if workers <= 1:
         return np.concatenate([fn(b) for b in blocks], axis=0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(fn, blocks)), axis=0)
+
+
+def _stacked_scan(eta: ScalarField, ladder, n: int, cfg: SimConfig,
+                  flux: FluxModel, noise: NoiseModel, p_list) -> list:
+    """Per rung of ladder, in ladder order: the pair gaps (n,) of paths
+    0..n-1 when p_list is empty, else their moment maxima (n,
+    len(p_list), 2).
+
+    Rungs that resolve one time grid step as one stack (a repeated
+    epsilon is a rung of its own), in blocks of _BATCH // rungs paths.
+    """
+    stacks = {}
+    for k, eps in enumerate(ladder):
+        grid = resolve_time_grid(replace(cfg, epsilon=eps), flux, eta)
+        stacks.setdefault(grid, []).append(k)
+    per_rung = [None] * len(ladder)
+
+    def task(rungs, idx):
+        obs = stacked_pairs(eta, cfg, rungs, flux, noise, idx, p_list)
+        found = obs.moms if p_list else obs.gap
+        # rung-major rows to (paths, rungs, ...)
+        return found.reshape(len(rungs), len(idx),
+                             *found.shape[1:]).swapaxes(0, 1)
+
+    try:
+        for ks in stacks.values():
+            rungs = [ladder[k] for k in ks]
+            found = map_blocks(partial(task, rungs), n,
+                               max(1, _BATCH // len(rungs)))
+            for j, k in enumerate(ks):
+                per_rung[k] = found[:, j]
+    except NumericalFailure:
+        # a stack stops at its first failing step, whichever rung fails:
+        # name the failure that the rungs meet one at a time, in ladder
+        # order, each in blocks of _BATCH paths
+        for eps in ladder:
+            map_blocks(partial(task, [eps]), n, _BATCH)
+        raise
+    return per_rung
 
 
 def fmean(values) -> float:
@@ -101,7 +150,7 @@ def estimate_tail(eta: ScalarField, iota: float, n: int, cfg: SimConfig,
     if n < 1:
         raise ValueError("need at least one path")
     dists = map_blocks(
-        lambda idx: pair_l1_distances(eta, cfg, flux, noise, idx), n)
+        lambda idx: pair_l1_distances(eta, cfg, flux, noise, idx), n, _BATCH)
     hits = int(np.count_nonzero(dists > iota))
     return MCEstimate.from_counts(hits, n)
 
@@ -140,15 +189,20 @@ def exp_equiv_scan(eta: ScalarField, ladder, iota: float, n: int,
 
     Each row carries eps * log(p_hat) (the quantity that must fall for
     superexponential equivalence; literal -inf when no path exceeded
-    iota).
+    iota).  The rungs are stepped as stacks (see _stacked_scan); each
+    row has the bits of estimate_tail at its epsilon.
     """
     ladder = [float(e) for e in ladder]
     if not ladder or any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("epsilon ladder must be strictly descending")
+    if iota <= 0:
+        raise ValueError("iota must be positive")
+    if n < 1:
+        raise ValueError("need at least one path")
+    gaps = _stacked_scan(eta, ladder, n, cfg, flux, noise, ())
     rows = []
-    for eps in ladder:
-        est = estimate_tail(eta, iota, n, replace(cfg, epsilon=eps),
-                            flux, noise)
+    for eps, dists in zip(ladder, gaps):
+        est = MCEstimate.from_counts(int(np.count_nonzero(dists > iota)), n)
         if est.hits == 0:
             elp = float("-inf")
         else:
@@ -211,9 +265,10 @@ def scaling_check(eta: ScalarField, epsilon: float, functionals, n: int,
     survival function at the effective size round(n/2) (Simard &
     L'Ecuyer 2011; scipy.stats' code, ported bit for bit).  If both
     samples are degenerate (zero spread, e.g. with zero noise) the
-    comparison falls back to exact equality within 1e-12.  A KS p-value above 0.01 passes; by construction that fails
-    for about 2% of honest seed pairs, so callers may retry once with a
-    fresh seed before treating a failure as real.
+    comparison falls back to exact equality within 1e-12.  A KS p-value
+    above 0.01 passes; by construction that fails for about 2% of honest
+    seed pairs, so callers may retry once with a fresh seed before
+    treating a failure as real.
     """
     functionals = tuple(functionals)
     for f in functionals:
@@ -224,9 +279,10 @@ def scaling_check(eta: ScalarField, epsilon: float, functionals, n: int,
     run_cfg = replace(cfg, epsilon=epsilon)
     ends_a = map_blocks(
         lambda idx: base_small_time_endpoints(eta, epsilon, run_cfg, flux,
-                                              noise, idx), n)
+                                              noise, idx), n, _BATCH)
     ends_b = map_blocks(
-        lambda idx: scaled_endpoints(eta, run_cfg, flux, noise, idx), n)
+        lambda idx: scaled_endpoints(eta, run_cfg, flux, noise, idx), n,
+        _BATCH)
     dx = eta.grid.dx
     rows = []
     for name in functionals:
@@ -273,7 +329,8 @@ def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,
                 flux: FluxModel, noise: NoiseModel) -> MomentTable:
     """Monte Carlo means of max_t ||.||_p^p for both members of the pair,
     per epsilon of the ladder; the across-ladder max/min ratio is the
-    desk surrogate for moment uniformity in epsilon."""
+    desk surrogate for moment uniformity in epsilon.  The rungs are
+    stepped as stacks (see _stacked_scan)."""
     ladder = [float(e) for e in ladder]
     p_list = [float(p) for p in p_list]
     if not ladder or not p_list:
@@ -282,12 +339,9 @@ def moment_scan(eta: ScalarField, ladder, p_list, n: int, cfg: SimConfig,
         raise ValueError("need at least one path")
     if any(not 1.0 <= p <= 8.0 for p in p_list):
         raise ValueError("moment orders must lie in [1, 8]")
+    per_rung = _stacked_scan(eta, ladder, n, cfg, flux, noise, p_list)
     rows = []
-    for eps in ladder:
-        run_cfg = replace(cfg, epsilon=eps)
-        moms = map_blocks(
-            lambda idx: pair_moment_maxes(eta, run_cfg, flux, noise, idx,
-                                          p_list), n)
+    for eps, moms in zip(ladder, per_rung):
         for j, p in enumerate(p_list):
             rows.append(MomentRow(eps, p, fmean(moms[:, j, 0]),
                                   fmean(moms[:, j, 1])))

@@ -13,10 +13,12 @@ margin, and raises a NumericalFailure naming the attained Courant
 number (and the path/step) on violation.
 
 One stepper, ``_sweep``, advances every run: a block of paths moves in
-lockstep as a (paths, cells) array, and a single path is a block of one
-row.  What a caller needs (tiles of trajectory snapshots, the pair's L1
-gap, moment maxima and the state range, endpoints) is observed along
-the way, at every step.
+lockstep as a (rungs x paths, cells) array, one group of rows per rung
+of a stack of dynamics that differ only in their flux scale and noise
+amplitude.  A single run is a stack of one rung, and a single path a
+block of one row.  What a caller needs (tiles of trajectory snapshots,
+the pair's L1 gap, moment maxima and the state range, endpoints) is
+observed along the way, at every step.
 """
 
 from __future__ import annotations
@@ -60,44 +62,54 @@ def resolve_time_grid(cfg: SimConfig, flux: FluxModel,
 #
 # Each update acts row by row.  The flux substep's two cell shifts (the
 # right state u[i+1] and the difference F[i] - F[i-1]) run as one flat
-# pass over the C-contiguous (paths, cells) block, which is row by row
+# pass over the C-contiguous (rows, cells) block, which is row by row
 # except in the wrap column, where the flat shift pairs a row with its
 # neighbour row; that one column is then rewritten from the row itself.
 # The noise coefficients c0 = db^T P0 and c1 = db^T P1 are two
 # fixed-order einsums over the K modes, each into its own contiguous
-# (paths, cells) buffer, which never reach BLAS.  A row's bits therefore
-# do not depend on the height of its block.  Every (paths, cells) buffer
-# a step writes is allocated once per block; a step allocates only
-# per-row vectors.  A recording run writes its snapshots path-major
-# into a tile, (paths, members, tile, cells), and hands each filled tile
-# to its consumer, which reduces or copies it before the next one is
-# written.
+# (paths, cells) buffer, which never reach BLAS.  Every rung of a stack
+# reads the same c0 and c1, broadcast over a (rungs, paths, cells) view
+# with the rung's amplitude, and the flux substep multiplies a rung's
+# rows by the double scale * (dt / dx) that a rung alone would.  A row's
+# bits therefore depend neither on the height of its block nor on the
+# other rungs of its stack.  Every (rows, cells) buffer a step writes is
+# allocated once per block; a step allocates only per-row vectors.  A
+# recording run writes its snapshots path-major into a tile, (rows,
+# members, tile, cells), and hands each filled tile to its consumer,
+# which reduces or copies it before the next one is written.
 
 
-def _range(u: np.ndarray, path_indices, step: int) -> tuple[float, float]:
-    """(min, max) of the block, raising on the first non-finite row."""
-    lo = float(u.min())
-    hi = float(u.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+def _ranges(u: np.ndarray, rungs: int, path_indices,
+            step: int) -> list[tuple[float, float]]:
+    """(min, max) of each rung's rows of u, raising on the first
+    non-finite row."""
+    stack = u.reshape(rungs, -1)
+    bounds = list(zip(stack.min(axis=1).tolist(), stack.max(axis=1).tolist()))
+    if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in bounds):
         bad = int(np.nonzero(~np.isfinite(u).all(axis=1))[0][0])
         raise NumericalFailure("non-finite state", path_indices[bad], step)
-    return lo, hi
+    return bounds
 
 
-def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
-                  flux: FluxModel, scale: float, dt: float,
-                  cfl_fraction: float, path_indices, step: int,
-                  scratch: np.ndarray) -> None:
-    """Engquist-Osher update of every row of u, in place; scratch holds
-    three C-contiguous arrays shaped like u."""
+def _flux_substep(u: np.ndarray, ranges, dx: float, flux: FluxModel,
+                  scales, dt: float, cfl_fraction: float, path_indices,
+                  step: int, scratch: np.ndarray) -> None:
+    """Engquist-Osher update of every row of u, in place.  u stacks one
+    group of rows per rung, in order; rung k is scaled by scales[k] and
+    its Courant number is certified on its state range ranges[k].
+    scratch holds three C-contiguous arrays shaped like u."""
     right, f, work = scratch
     if not (right.flags.c_contiguous and f.flags.c_contiguous):
         raise ValueError("flux substep scratch must be C-contiguous")
-    sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
-    if scale * sup * dt / dx > cfl_fraction:
+    height = len(u) // len(scales)
+    for k, ((lo, hi), scale) in enumerate(zip(ranges, scales)):
+        sup = flux.sup_abs_a(lo - RANGE_PAD, hi + RANGE_PAD)
+        if scale * sup * dt / dx <= cfl_fraction:
+            continue
         # the hull bound is conservative: certify per path before failing
-        lows, highs = u.min(axis=1), u.max(axis=1)
-        for r in range(u.shape[0]):
+        rung = u[k * height:(k + 1) * height]
+        lows, highs = rung.min(axis=1), rung.max(axis=1)
+        for r in range(height):
             rsup = flux.sup_abs_a(float(lows[r]) - RANGE_PAD,
                                   float(highs[r]) + RANGE_PAD)
             courant = scale * rsup * dt / dx
@@ -105,7 +117,7 @@ def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
                 raise NumericalFailure(
                     f"CFL violation: Courant number {courant:.6g} exceeds "
                     f"the certified fraction {cfl_fraction:.6g}",
-                    path_indices[r], step)
+                    path_indices[k * height + r], step)
     # flat shifts; each row's wrap column is then patched from the row
     right.reshape(-1)[:-1] = u.reshape(-1)[1:]
     right[:, -1] = u[:, 0]
@@ -114,13 +126,18 @@ def _flux_substep(u: np.ndarray, lo: float, hi: float, dx: float,
     flat = f.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=div.reshape(-1)[1:])
     np.subtract(f[:, :1], f[:, -1:], out=div[:, :1])
-    div *= scale * (dt / dx)
+    # each rung's rows times the double scale * (dt / dx)
+    per_rung = div.reshape(len(scales), -1)
+    np.multiply(per_rung, np.multiply(scales, dt / dx)[:, None],
+                out=per_rung)
     u -= div
 
 
 def _noise_substep(u: np.ndarray, c0: np.ndarray, c1: np.ndarray,
-                   amp: float, tmp: np.ndarray) -> None:
-    """u += amp * (c0 + c1 * u) in place; tmp is scratch."""
+                   amp: np.ndarray, tmp: np.ndarray) -> None:
+    """u += amp * (c0 + c1 * u) in place, for u and the scratch tmp viewed
+    as (rungs, paths, cells), c0 and c1 shared by every rung as (paths,
+    cells), and each rung's amplitude in amp, (rungs, 1, 1)."""
     np.multiply(c1, u, out=tmp)
     tmp += c0
     tmp *= amp
@@ -129,9 +146,9 @@ def _noise_substep(u: np.ndarray, c0: np.ndarray, c1: np.ndarray,
 
 @dataclass
 class _Observed:
-    ends: np.ndarray                  # final first-member states (paths, cells)
-    gap: np.ndarray | None = None     # space-time L1 gaps of pairs (paths,)
-    moms: np.ndarray | None = None    # (paths, len(p_list), members)
+    ends: np.ndarray                  # final first-member states (rows, cells)
+    gap: np.ndarray | None = None     # space-time L1 gaps of pairs (rows,)
+    moms: np.ndarray | None = None    # (rows, len(p_list), members)
 
 
 def _snapshot_times(n: int, dt: float, stride: int) -> np.ndarray:
@@ -143,48 +160,57 @@ def _snapshot_times(n: int, dt: float, stride: int) -> np.ndarray:
     return times
 
 
-def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
-           noise: NoiseModel, amp: float, dt: float, inc: np.ndarray,
-           splitting: str, cfl_fraction: float, path_indices,
-           pair: bool = False, p_list=(), record=None) -> _Observed:
-    """Advance one block of paths from eta and report what was observed.
+def _sweep(eta: ScalarField, flux: FluxModel, flux_scales, noise: NoiseModel,
+           amps, dt: float, inc: np.ndarray, splitting: str,
+           cfl_fraction: float, path_indices, pair: bool = False,
+           p_list=(), record=None) -> _Observed:
+    """Advance one block of paths from eta at every rung of a stack and
+    report what was observed.
 
-    Row r is path_indices[r], driven by inc[:, :, r] (step-major
-    increments, (n_steps, K, paths)).  A step is the flux substep (two
-    half steps around the noise for Strang) and the Euler-Maruyama noise
-    substep.  The noise coefficients sum_k db_k P0[k] and sum_k db_k P1[k]
-    are formed once per step, shared by both members when pair is set;
+    The stack has one rung per entry of flux_scales and amps.  Row
+    k * paths + r is path_indices[r] at rung k, driven by inc[:, :, r]
+    (step-major increments, (n_steps, K, paths)), which every rung
+    shares.  A step is the flux substep (two half steps around the noise
+    for Strang), scaled per rung, and the Euler-Maruyama noise substep.
+    The noise coefficients sum_k db_k P0[k] and sum_k db_k P1[k] are
+    formed once per step, as (paths, cells), and shared by every rung
+    (each with its own amplitude) and by both members when pair is set;
     the second member runs without flux.  Observers: the endpoint always,
     the trapezoidal L1 gap of a pair, the running maxima over every step
     of dx * sum |.|^p for each p in p_list (of max |.| for p = math.inf),
     and, when record is given as (stride, tile, consume), the snapshots
-    of _snapshot_times.  They land in a (paths, members, tile, cells)
+    of _snapshot_times.  They land in a (rows, members, tile, cells)
     buffer, and consume(buffer, first) gets it whenever it is full and
     at the end (then only its filled part), first being the index of its
     first snapshot.  The buffer is written again after consume returns,
     unless it held the last snapshot.
     """
-    n, n_modes, rows = inc.shape
-    indices = [int(i) for i in path_indices]
+    n, n_modes, paths = inc.shape
+    rungs = len(flux_scales)
+    rows = rungs * paths
+    indices = [int(i) for i in path_indices] * rungs
     dx = eta.grid.dx
     m = eta.grid.cells
     p0, p1 = np.hsplit(noise.stacked_parts(eta.grid), 2)
-    c0, c1 = np.empty((2, rows, m))
+    c0, c1 = np.empty((2, paths, m))
     scratch = np.empty((3, rows, m))  # flux substep: right states, f, work
     tmp = scratch[0]
     u = np.tile(eta.values, (rows, 1))
     members = [u, u.copy()] if pair else [u]
+    # the noise substep's (rungs, paths, cells) views, one amplitude a rung
+    stacked = [w.reshape(rungs, paths, m) for w in members]
+    stacked_tmp = tmp.reshape(rungs, paths, m)
+    amp = np.reshape(amps, (rungs, 1, 1))
     out = _Observed(u)
     strang = splitting == "strang"
     h = 0.5 * dt if strang else dt
-    lo_hi = _range(u, indices, 0)     # range of u, None once stale
+    ranges = _ranges(u, rungs, indices, 0)  # per rung, None once stale
 
     def flux_step(s):
-        nonlocal lo_hi
-        lo, hi = lo_hi or _range(u, indices, s)
-        _flux_substep(u, lo, hi, dx, flux, flux_scale, h, cfl_fraction,
-                      indices, s, scratch)
-        lo_hi = None
+        nonlocal ranges
+        _flux_substep(u, ranges or _ranges(u, rungs, indices, s), dx, flux,
+                      flux_scales, h, cfl_fraction, indices, s, scratch)
+        ranges = None
 
     def snap(last):
         nonlocal filled, first
@@ -224,9 +250,9 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
         if n_modes:
             np.einsum("kb,kc->bc", inc[s], p0, out=c0)
             np.einsum("kb,kc->bc", inc[s], p1, out=c1)
-            for w in members:
-                _noise_substep(w, c0, c1, amp, tmp)
-            lo_hi = _range(u, indices, s)
+            for w in stacked:
+                _noise_substep(w, c0, c1, amp, stacked_tmp)
+            ranges = _ranges(u, rungs, indices, s)
         if strang:
             flux_step(s)
         if pair:
@@ -236,7 +262,7 @@ def _sweep(eta: ScalarField, flux: FluxModel, flux_scale: float,
             cur = dx * tmp.sum(axis=1)
             # a finite gap next to a finite u implies a finite v
             if not np.isfinite(cur).all():
-                _range(v, indices, s)
+                _ranges(v, 1, indices, s)
             out.gap += 0.5 * dt * (prev + cur)
             prev = cur
         if p_list:
@@ -253,7 +279,7 @@ def deterministic_step(field: ScalarField, flux: FluxModel, scale: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = field.values[None, :].copy()
-    _flux_substep(u, *field.range_bounds(), field.grid.dx, flux, scale, dt,
+    _flux_substep(u, [field.range_bounds()], field.grid.dx, flux, [scale], dt,
                   SimConfig.cfl_fraction, [None], None,
                   np.empty((3,) + u.shape))
     return ScalarField(field.grid, u[0])
@@ -279,12 +305,17 @@ def _base(eta: ScalarField, epsilon: float, cfg: SimConfig,
 def _block(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
            noise: NoiseModel, dynamics, path_indices, stream: int,
            **observers) -> _Observed:
-    """_sweep of the given dynamics over a block of paths, each driven by
-    its own counter-keyed increments."""
-    scale, amp, n, dt = dynamics
+    """_sweep of a stack of dynamics, one (flux scale, noise amplitude,
+    n_steps, dt) per rung, over a block of paths, each driven by its own
+    counter-keyed increments.  The rungs share the increments, so they
+    must share the time grid."""
+    scales, amps, steps, dts = zip(*dynamics)
+    if len(set(zip(steps, dts))) != 1:
+        raise ValueError("the rungs of a stack must share one time grid")
+    n, dt = steps[0], dts[0]
     inc = block_increments(cfg.seed, stream, path_indices, n, noise.n_modes,
                            dt)
-    return _sweep(eta, flux, scale, noise, amp, dt, inc, cfg.splitting,
+    return _sweep(eta, flux, scales, noise, amps, dt, inc, cfg.splitting,
                   cfg.cfl_fraction, path_indices, **observers)
 
 
@@ -307,7 +338,7 @@ def record_coupled_pairs(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     Brownian increments step by step and their gap isolates the effect
     of the scaled flux.  Rows do not depend on the height of the block.
     """
-    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+    return _block(eta, cfg, flux, noise, [_scaled(cfg, flux, eta)],
                   path_indices, STREAM_MAIN, pair=True, p_list=p_list,
                   record=(cfg.save_stride, tile, consume))
 
@@ -323,6 +354,19 @@ def solve_coupled_pair(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     return tuple(Trajectory(eta.grid, times, run) for run in tiles[0][0])
 
 
+def stacked_pairs(eta: ScalarField, cfg: SimConfig, ladder, flux: FluxModel,
+                  noise: NoiseModel, path_indices, p_list) -> _Observed:
+    """The pair gaps and, for each p in p_list, the moment maxima (see
+    _sweep) of the coupled pairs of a block of path indices at every
+    epsilon of ladder, stepped as one stack; the rungs must resolve one
+    time grid.  Row k * paths + r is path_indices[r] at ladder[k], with
+    the bits that a block of that rung alone gives."""
+    dynamics = [_scaled(replace(cfg, epsilon=eps), flux, eta)
+                for eps in ladder]
+    return _block(eta, cfg, flux, noise, dynamics, path_indices,
+                  STREAM_MAIN, pair=True, p_list=[float(p) for p in p_list])
+
+
 def pair_l1_distances(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                       noise: NoiseModel, path_indices) -> np.ndarray:
     """Space-time L1 gaps of coupled pairs for a block of path indices.
@@ -330,23 +374,15 @@ def pair_l1_distances(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
     The running trapezoidal integral of ||u - v||_L1, accumulated on the
     fly, so large Monte Carlo sweeps avoid building trajectories.
     """
-    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                  path_indices, STREAM_MAIN, pair=True).gap
-
-
-def pair_moment_maxes(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
-                      noise: NoiseModel, path_indices, p_list) -> np.ndarray:
-    """max_t dx * sum |.|^p for both pair members, (paths, len(p_list), 2)."""
-    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
-                  path_indices, STREAM_MAIN, pair=True,
-                  p_list=[float(p) for p in p_list]).moms
+    return stacked_pairs(eta, cfg, [cfg.epsilon], flux, noise, path_indices,
+                         ()).gap
 
 
 def scaled_endpoints(eta: ScalarField, cfg: SimConfig, flux: FluxModel,
                      noise: NoiseModel, path_indices) -> np.ndarray:
     """Final states of the rescaled dynamics for a block of paths, (paths,
     cells), on their own stream."""
-    return _block(eta, cfg, flux, noise, _scaled(cfg, flux, eta),
+    return _block(eta, cfg, flux, noise, [_scaled(cfg, flux, eta)],
                   path_indices, STREAM_SCALED).ends
 
 
@@ -355,7 +391,7 @@ def base_small_time_endpoints(eta: ScalarField, epsilon: float,
                               noise: NoiseModel, path_indices) -> np.ndarray:
     """Endpoints of the unscaled dynamics at horizon epsilon, (paths,
     cells), on their own stream."""
-    return _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux),
+    return _block(eta, cfg, flux, noise, [_base(eta, epsilon, cfg, flux)],
                   path_indices, STREAM_BASE).ends
 
 

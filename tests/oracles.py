@@ -24,7 +24,8 @@ from sclaw.grid import Trajectory
 from sclaw.models import (FLUX_LATTICE_RADIUS, NoisePath, ValidationReport,
                           _ratio_check)
 from sclaw.mollifier import bump_norm, kernel_tables
-from sclaw.solvers import STREAM_MAIN, _block, _scaled, _snapshot_times
+from sclaw.solvers import (STREAM_MAIN, _block, _scaled, _snapshot_times,
+                           stacked_pairs)
 
 
 def psi_scalar(w: float) -> float:
@@ -117,11 +118,18 @@ def recorded_runs(eta, cfg, flux, noise, path_indices, pair=True):
     dynamics = _scaled(cfg, flux, eta)
     times = _snapshot_times(*dynamics[2:], cfg.save_stride)
     tiles = []
-    _block(eta, cfg, flux, noise, dynamics, path_indices, STREAM_MAIN,
+    _block(eta, cfg, flux, noise, [dynamics], path_indices, STREAM_MAIN,
            pair=pair, record=(cfg.save_stride, len(times),
                               lambda buf, _first: tiles.append(buf)))
     return [[Trajectory(eta.grid, times, run) for run in runs]
             for runs in tiles[0]]
+
+
+def pair_moment_maxes(eta, cfg, flux, noise, path_indices, p_list):
+    """max_t dx * sum |.|^p of both members of the coupled pairs of a
+    block of path indices at cfg.epsilon alone, (paths, len(p_list), 2)."""
+    return stacked_pairs(eta, cfg, [cfg.epsilon], flux, noise, path_indices,
+                         p_list).moms
 
 
 def lp_norms(values, p: float, dx: float) -> np.ndarray:

@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sclaw import cli, solvers
+from sclaw import cli, harness, solvers
 from sclaw.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                        load_config, run)
 from sclaw.diagnostics import certify_pairs
@@ -426,6 +427,50 @@ def test_doubling_names_the_failure_one_sweep_meets_first(tmp_path, capsys,
             EXIT_NUMERICAL
         assert (f"[path {every_pair.path_index}, step {every_pair.step}]"
                 in capsys.readouterr().err)
+
+
+def test_scan_names_the_failure_of_its_rungs_one_at_a_time(tmp_path, capsys,
+                                                          monkeypatch):
+    # strong multiplicative noise breaks the Courant bound on most paths,
+    # the largest epsilon first.  A scan names the failure that its rungs
+    # meet one at a time, in ladder order, each over blocks of 1024 paths;
+    # with this seed a block of the first 512 paths of both rungs meets
+    # another failure first
+    ladder, n = [0.9, 0.5], 2048
+    doc = patched(BASE, sim={"seed": 9},
+                  harness={"iota": 0.02, "n_tail": n, "ladder": ladder})
+    doc["model"]["noise"]["modes"] = [{"sigma": 1.0, "alpha": 1.0,
+                                       "beta": 1.0}]
+    path = write_cfg(tmp_path, doc)
+    cfg, flux, noise, eta = cli.build_run(load_config(path))
+
+    def failure(eps, block):
+        try:
+            solvers.pair_l1_distances(eta, replace(cfg, epsilon=eps), flux,
+                                      noise, block)
+        except NumericalFailure as exc:
+            return exc
+        return None
+
+    first, second = (failure(eps, range(1024)) for eps in ladder)
+    assert first.step < second.step
+    want = (str(first), first.path_index, first.step)
+    # the earliest step of the first stacked block, then its first row
+    step, _, path_index = min(
+        (exc.step, k, exc.path_index) for k, exc in enumerate(
+            failure(eps, range(512)) for eps in ladder) if exc is not None)
+    assert (path_index, step) != (first.path_index, first.step)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SCLAW_THREADS", threads)
+        assert run(["scan", "--config", path, "--quiet"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: {want[0]} [path {want[1]}, step {want[2]}]\n")
+        for scan, args in ((harness.exp_equiv_scan, (0.02,)),
+                           (harness.moment_scan, ([2.0],))):
+            with pytest.raises(NumericalFailure) as err:
+                scan(eta, ladder, *args, n, cfg, flux, noise)
+            got = err.value
+            assert (str(got), got.path_index, got.step) == want, scan
 
 
 def test_doubling_traces_under_half_its_snapshot_bytes(tmp_path,

@@ -1,19 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclaw import cli
+from sclaw import cli, harness
 from sclaw.grid import ScalarField, TorusGrid, make_initial
 from sclaw.harness import (_BATCH, FUNCTIONALS, MCEstimate, MomentRow,
                            MomentTable, ScanRow, ScanTable, estimate_tail,
                            exp_equiv_scan, fmean, functional_values,
                            map_blocks, moment_scan, scaling_check,
                            worker_count)
-from sclaw.models import NoiseModel, SimConfig, additive_noise, make_flux
-from sclaw.solvers import pair_l1_distances
+from sclaw.models import (NoiseMode, NoiseModel, SimConfig, additive_noise,
+                          make_flux)
+from sclaw.solvers import pair_l1_distances, resolve_time_grid
+
+from oracles import pair_moment_maxes
 
 Z95 = 1.959963984540054
 
@@ -36,21 +40,23 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_map_blocks_covers_indices(monkeypatch):
-    seen = []
+    # a one-run block, and a 3-rung scan's, which does not divide _BATCH
+    for width in (_BATCH, _BATCH // 3):
+        seen = []
 
-    def collect(block):
-        seen.append(block)
-        return np.asarray(list(block), dtype=float)
+        def collect(block):
+            seen.append(block)
+            return np.asarray(list(block), dtype=float)
 
-    n = 2 * _BATCH + 150          # two full blocks and a partial one
-    monkeypatch.setenv("SCLAW_THREADS", "1")
-    a = map_blocks(collect, n)
-    monkeypatch.setenv("SCLAW_THREADS", "8")
-    b = map_blocks(collect, n)
-    assert np.array_equal(a, np.arange(float(n)))
-    assert np.array_equal(a, b)
-    assert sorted(blk.start for blk in seen[:3]) == [0, _BATCH, 2 * _BATCH]
-    assert sorted(len(blk) for blk in seen[3:]) == [150, _BATCH, _BATCH]
+        n = 2 * width + 150          # two full blocks and a partial one
+        monkeypatch.setenv("SCLAW_THREADS", "1")
+        a = map_blocks(collect, n, width)
+        monkeypatch.setenv("SCLAW_THREADS", "8")
+        b = map_blocks(collect, n, width)
+        assert np.array_equal(a, np.arange(float(n)))
+        assert np.array_equal(a, b)
+        assert [blk.start for blk in seen[:3]] == [0, width, 2 * width]
+        assert sorted(len(blk) for blk in seen[3:]) == [150, width, width]
 
 
 def test_fmean_order_insensitive():
@@ -147,7 +153,8 @@ def test_tail_thread_invariant_across_blocks(burgers, two_mode_noise,
     n = 2 * _BATCH + 100          # three blocks, the last one partial
     monkeypatch.setenv("SCLAW_THREADS", "1")
     gaps = map_blocks(lambda idx: pair_l1_distances(eta, cfg, burgers,
-                                                    two_mode_noise, idx), n)
+                                                    two_mode_noise, idx), n,
+                      _BATCH)
     iota = float(np.median(gaps))
     a = estimate_tail(eta, iota, n, cfg, burgers, two_mode_noise)
     monkeypatch.setenv("SCLAW_THREADS", "2")
@@ -190,6 +197,97 @@ def test_scan_empty_tail_writes_minus_inf(small_eta, small_cfg,
     lines = cli._scan_csv(table)
     assert lines[0] == "epsilon,iota,n,hits,p_hat,ci_lo,ci_hi,eps_log_p"
     assert lines[1].endswith(",-inf")
+
+
+def test_scan_rejects_bad_input_before_stepping(small_eta, small_cfg,
+                                                burgers, two_mode_noise,
+                                                monkeypatch):
+    def step(*_args):
+        raise AssertionError("stepped before validating")
+
+    for name in ("stacked_pairs", "pair_l1_distances"):
+        monkeypatch.setattr(harness, name, step)
+    for ladder, iota, n in (([], 0.05, 8), ([0.1, 0.5], 0.05, 8),
+                            ([0.5, 0.5], 0.05, 8), ([0.5, 0.1], 0.0, 8),
+                            ([0.5, 0.1], 0.05, 0)):
+        with pytest.raises(ValueError):
+            exp_equiv_scan(small_eta, ladder, iota, n, small_cfg, burgers,
+                           two_mode_noise)
+    for ladder, p_list, n in (([], [2.0], 8), ([0.5], [], 8),
+                              ([0.5], [9.0], 8), ([0.5], [2.0], 0)):
+        with pytest.raises(ValueError):
+            moment_scan(small_eta, ladder, p_list, n, small_cfg, burgers,
+                        two_mode_noise)
+
+
+def _rungs_alone(eta, ladder, n, cfg, flux, noise, p_list):
+    """Per rung: its pair gaps, or its moment maxima when p_list is given,
+    over blocks of _BATCH paths of that rung alone."""
+    out = []
+    for eps in ladder:
+        run_cfg = replace(cfg, epsilon=eps)
+        if p_list:
+            out.append(map_blocks(lambda idx: pair_moment_maxes(
+                eta, run_cfg, flux, noise, idx, p_list), n, _BATCH))
+        else:
+            out.append(map_blocks(lambda idx: pair_l1_distances(
+                eta, run_cfg, flux, noise, idx), n, _BATCH))
+    return out
+
+
+# the shipped model's modes at a tenth of their sigma: a run whose dt
+# the CFL fraction sets leaves its Courant ceiling a few per cent of
+# slack, which the shipped noise uses up within a step
+_WEAK_NOISE = NoiseModel((
+    NoiseMode(sigma=0.04, profile="constant", alpha=0.0, beta=1.0),
+    NoiseMode(sigma=0.025, profile="cos", wavenumber=1, alpha=1.0,
+              beta=0.5)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("ladder, dt, grids", [
+    ([0.3], 1.0 / 16, 1), ([0.9, 0.5, 0.3], 1.0 / 16, 1),
+    ([0.9, 0.5, 0.3, 0.1], 1.0 / 16, 1),
+    # dt unset: 11, 10, 10 and 8 steps
+    ([0.8, 0.75, 0.7, 0.5], None, 3)])
+def test_stacked_scan_matches_rungs_alone_bitwise(ladder, dt, grids, threads,
+                                                  burgers, two_mode_noise,
+                                                  monkeypatch):
+    eta = make_initial(TorusGrid(8), "sine", mean=0.0, amp=0.5, mode=1)
+    cfg = SimConfig(epsilon=0.3, cells=8, seed=9, dt=dt, cfl_fraction=0.9)
+    noise = two_mode_noise if dt else _WEAK_NOISE
+    stacks = [resolve_time_grid(replace(cfg, epsilon=eps), burgers, eta)
+              for eps in ladder]
+    assert len(set(stacks)) == grids
+    n = _BATCH + 100          # every stack's last block is partial
+    monkeypatch.setenv("SCLAW_THREADS", threads)
+    stacked = harness.stacked_pairs
+    tasks = []
+
+    def traced(eta, cfg, rungs, *args):
+        tasks.append((len(rungs), len(args[-2])))
+        return stacked(eta, cfg, rungs, *args)
+
+    monkeypatch.setattr(harness, "stacked_pairs", traced)
+    gaps = _rungs_alone(eta, ladder, n, cfg, burgers, noise, ())
+    got = harness._stacked_scan(eta, ladder, n, cfg, burgers, noise, ())
+    for want, row in zip(gaps, got):
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+    # each stack's tasks take blocks of _BATCH // rungs paths
+    assert sorted(set(tasks)) == sorted(
+        {(stacks.count(g), min(_BATCH // stacks.count(g), n - lo))
+         for g in stacks for lo in range(0, n, _BATCH // stacks.count(g))})
+    iota = float(np.median(gaps[-1]))
+    table = exp_equiv_scan(eta, ladder, iota, n, cfg, burgers, noise)
+    assert [row.hits for row in table.rows] == [
+        int(np.count_nonzero(g > iota)) for g in gaps]
+    # the moment ladder repeats its last epsilon
+    moment_ladder, p_list = ladder + ladder[-1:], [2.0, 3.5]
+    moms = _rungs_alone(eta, moment_ladder, n, cfg, burgers, noise, p_list)
+    table = moment_scan(eta, moment_ladder, p_list, n, cfg, burgers, noise)
+    assert [(r.epsilon, r.p, r.u_moment, r.v_moment) for r in table.rows] == [
+        (eps, p, fmean(m[:, j, 0]), fmean(m[:, j, 1]))
+        for eps, m in zip(moment_ladder, moms) for j, p in enumerate(p_list)]
 
 
 def _row(eps, hits, elp):

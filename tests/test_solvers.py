@@ -22,12 +22,11 @@ from sclaw.solvers import (SKELETON_TILE, STREAM_BASE, STREAM_MAIN,
                            STREAM_SCALED, _base, _block, _flux_substep,
                            _scaled, _sweep, base_small_time_endpoints,
                            deterministic_step, integrate_skeleton,
-                           pair_l1_distances, pair_moment_maxes,
-                           scaled_endpoints, solve_coupled_pair,
-                           uniform_times)
+                           pair_l1_distances, scaled_endpoints,
+                           solve_coupled_pair, uniform_times)
 
-from oracles import (affine_parts, coarsen, lp_norms, recorded_runs,
-                     skeleton_per_step)
+from oracles import (affine_parts, coarsen, lp_norms, pair_moment_maxes,
+                     recorded_runs, skeleton_per_step)
 
 rng = np.random.default_rng(42)
 
@@ -50,16 +49,16 @@ def _eo(flux, ul, ur):
 
 def _base_end(eta, epsilon, cfg, flux, noise, i=0, stream=STREAM_BASE):
     """The endpoint of path i of the unscaled dynamics at time epsilon."""
-    return _block(eta, cfg, flux, noise, _base(eta, epsilon, cfg, flux), [i],
-                  stream).ends[0]
+    return _block(eta, cfg, flux, noise, [_base(eta, epsilon, cfg, flux)],
+                  [i], stream).ends[0]
 
 
 def _noise_step(eta, noise, amp, db):
     """One Euler-Maruyama noise step from eta of every column of db,
     shaped (K, rows): a zero-flux _sweep block of one step."""
     inc = np.asarray(db, dtype=float)[None]
-    return _sweep(eta, make_flux("zero"), 1.0, noise, amp, 1.0, inc, "lie",
-                  0.9, range(inc.shape[2])).ends
+    return _sweep(eta, make_flux("zero"), [1.0], noise, [amp], 1.0, inc,
+                  "lie", 0.9, range(inc.shape[2])).ends
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +267,8 @@ def test_flux_substep_matches_roll_reference_bitwise(kind, rows):
     u[:, ::5] = -0.0
     ref = _roll_eo_step(u, flux, 0.3, 0.02, 1.0 / 16)
     scratch = np.full((3,) + u.shape, np.nan)
-    _flux_substep(u, float(u.min()), float(u.max()), 1.0 / 16, flux, 0.3,
-                  0.02, 0.9, list(range(rows)), 0, scratch)
+    _flux_substep(u, [(float(u.min()), float(u.max()))], 1.0 / 16, flux,
+                  [0.3], 0.02, 0.9, list(range(rows)), 0, scratch)
     assert np.array_equal(_bits(u), _bits(ref))
     field = ScalarField(TorusGrid(16), ref[-1])
     one = deterministic_step(field, flux, 0.3, 0.02)
@@ -302,9 +301,34 @@ def test_flux_substep_rejects_non_contiguous_scratch():
     before = u.copy()
     scratch = np.empty((3, 8, 4)).transpose(0, 2, 1)
     with pytest.raises(ValueError, match="C-contiguous"):
-        _flux_substep(u, -1.0, 1.0, 1.0 / 8, make_flux("burgers"), 1.0,
-                      0.01, 0.9, list(range(4)), 0, scratch)
+        _flux_substep(u, [(-1.0, 1.0)], 1.0 / 8, make_flux("burgers"),
+                      [1.0], 0.01, 0.9, list(range(4)), 0, scratch)
     assert np.array_equal(u, before)
+
+
+def test_flux_substep_certifies_each_rung_on_its_own_range(monkeypatch):
+    # rung 0 holds wide states at a small scale, rung 1 narrow states at a
+    # scale that only rung 0's range would lift past the Courant ceiling:
+    # each rung passes on its own hull, so no row is certified alone, and
+    # each rung's rows step as they do without the other rung
+    g = np.random.default_rng(3)
+    u = np.vstack([g.uniform(-4.0, 4.0, (3, 8)), g.uniform(-0.1, 0.1, (3, 8))])
+    alone = [u[:3].copy(), u[3:].copy()]
+    for rows, scale in zip(alone, (0.01, 1.0)):
+        _flux_substep(rows, [(float(rows.min()), float(rows.max()))], 1.0 / 8,
+                      make_flux("burgers"), [scale], 1.0 / 16, 0.9,
+                      list(range(3)), 0, np.empty((3,) + rows.shape))
+    calls = []
+    sup_abs_a = FluxModel.sup_abs_a
+    monkeypatch.setattr(FluxModel, "sup_abs_a",
+                        lambda self, lo, hi: calls.append((lo, hi)) or
+                        sup_abs_a(self, lo, hi))
+    ranges = [(float(r.min()), float(r.max())) for r in (u[:3], u[3:])]
+    _flux_substep(u, ranges, 1.0 / 8, make_flux("burgers"), [0.01, 1.0],
+                  1.0 / 16, 0.9, list(range(3)) * 2, 0,
+                  np.empty((3,) + u.shape))
+    assert len(calls) == 2
+    assert np.array_equal(_bits(u), _bits(np.vstack(alone)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +436,8 @@ def test_splitting_gap_shrinks_with_dt(small_eta, burgers, two_mode_noise):
         inc = coarsen(fine, 512 // n).increments[:, :, None]
         ends = {}
         for splitting in ("lie", "strang"):
-            obs = _sweep(small_eta, burgers, 0.1, two_mode_noise,
-                         math.sqrt(0.1), 1.0 / n, inc, splitting, 0.9, [0])
+            obs = _sweep(small_eta, burgers, [0.1], two_mode_noise,
+                         [math.sqrt(0.1)], 1.0 / n, inc, splitting, 0.9, [0])
             ends[splitting] = obs.ends[0]
         gaps.append(float(np.abs(ends["lie"] - ends["strang"]).max()))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -678,7 +702,7 @@ def test_batched_endpoints_match_scalar(small_eta, burgers, two_mode_noise):
         # the recorded run of path i on the scaled stream, in tiles of 4
         # snapshots: the 65th, the last, is a tile of its own
         tiles = []
-        _block(small_eta, cfg, burgers, two_mode_noise, dynamics, [int(i)],
+        _block(small_eta, cfg, burgers, two_mode_noise, [dynamics], [int(i)],
                STREAM_SCALED, record=(1, 4, lambda buf, first: tiles.append(
                    (first, buf[0, 0].copy()))))
         assert [first for first, _ in tiles] == list(range(0, 65, 4))
@@ -794,8 +818,8 @@ def test_pair_sweep_allocates_no_per_step_block(two_mode_noise, burgers,
     inc = block_increments(7, STREAM_MAIN, range(rows), n, 2, 1.0 / n)
     tracemalloc.start()
     try:
-        _sweep(eta, burgers, 0.1, two_mode_noise, math.sqrt(0.1), 1.0 / n,
-               inc, splitting, 0.9, range(rows), pair=True)
+        _sweep(eta, burgers, [0.1], two_mode_noise, [math.sqrt(0.1)],
+               1.0 / n, inc, splitting, 0.9, range(rows), pair=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
