@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import operator
@@ -23,7 +24,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ConfigError, NumericalFailure
@@ -353,6 +353,16 @@ def _write_lines(path: Path, lines) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _scipy_version() -> str:
+    """scipy.__version__, which scipy imports from its scipy/version.py:
+    that file of the installed package, run on its own."""
+    spec = importlib.util.find_spec("scipy")
+    path = Path(spec.submodule_search_locations[0], "version.py")
+    namespace = {}
+    exec(path.read_text(), namespace)
+    return namespace["version"]
+
+
 def write_manifest(out_dir: Path, resolved: dict, hashes: dict) -> None:
     """Manifest with the resolved config, effective seed, content hash of
     every emitted file (hashes maps its name to its sha256) and the
@@ -366,7 +376,8 @@ def write_manifest(out_dir: Path, resolved: dict, hashes: dict) -> None:
         "versions": {
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
+            # read, not imported: smirnov's first call imports scipy
+            "scipy": _scipy_version(),
             "sclaw": __version__,
         },
     }

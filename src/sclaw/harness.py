@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -63,6 +62,7 @@ def map_blocks(fn, n: int, width: int) -> np.ndarray:
     workers = min(worker_count(), len(blocks))
     if workers <= 1:
         return np.concatenate([fn(b) for b in blocks], axis=0)
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(fn, blocks)), axis=0)
 

@@ -15,8 +15,9 @@ Developers) operation for operation, including its long-double
 rescaling constants, so the statistic and p-value equal scipy's bit for
 bit; only the CDF side of each branch is kept, and the survival
 function is formed from it as scipy does.  Importing it loads no
-scipy subpackage: ``scipy.special.smirnov`` is imported on the first
-call that needs it.
+scipy: ``scipy.special.smirnov`` is imported on the first call that
+needs it, and that call is the process's first import of scipy (the
+manifest reads scipy's version without importing it).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ _STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
 
 
 def smirnov(n, x):
-    """scipy.special.smirnov, imported on first use (x >= 1/2, or Miller)."""
+    """scipy.special.smirnov, imported on first use (x >= 1/2, or Miller):
+    the process's first import of scipy."""
     from scipy.special import smirnov
     return smirnov(n, x)
 

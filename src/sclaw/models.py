@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.random import Generator, Philox
 
 FLUX_KINDS = ("zero", "linear", "burgers", "polynomial")
@@ -172,7 +171,7 @@ class FluxModel:
                          "_phi_neg", "_crit"):
                 object.__setattr__(self, name, empty)
             return
-        pa = Polynomial(self.coeffs).deriv()
+        pa = np.polynomial.Polynomial(self.coeffs).deriv()
         object.__setattr__(self, "_da_coeffs", tuple(pa.coef))
         roots = pa.roots() if pa.degree() >= 1 else np.empty(0, dtype=complex)
         real = np.sort(np.real(roots[np.abs(np.imag(roots)) < 1e-9]))

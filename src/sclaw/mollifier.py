@@ -32,8 +32,13 @@ import numpy as np
 TABLE_POINTS = 4096
 # P_0..P_2: X, Xi and the transport wedges of a speed of degree <= 1
 BASE_MOMENTS = 2
-# 5-point Gauss-Legendre nodes/weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# 5-point Gauss-Legendre nodes/weights on [-1, 1]: the repr of
+# numpy.polynomial.legendre.leggauss(5), so no eigensolver forms them
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663,
+                        0.5688888888888887, 0.4786286704993663,
+                        0.23692688505618928])
 
 
 def bump_raw(w):

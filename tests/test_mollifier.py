@@ -86,6 +86,19 @@ def test_bump_raw_outside_support_is_zero():
 # tabulated antiderivatives
 
 
+def test_gauss_legendre_literals():
+    # the tables' 5-point rule is frozen as literals: symmetric, of total
+    # weight 2, and within 1 ulp of numpy's eigensolver route
+    nodes, weights = mollifier._GL_NODES, mollifier._GL_WEIGHTS
+    assert np.array_equal(nodes[::-1], -nodes)
+    assert np.array_equal(weights[::-1], weights)
+    assert math.fsum(weights) == pytest.approx(2.0, rel=0.0,
+                                               abs=np.spacing(2.0))
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(5)
+    for got, want in ((nodes, want_nodes), (weights, want_weights)):
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 def test_cdf_endpoints_and_center():
     assert float(kernel_cdf(-1.0)) == 0.0
     assert float(kernel_cdf(1.0)) == 1.0
